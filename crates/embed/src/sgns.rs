@@ -128,13 +128,17 @@ impl Embeddings {
             let mut epoch_terms = 0u64;
             for doc in &encoded {
                 // Optional frequent-word subsampling, re-drawn each epoch.
-                let kept: Vec<usize> = match config.subsample {
-                    Some(t) => doc
-                        .iter()
-                        .copied()
-                        .filter(|&id| rng.gen::<f64>() < vocab.keep_probability(id, t))
-                        .collect(),
-                    None => doc.clone(),
+                let subsampled: Vec<usize>;
+                let kept: &[usize] = match config.subsample {
+                    Some(t) => {
+                        subsampled = doc
+                            .iter()
+                            .copied()
+                            .filter(|&id| rng.gen::<f64>() < vocab.keep_probability(id, t))
+                            .collect();
+                        &subsampled
+                    }
+                    None => doc,
                 };
                 for (pos, &center) in kept.iter().enumerate() {
                     step += 1;
@@ -158,9 +162,12 @@ impl Embeddings {
                             if k > 0 && target == context {
                                 continue;
                             }
+                            // `input` and `output` are distinct tensors,
+                            // so the centre row can stay borrowed while
+                            // the target row is written.
                             let vin = input.row_slice(center);
-                            let uout = output.row_slice(target);
-                            let score: f32 = vin.iter().zip(uout).map(|(a, b)| a * b).sum();
+                            let uout = output.row_slice_mut(target);
+                            let score: f32 = vin.iter().zip(&*uout).map(|(a, b)| a * b).sum();
                             let p = sigmoid(score);
                             if dc_obs::enabled() {
                                 let t = if label == 1.0 { p } else { 1.0 - p };
@@ -168,18 +175,15 @@ impl Embeddings {
                                 epoch_terms += 1;
                             }
                             let g = (p - label) * lr;
-                            for (i, gi) in grad_in.iter_mut().enumerate() {
-                                *gi += g * output.get(target, i);
-                            }
-                            for i in 0..d {
-                                let upd = g * input.get(center, i);
-                                let cur = output.get(target, i);
-                                output.set(target, i, cur - upd);
+                            // Per element: the gradient reads `u` before
+                            // `u` is updated (DESIGN.md §18).
+                            for ((gi, u), &x) in grad_in.iter_mut().zip(uout).zip(vin) {
+                                *gi += g * *u;
+                                *u -= g * x;
                             }
                         }
-                        for (i, &gi) in grad_in.iter().enumerate() {
-                            let cur = input.get(center, i);
-                            input.set(center, i, cur - gi);
+                        for (x, &gi) in input.row_slice_mut(center).iter_mut().zip(&grad_in) {
+                            *x -= gi;
                         }
                     }
                 }
@@ -537,6 +541,113 @@ mod tests {
         }
         assert!(idx.most_similar("zzz", 3).is_empty());
         assert!(idx.analogy("t0w0", "zzz", "t1w0", 3).is_empty());
+    }
+
+    /// The seed training loop, verbatim: every element through the
+    /// bounds-asserting `Tensor::get` / `set`, gradient loop before
+    /// update loop, each document cloned each epoch. Kept as the bitwise
+    /// oracle for [`Embeddings::train`].
+    fn train_seed_loop(documents: &[Vec<String>], config: &SgnsConfig, rng: &mut StdRng) -> Tensor {
+        let vocab = Vocabulary::build(documents, config.min_count);
+        let v = vocab.len();
+        let d = config.dim;
+        let mut input = Tensor::rand_uniform(v, d, -0.5 / d as f32, 0.5 / d as f32, rng);
+        let mut output = Tensor::zeros(v, d);
+        let encoded: Vec<Vec<usize>> = documents.iter().map(|doc| vocab.encode(doc)).collect();
+        let total_steps = (config.epochs * encoded.iter().map(Vec::len).sum::<usize>()).max(1);
+        let mut step = 0usize;
+        let mut grad_in = vec![0.0f32; d];
+        for _epoch in 0..config.epochs {
+            for doc in &encoded {
+                let kept: Vec<usize> = match config.subsample {
+                    Some(t) => doc
+                        .iter()
+                        .copied()
+                        .filter(|&id| rng.gen::<f64>() < vocab.keep_probability(id, t))
+                        .collect(),
+                    None => doc.clone(),
+                };
+                for (pos, &center) in kept.iter().enumerate() {
+                    step += 1;
+                    let progress = step as f32 / total_steps as f32;
+                    let lr = config.lr * (1.0 - 0.9 * progress);
+                    let lo = pos.saturating_sub(config.window);
+                    let hi = (pos + config.window + 1).min(kept.len());
+                    for (ctx_pos, &context) in kept.iter().enumerate().take(hi).skip(lo) {
+                        if ctx_pos == pos {
+                            continue;
+                        }
+                        grad_in.iter_mut().for_each(|g| *g = 0.0);
+                        for k in 0..=config.negative {
+                            let (target, label) = if k == 0 {
+                                (context, 1.0f32)
+                            } else {
+                                (vocab.sample_negative(rng), 0.0)
+                            };
+                            if k > 0 && target == context {
+                                continue;
+                            }
+                            let vin = input.row_slice(center);
+                            let uout = output.row_slice(target);
+                            let score: f32 = vin.iter().zip(uout).map(|(a, b)| a * b).sum();
+                            let g = (sigmoid(score) - label) * lr;
+                            for (i, gi) in grad_in.iter_mut().enumerate() {
+                                *gi += g * output.get(target, i);
+                            }
+                            for i in 0..d {
+                                let upd = g * input.get(center, i);
+                                let cur = output.get(target, i);
+                                output.set(target, i, cur - upd);
+                            }
+                        }
+                        for (i, &gi) in grad_in.iter().enumerate() {
+                            let cur = input.get(center, i);
+                            input.set(center, i, cur - gi);
+                        }
+                    }
+                }
+            }
+        }
+        input
+    }
+
+    #[test]
+    fn slice_loop_is_bitwise_the_seed_loop() {
+        let corpus = planted_topic_corpus(3, 6, 120, 9, &mut StdRng::seed_from_u64(11));
+        let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for subsample in [None, Some(0.01)] {
+            let config = SgnsConfig::default()
+                .with_dim(10)
+                .with_epochs(3)
+                .with_subsample(subsample);
+            let (mut rng_seed, mut rng_off, mut rng_on) = (
+                StdRng::seed_from_u64(12),
+                StdRng::seed_from_u64(12),
+                StdRng::seed_from_u64(12),
+            );
+            let want = bits(&train_seed_loop(&corpus, &config, &mut rng_seed));
+            // No other test in this binary flips the gate; one running
+            // beside this would at most record a loss series.
+            dc_obs::set_enabled(false);
+            let off = Embeddings::train(&corpus, &config, &mut rng_off);
+            dc_obs::set_enabled(true);
+            let on = Embeddings::train(&corpus, &config, &mut rng_on);
+            dc_obs::set_enabled(false);
+            assert_eq!(
+                bits(&off.vectors),
+                want,
+                "subsample {subsample:?}, DC_OBS off"
+            );
+            assert_eq!(
+                bits(&on.vectors),
+                want,
+                "subsample {subsample:?}, DC_OBS on"
+            );
+            // Same draws consumed, so whatever trains next sees the same stream.
+            let next = rng_seed.gen::<u64>();
+            assert_eq!(rng_off.gen::<u64>(), next);
+            assert_eq!(rng_on.gen::<u64>(), next);
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@ use dc_nn::loss::{class_weights, LossKind};
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::Adam;
 use dc_nn::train::{run_epochs, MlpTrainer, TrainOpts};
+use dc_relational::tokenize::EditScratch;
 use dc_relational::{Table, Value};
 use dc_tensor::Tensor;
 use rand::rngs::StdRng;
+use std::collections::HashMap;
 
 /// Declares a pair a match only when every non-null attribute is equal.
 #[derive(Clone, Copy, Debug, Default)]
@@ -42,30 +44,118 @@ pub struct RuleMatcher {
     pub threshold: f64,
 }
 
+static MATCH_PAIRS: dc_obs::Counter = dc_obs::Counter::new("er.match.pairs");
+static MATCH_FILTERED: dc_obs::Counter = dc_obs::Counter::new("er.match.filtered");
+static MATCH_VERIFIED: dc_obs::Counter = dc_obs::Counter::new("er.match.verified");
+
 impl RuleMatcher {
     /// With the given threshold.
     pub fn new(threshold: f64) -> Self {
         RuleMatcher { threshold }
     }
 
-    /// Mean attribute similarity of one pair.
+    /// Mean attribute similarity of one pair; 0 for zero-arity rows.
+    ///
+    /// # Panics
+    /// Panics when the rows differ in arity.
     pub fn score(&self, a: &[Value], b: &[Value]) -> f64 {
-        use dc_relational::tokenize::edit_similarity;
+        assert_eq!(
+            a.len(),
+            b.len(),
+            "rule matcher: arity mismatch ({} vs {})",
+            a.len(),
+            b.len()
+        );
+        let mut scratch = EditScratch::default();
         let mut total = 0.0;
         for (x, y) in a.iter().zip(b) {
             if !x.is_null() && !y.is_null() {
-                total += edit_similarity(&x.canonical(), &y.canonical());
+                total += scratch.similarity_str(&x.canonical(), &y.canonical());
             }
         }
-        total / a.len() as f64
+        mean_similarity(total, a.len())
     }
 
-    /// Predict labels for pairs.
-    pub fn predict(&self, table: &Table, pairs: &[(usize, usize)]) -> Vec<bool> {
-        pairs
-            .iter()
-            .map(|&(a, b)| self.score(&table.rows[a], &table.rows[b]) >= self.threshold)
-            .collect()
+    /// Predict labels for pairs: `score(a, b) >= threshold` for every
+    /// pair, decided without computing most of the scores.
+    ///
+    /// Filter–verify (DESIGN.md §18): the table's cells are
+    /// canonicalised and interned once; each pair then starts from a
+    /// per-column *upper bound* on its similarity — exact for equal
+    /// values and for low-cardinality columns, whose value×value
+    /// similarities are tabulated up front, and `1 − |la − lb| / max`
+    /// otherwise, since an edit distance is at least the length
+    /// difference. Bounds are summed in column order exactly as
+    /// [`RuleMatcher::score`] sums similarities (a null column's `+ 0.0`
+    /// leaves a non-negative sum bit for bit where `score` adds
+    /// nothing); f64 addition and division are monotone, so a bound mean
+    /// below the threshold proves the score is too. A surviving pair has its inexact columns
+    /// replaced by their true similarity one at a time, re-testing after
+    /// each; once none is left the sum *is* the score's sum, term for
+    /// term.
+    ///
+    /// `pairs` is any borrowed collection of pairs — a slice, or the set
+    /// a blocker returns, which at corpus scale is too big to copy into
+    /// one; labels come back in its iteration order.
+    ///
+    /// # Panics
+    /// Panics when a row's arity differs from the schema's.
+    pub fn predict<'a>(
+        &self,
+        table: &Table,
+        pairs: impl IntoIterator<Item = &'a (usize, usize)>,
+    ) -> Vec<bool> {
+        let arity = table.schema.arity();
+        for row in &table.rows {
+            assert_eq!(
+                row.len(),
+                arity,
+                "rule matcher: row arity {} != schema arity {arity}",
+                row.len()
+            );
+        }
+        let columns: Vec<MatchColumn> = (0..arity).map(|c| MatchColumn::new(table, c)).collect();
+        let mut scratch = EditScratch::default();
+        // Per column, the pair's similarity term, and the columns whose
+        // term is still only a bound.
+        let mut terms = vec![0.0f64; arity];
+        let mut open: Vec<usize> = Vec::with_capacity(arity);
+        let (mut filtered, mut verified) = (0u64, 0u64);
+        let labels: Vec<bool> = pairs
+            .into_iter()
+            .map(|&(a, b)| {
+                open.clear();
+                for (c, (col, term)) in columns.iter().zip(&mut terms).enumerate() {
+                    let (bound, exact) = col.bound(a, b);
+                    *term = bound;
+                    if !exact {
+                        open.push(c);
+                    }
+                }
+                let mut refined = 0;
+                loop {
+                    let mut total = 0.0;
+                    for t in &terms {
+                        total += t;
+                    }
+                    let mean = mean_similarity(total, arity);
+                    if mean < self.threshold {
+                        filtered += u64::from(refined == 0);
+                        break false;
+                    }
+                    let Some(&c) = open.get(refined) else {
+                        break mean >= self.threshold;
+                    };
+                    terms[c] = columns[c].similarity(a, b, &mut scratch);
+                    refined += 1;
+                    verified += 1;
+                }
+            })
+            .collect();
+        MATCH_PAIRS.add(labels.len() as u64);
+        MATCH_FILTERED.add(filtered);
+        MATCH_VERIFIED.add(verified);
+        labels
     }
 
     /// Match scores (for AUC-style evaluation).
@@ -74,6 +164,97 @@ impl RuleMatcher {
             .iter()
             .map(|&(a, b)| self.score(&table.rows[a], &table.rows[b]) as f32)
             .collect()
+    }
+}
+
+/// The one place the similarity sum becomes a mean, so `score` and
+/// `predict` divide identically. Zero-arity rows score 0, not `0 / 0`.
+fn mean_similarity(total: f64, arity: usize) -> f64 {
+    if arity == 0 {
+        0.0
+    } else {
+        total / arity as f64
+    }
+}
+
+/// Columns with at most this many distinct values get their value×value
+/// similarity table computed up front (at most `64² / 2` edit distances,
+/// against the hundreds of pairs per value such a column sees).
+const MEMO_MAX_VALUES: usize = 64;
+
+/// Id of a null cell in [`MatchColumn::ids`].
+const NULL_ID: u32 = u32::MAX;
+
+/// One column of a table, canonicalised once for pairwise matching.
+struct MatchColumn {
+    /// Per row: the interned id of the cell's canonical string, or
+    /// [`NULL_ID`]. Equal ids mean equal canonical strings.
+    ids: Vec<u32>,
+    /// Per id: the canonical string's chars.
+    values: Vec<Vec<char>>,
+    /// Exact similarities, `values.len()` squared and row-major, when the
+    /// column has at most [`MEMO_MAX_VALUES`] values; empty otherwise.
+    memo: Vec<f64>,
+}
+
+impl MatchColumn {
+    fn new(table: &Table, c: usize) -> Self {
+        let mut interned: HashMap<String, u32> = HashMap::new();
+        let mut values: Vec<Vec<char>> = Vec::new();
+        let ids = table
+            .rows
+            .iter()
+            .map(|row| {
+                if row[c].is_null() {
+                    return NULL_ID;
+                }
+                *interned.entry(row[c].canonical()).or_insert_with_key(|s| {
+                    values.push(s.chars().collect());
+                    (values.len() - 1) as u32
+                })
+            })
+            .collect();
+        let k = values.len();
+        let mut memo = Vec::new();
+        if k <= MEMO_MAX_VALUES {
+            let mut scratch = EditScratch::default();
+            memo = vec![1.0; k * k];
+            for i in 0..k {
+                for j in i + 1..k {
+                    // Levenshtein distance is symmetric, so is this.
+                    let sim = scratch.similarity(&values[i], &values[j]);
+                    memo[i * k + j] = sim;
+                    memo[j * k + i] = sim;
+                }
+            }
+        }
+        MatchColumn { ids, values, memo }
+    }
+
+    /// An upper bound on the similarity of rows `a` and `b` in this
+    /// column and whether it is exact. A null on either side is an exact
+    /// 0: the column adds nothing to the score.
+    fn bound(&self, a: usize, b: usize) -> (f64, bool) {
+        let (ia, ib) = (self.ids[a], self.ids[b]);
+        if ia == NULL_ID || ib == NULL_ID {
+            return (0.0, true);
+        }
+        if ia == ib {
+            return (1.0, true);
+        }
+        let (ia, ib) = (ia as usize, ib as usize);
+        if !self.memo.is_empty() {
+            return (self.memo[ia * self.values.len() + ib], true);
+        }
+        // Distinct ids are distinct strings, so `max` is not 0.
+        let (la, lb) = (self.values[ia].len(), self.values[ib].len());
+        (1.0 - la.abs_diff(lb) as f64 / la.max(lb) as f64, false)
+    }
+
+    /// Exact similarity of two non-null cells.
+    fn similarity(&self, a: usize, b: usize, scratch: &mut EditScratch) -> f64 {
+        let (ia, ib) = (self.ids[a] as usize, self.ids[b] as usize);
+        scratch.similarity(&self.values[ia], &self.values[ib])
     }
 }
 
@@ -179,6 +360,27 @@ mod tests {
         // A mid threshold should do decently on clean data.
         let mid = RuleMatcher::new(0.6).predict(&bench.table, &p);
         assert!(f1_score(&mid, &gold) > 0.5);
+    }
+
+    #[test]
+    fn rule_matcher_scores_zero_arity_as_zero() {
+        let matcher = RuleMatcher::new(0.0);
+        assert_eq!(matcher.score(&[], &[]), 0.0);
+        let mut table = Table::new("empty", dc_relational::Schema::new(&[]));
+        table.push(vec![]);
+        table.push(vec![]);
+        assert_eq!(matcher.predict(&table, &[(0, 1)]), vec![true]);
+        assert_eq!(
+            RuleMatcher::new(0.1).predict(&table, &[(0, 1)]),
+            vec![false]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch (2 vs 1)")]
+    fn rule_matcher_rejects_arity_mismatch() {
+        let a = vec![Value::text("x"), Value::text("y")];
+        RuleMatcher::new(0.5).score(&a, &a[..1]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! associated thresholds" that §5.2 contrasts against).
 
 use dc_embed::{tuple2vec, Embeddings};
-use dc_relational::tokenize::{edit_similarity, jaccard, tokenize};
+use dc_relational::tokenize::{jaccard, tokenize, EditScratch};
 use dc_relational::{Table, Value};
 use dc_tensor::tensor::cosine;
 use dc_tensor::Tensor;
@@ -50,34 +50,48 @@ pub fn embedding_feature_matrix(vectors: &[Vec<f32>], pairs: &[(usize, usize)]) 
 /// column, `[edit similarity, token jaccard, exact match, both-null]` —
 /// the magellan-style feature family.
 pub fn classical_pair_features(a: &[Value], b: &[Value]) -> Vec<f32> {
+    let mut out = vec![0.0; a.len() * 4];
+    classical_pair_features_into(a, b, &mut out, &mut EditScratch::default());
+    out
+}
+
+/// [`classical_pair_features`] into a zeroed `out` of `4 × arity`, with
+/// the edit-distance buffers supplied by the caller.
+fn classical_pair_features_into(
+    a: &[Value],
+    b: &[Value],
+    out: &mut [f32],
+    scratch: &mut EditScratch,
+) {
     assert_eq!(a.len(), b.len(), "classical features: arity mismatch");
-    let mut out = Vec::with_capacity(a.len() * 4);
-    for (va, vb) in a.iter().zip(b) {
+    assert_eq!(out.len(), a.len() * 4, "classical features: output width");
+    for ((va, vb), f) in a.iter().zip(b).zip(out.chunks_exact_mut(4)) {
         match (va.is_null(), vb.is_null()) {
-            (true, true) => out.extend([0.0, 0.0, 0.0, 1.0]),
-            (true, false) | (false, true) => out.extend([0.0, 0.0, 0.0, 0.0]),
+            (true, true) => f[3] = 1.0,
+            (true, false) | (false, true) => {}
             (false, false) => {
                 let sa = va.canonical();
                 let sb = vb.canonical();
-                let ta = tokenize(&sa);
-                let tb = tokenize(&sb);
-                out.push(edit_similarity(&sa, &sb) as f32);
-                out.push(jaccard(&ta, &tb) as f32);
-                out.push(if va == vb { 1.0 } else { 0.0 });
-                out.push(0.0);
+                f[0] = scratch.similarity_str(&sa, &sb) as f32;
+                f[1] = jaccard(&tokenize(&sa), &tokenize(&sb)) as f32;
+                f[2] = if va == vb { 1.0 } else { 0.0 };
             }
         }
     }
-    out
 }
 
 /// Classical feature matrix for labelled pairs over a table.
 pub fn classical_feature_matrix(table: &Table, pairs: &[(usize, usize)]) -> Tensor {
     let d = table.schema.arity() * 4;
     let mut x = Tensor::zeros(pairs.len(), d);
+    let mut scratch = EditScratch::default();
     for (i, &(a, b)) in pairs.iter().enumerate() {
-        let f = classical_pair_features(&table.rows[a], &table.rows[b]);
-        x.row_slice_mut(i).copy_from_slice(&f);
+        classical_pair_features_into(
+            &table.rows[a],
+            &table.rows[b],
+            x.row_slice_mut(i),
+            &mut scratch,
+        );
     }
     x
 }

@@ -89,36 +89,77 @@ pub fn jaccard(a: &[String], b: &[String]) -> f64 {
     inter as f64 / union as f64
 }
 
+/// Reusable buffers for the Levenshtein kernel: the DP row, plus two
+/// char buffers for the `&str` entry point. A caller scoring many pairs
+/// keeps one of these and pays no allocation per pair once the buffers
+/// have grown to the longest string seen.
+#[derive(Clone, Debug, Default)]
+pub struct EditScratch {
+    a: Vec<char>,
+    b: Vec<char>,
+    row: Vec<usize>,
+}
+
+impl EditScratch {
+    /// Normalised edit similarity in `[0, 1]` of two char slices:
+    /// `1 − distance / max(len)`, and 1 for two empty slices.
+    pub fn similarity(&mut self, a: &[char], b: &[char]) -> f64 {
+        similarity(a, b, &mut self.row)
+    }
+
+    /// [`EditScratch::similarity`] of two strings, decoding each once
+    /// into the scratch's own char buffers.
+    pub fn similarity_str(&mut self, a: &str, b: &str) -> f64 {
+        self.a.clear();
+        self.a.extend(a.chars());
+        self.b.clear();
+        self.b.extend(b.chars());
+        similarity(&self.a, &self.b, &mut self.row)
+    }
+}
+
+fn similarity(a: &[char], b: &[char], row: &mut Vec<usize>) -> f64 {
+    let max = a.len().max(b.len());
+    if max == 0 {
+        return 1.0;
+    }
+    1.0 - levenshtein(a, b, row) as f64 / max as f64
+}
+
+/// Single-row Levenshtein over char slices. `row` is resized as needed
+/// and holds nothing meaningful between calls.
+fn levenshtein(a: &[char], b: &[char], row: &mut Vec<usize>) -> usize {
+    if a.is_empty() {
+        return b.len();
+    }
+    row.clear();
+    row.extend(0..=b.len());
+    for (i, ca) in a.iter().enumerate() {
+        // `diag` and `left` carry D[i][j] and D[i+1][j] along the row, so
+        // the loop reads and writes each cell once.
+        let mut diag = i;
+        let mut left = i + 1;
+        row[0] = left;
+        for (cb, cell) in b.iter().zip(&mut row[1..]) {
+            let up = *cell;
+            left = (diag + usize::from(ca != cb)).min(up + 1).min(left + 1);
+            diag = up;
+            *cell = left;
+        }
+    }
+    row[b.len()]
+}
+
 /// Levenshtein edit distance between two strings (on chars).
 pub fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
+    levenshtein(&a, &b, &mut Vec::new())
 }
 
 /// Normalised edit similarity in `[0, 1]`.
 pub fn edit_similarity(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - edit_distance(a, b) as f64 / max as f64
+    EditScratch::default().similarity_str(a, b)
 }
 
 #[cfg(test)]
@@ -170,6 +211,70 @@ mod tests {
         assert_eq!(edit_distance("kitten", "sitting"), 3);
         assert_eq!(edit_distance("", "abc"), 3);
         assert_eq!(edit_distance("abc", "abc"), 0);
+    }
+
+    /// The seed's two-row, four-allocation Levenshtein, kept as the
+    /// oracle for the single-row kernel.
+    fn edit_distance_seed(a: &str, b: &str) -> usize {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() {
+            return b.len();
+        }
+        if b.is_empty() {
+            return a.len();
+        }
+        let mut prev: Vec<usize> = (0..=b.len()).collect();
+        let mut cur = vec![0; b.len() + 1];
+        for (i, ca) in a.iter().enumerate() {
+            cur[0] = i + 1;
+            for (j, cb) in b.iter().enumerate() {
+                let cost = usize::from(ca != cb);
+                cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        prev[b.len()]
+    }
+
+    #[test]
+    fn scratch_kernel_matches_seed_across_reuse() {
+        let words = [
+            "",
+            "a",
+            "kitten",
+            "sitting",
+            "flaw",
+            "lawn",
+            "日本語",
+            "日本",
+            "naïve",
+            "naive",
+            "🙂 smile",
+            "smile",
+            "p00417",
+            "p00471",
+            "a much longer string than the others",
+        ];
+        // One scratch across every pair, long and short interleaved, so
+        // stale cells from an earlier, longer row would show.
+        let mut scratch = EditScratch::default();
+        for a in words {
+            for b in words {
+                let want = edit_distance_seed(a, b);
+                assert_eq!(edit_distance(a, b), want, "{a:?} vs {b:?}");
+                let max = a.chars().count().max(b.chars().count());
+                let sim = if max == 0 {
+                    1.0
+                } else {
+                    1.0 - want as f64 / max as f64
+                };
+                let (ca, cb): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+                assert_eq!(scratch.similarity(&ca, &cb).to_bits(), sim.to_bits());
+                assert_eq!(scratch.similarity_str(a, b).to_bits(), sim.to_bits());
+                assert_eq!(edit_similarity(a, b).to_bits(), sim.to_bits());
+            }
+        }
     }
 
     #[test]

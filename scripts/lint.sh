@@ -47,6 +47,18 @@ DC_THREADS=1 cargo test -q -p dc-er --test blocking_equiv
 DC_THREADS=2 cargo test -q -p dc-er --test blocking_equiv
 cargo test -q -p dc-er --test blocking_equiv
 
+echo "== filter-verify matcher, slice SGNS loop, pipeline vs seed match loop under DC_THREADS=1, =2, default =="
+DC_THREADS=1 cargo test -q -p dc-er --test rule_matcher_equiv
+DC_THREADS=2 cargo test -q -p dc-er --test rule_matcher_equiv
+cargo test -q -p dc-er --test rule_matcher_equiv
+DC_THREADS=1 cargo test -q -p dc-embed --lib slice_loop_is_bitwise_the_seed_loop
+DC_THREADS=2 cargo test -q -p dc-embed --lib slice_loop_is_bitwise_the_seed_loop
+cargo test -q -p dc-embed --lib slice_loop_is_bitwise_the_seed_loop
+# Release: each run replays the seed pipeline over three 1000-row lakes.
+DC_THREADS=1 cargo test -q --release --test pipeline_match_equiv
+DC_THREADS=2 cargo test -q --release --test pipeline_match_equiv
+cargo test -q --release --test pipeline_match_equiv
+
 echo "== quantized funnel equivalence under DC_THREADS=1, =2, default =="
 DC_THREADS=1 cargo test -q -p dc-tensor --test i8_dot_equiv
 DC_THREADS=2 cargo test -q -p dc-tensor --test i8_dot_equiv
@@ -120,6 +132,12 @@ cargo test -q -p dc-serve --test server_smoke
 
 echo "== serving benchmark smoke (open-loop clients, every response well-formed) =="
 cargo run -q --release -p dc-bench --bin bench_serve -- --smoke
+
+echo "== end-to-end ledger: bench/ unit tests + smoke (every check, both passes, no wall-clock gate) =="
+# bench/Cargo.lock predates dc-er's direct dc-obs dependency, so cargo
+# rewrites it in place here until a benchmark PR commits the refresh.
+(cd bench && cargo test -q --offline)
+bash bench/run.sh --smoke
 
 if [ "$deep" = 1 ]; then
     echo "== deep: sanitizer/race gates (scripts/sanitize.sh) =="

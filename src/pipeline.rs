@@ -182,6 +182,7 @@ impl Pipeline {
         assert!(!tables.is_empty(), "pipeline needs at least one table");
 
         // ---- discover -------------------------------------------------
+        let stage = dc_obs::span("pipeline.discover");
         let refs: Vec<&Table> = tables.iter().collect();
         let docs = dc_discovery::search_documents(&refs, 15);
         let emb = Embeddings::train(&docs, &self.config.sgns, rng);
@@ -211,8 +212,10 @@ impl Pipeline {
             }
         }
         let rows_in = merged.len();
+        drop(stage);
 
         // ---- integrate (dedup + golden records) ------------------------
+        let stage = dc_obs::span("pipeline.integrate");
         // Word-level tuple embeddings for blocking.
         let tuple_docs: Vec<Vec<String>> = merged
             .rows
@@ -221,16 +224,24 @@ impl Pipeline {
             .collect();
         let tuple_emb = Embeddings::train(&tuple_docs, &self.config.sgns, rng);
         let vectors = tuple_vectors(&tuple_emb, &merged);
-        let blocker = LshBlocker::new(tuple_emb.dim(), self.config.lsh.0, self.config.lsh.1, rng);
-        let candidates = blocker.candidates(&vectors);
-        let matcher = RuleMatcher::new(self.config.dedup_threshold);
-        let mut uf = UnionFind::new(merged.len());
-        for &(a, b) in &candidates {
-            if matcher.score(&merged.rows[a], &merged.rows[b]) >= self.config.dedup_threshold {
-                uf.union(a, b);
+        let candidates = {
+            let _span = dc_obs::span("er.block");
+            let blocker =
+                LshBlocker::new(tuple_emb.dim(), self.config.lsh.0, self.config.lsh.1, rng);
+            blocker.candidates(&vectors)
+        };
+        let clusters = {
+            let _span = dc_obs::span("er.match");
+            let matches =
+                RuleMatcher::new(self.config.dedup_threshold).predict(&merged, &candidates);
+            let mut uf = UnionFind::new(merged.len());
+            for (&(a, b), is_match) in candidates.iter().zip(matches) {
+                if is_match {
+                    uf.union(a, b);
+                }
             }
-        }
-        let clusters = uf.clusters();
+            uf.clusters()
+        };
         let preference = PreferenceModel::default();
         let mut integrated = Table::new(merged.name.clone(), merged.schema.clone());
         let mut clusters_merged = 0usize;
@@ -244,8 +255,10 @@ impl Pipeline {
         }
         let fds = select_repair_fds(discover_fds(&integrated, self.config.max_fd_lhs));
         let before = quality_score(&integrated, &fds);
+        drop(stage);
 
         // ---- clean ------------------------------------------------------
+        let stage = dc_obs::span("pipeline.clean");
         // Impute BEFORE repairing: a global-mode fill ignores FD groups,
         // so running the majority repair afterwards restores group
         // consistency over the imputed values too.
@@ -298,6 +311,7 @@ impl Pipeline {
             seen.insert(key)
         });
         let after = quality_score(&cleaned, &fds);
+        drop(stage);
 
         (
             cleaned,
@@ -352,12 +366,15 @@ impl UnionFind {
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    /// Root of `x`'s set. Iterative with path halving: `union` does not
+    /// balance, so a chain of matches can be as deep as the table is
+    /// long, which recursion would pay for in stack.
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
 
     fn union(&mut self, a: usize, b: usize) {
@@ -395,6 +412,22 @@ mod tests {
         uf.union(3, 4);
         let c = uf.clusters();
         assert_eq!(c, vec![vec![0, 1], vec![2], vec![3, 4]]);
+    }
+
+    #[test]
+    fn union_find_survives_a_million_element_chain() {
+        // Every union hangs the previous root under a new one: the
+        // deepest tree `union` can build.
+        let n = 1_000_000;
+        let mut uf = UnionFind::new(n);
+        for i in 0..n - 1 {
+            uf.union(i, i + 1);
+        }
+        assert_eq!(uf.find(0), n - 1);
+        let clusters = uf.clusters();
+        assert_eq!(clusters.len(), 1);
+        assert_eq!(clusters[0].len(), n);
+        assert!(clusters[0].windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
