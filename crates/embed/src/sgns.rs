@@ -117,24 +117,32 @@ impl Embeddings {
         let total_steps = (config.epochs * encoded.iter().map(Vec::len).sum::<usize>()).max(1);
         let mut step = 0usize;
 
+        let sampler = vocab.negative_sampler();
+        let keep = config.subsample.map(|t| vocab.keep_probabilities(t));
         let mut grad_in = vec![0.0f32; d];
+        // One (center, context) group's targets — the context, then its
+        // surviving negatives — and their scores, reused across groups.
+        let mut targets: Vec<usize> = Vec::with_capacity(config.negative + 1);
+        let mut scores: Vec<f32> = Vec::with_capacity(config.negative + 1);
         for _epoch in 0..config.epochs {
             let _epoch_span = dc_obs::span("embed.sgns");
-            // BCE over the epoch's (center, target) terms, accumulated
-            // only when observability is on — the extra arithmetic
+            // BCE over every `LOSS_STRIDE`-th (center, target) term of
+            // the epoch, accumulated only when observability is on. The
+            // terms are picked by their count and the extra arithmetic
             // never touches the rng, so embeddings are bit-identical
             // with DC_OBS on or off.
+            let observed = dc_obs::enabled();
             let mut epoch_loss = 0.0f64;
             let mut epoch_terms = 0u64;
             for doc in &encoded {
                 // Optional frequent-word subsampling, re-drawn each epoch.
                 let subsampled: Vec<usize>;
-                let kept: &[usize] = match config.subsample {
-                    Some(t) => {
+                let kept: &[usize] = match &keep {
+                    Some(keep) => {
                         subsampled = doc
                             .iter()
                             .copied()
-                            .filter(|&id| rng.gen::<f64>() < vocab.keep_probability(id, t))
+                            .filter(|&id| rng.gen::<f64>() < keep[id])
                             .collect();
                         &subsampled
                     }
@@ -150,28 +158,42 @@ impl Embeddings {
                         if ctx_pos == pos {
                             continue;
                         }
+                        // Only the negatives consume the rng and the
+                        // centre row is written after the group, so the
+                        // draws can all come first — same draws, same
+                        // order, a negative equal to the context skipped.
+                        targets.clear();
+                        targets.push(context);
+                        for _ in 0..config.negative {
+                            let target = sampler.sample(rng);
+                            if target != context {
+                                targets.push(target);
+                            }
+                        }
+                        // `input` and `output` are distinct tensors, so
+                        // the centre row can stay borrowed while target
+                        // rows are written.
+                        let vin = input.row_slice(center);
+                        dots(vin, &output, &targets, &mut scores);
                         grad_in.iter_mut().for_each(|g| *g = 0.0);
                         // Positive pair + negatives share the same form:
                         // dL/du_o = (σ(u_o·v_c) − label) · v_c
-                        for k in 0..=config.negative {
-                            let (target, label) = if k == 0 {
-                                (context, 1.0f32)
-                            } else {
-                                (vocab.sample_negative(rng), 0.0)
-                            };
-                            if k > 0 && target == context {
-                                continue;
-                            }
-                            // `input` and `output` are distinct tensors,
-                            // so the centre row can stay borrowed while
-                            // the target row is written.
-                            let vin = input.row_slice(center);
+                        for (k, &target) in targets.iter().enumerate() {
+                            let label = if k == 0 { 1.0f32 } else { 0.0 };
                             let uout = output.row_slice_mut(target);
-                            let score: f32 = vin.iter().zip(&*uout).map(|(a, b)| a * b).sum();
+                            // A row already updated in this group has a
+                            // stale score: recompute it (DESIGN.md §18).
+                            let score = if targets[..k].contains(&target) {
+                                dot(vin, uout)
+                            } else {
+                                scores[k]
+                            };
                             let p = sigmoid(score);
-                            if dc_obs::enabled() {
-                                let t = if label == 1.0 { p } else { 1.0 - p };
-                                epoch_loss -= f64::from(t.max(1e-7)).ln();
+                            if observed {
+                                if epoch_terms.is_multiple_of(LOSS_STRIDE) {
+                                    let t = if k == 0 { p } else { 1.0 - p };
+                                    epoch_loss -= f64::from(t.max(1e-7)).ln();
+                                }
                                 epoch_terms += 1;
                             }
                             let g = (p - label) * lr;
@@ -189,7 +211,8 @@ impl Embeddings {
                 }
             }
             if epoch_terms > 0 {
-                dc_obs::series_push("embed.sgns", "loss", epoch_loss / epoch_terms as f64);
+                let sampled = epoch_terms.div_ceil(LOSS_STRIDE);
+                dc_obs::series_push("embed.sgns", "loss", epoch_loss / sampled as f64);
             }
         }
         Embeddings {
@@ -408,6 +431,46 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// The observed loss series averages every `LOSS_STRIDE`-th term: the
+/// `ln` per term was a fixed ~65 ms of a traced `curate_lake` run.
+const LOSS_STRIDE: u64 = 8;
+
+/// `x · row`, summed left to right from `0.0` — the seed's operation
+/// order. (The seed's `Iterator::sum` starts from `-0.0`, which differs
+/// only in the sign of a zero score, and [`sigmoid`] maps both to 0.5.)
+fn dot(x: &[f32], row: &[f32]) -> f32 {
+    x.iter().zip(row).fold(0.0, |s, (a, b)| s + a * b)
+}
+
+/// `scores[k] = x · output[targets[k]]`, three rows at a time. Each sum
+/// is still its own left-to-right chain, so every score has the bits
+/// [`dot`] gives it; interleaving three independent chains only hides
+/// the latency of the dependent adds.
+fn dots(x: &[f32], output: &Tensor, targets: &[usize], scores: &mut Vec<f32>) {
+    scores.clear();
+    let mut triples = targets.chunks_exact(3);
+    for triple in &mut triples {
+        let (r0, r1, r2) = (
+            output.row_slice(triple[0]),
+            output.row_slice(triple[1]),
+            output.row_slice(triple[2]),
+        );
+        let (mut s0, mut s1, mut s2) = (0.0f32, 0.0f32, 0.0f32);
+        for (((&x, &a), &b), &c) in x.iter().zip(r0).zip(r1).zip(r2) {
+            s0 += x * a;
+            s1 += x * b;
+            s2 += x * c;
+        }
+        scores.extend([s0, s1, s2]);
+    }
+    scores.extend(
+        triples
+            .remainder()
+            .iter()
+            .map(|&t| dot(x, output.row_slice(t))),
+    );
+}
+
 /// Build a synthetic corpus with planted co-occurrence structure for
 /// tests and benches: each "topic" owns `words_per_topic` words, and
 /// sentences only mix words within a topic.
@@ -611,43 +674,70 @@ mod tests {
         input
     }
 
-    #[test]
-    fn slice_loop_is_bitwise_the_seed_loop() {
-        let corpus = planted_topic_corpus(3, 6, 120, 9, &mut StdRng::seed_from_u64(11));
+    /// [`Embeddings::train`] against [`train_seed_loop`] from the same
+    /// rng state, with frequent-word subsampling off and on and with
+    /// observability off and on: same bits, same rng position after.
+    fn assert_bitwise_the_seed_loop(corpus: &[Vec<String>], config: &SgnsConfig) {
         let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         for subsample in [None, Some(0.01)] {
-            let config = SgnsConfig::default()
-                .with_dim(10)
-                .with_epochs(3)
-                .with_subsample(subsample);
+            let config = config.clone().with_subsample(subsample);
+            let what = format!(
+                "dim {}, negative {}, subsample {subsample:?}",
+                config.dim, config.negative
+            );
             let (mut rng_seed, mut rng_off, mut rng_on) = (
                 StdRng::seed_from_u64(12),
                 StdRng::seed_from_u64(12),
                 StdRng::seed_from_u64(12),
             );
-            let want = bits(&train_seed_loop(&corpus, &config, &mut rng_seed));
-            // No other test in this binary flips the gate; one running
-            // beside this would at most record a loss series.
+            let want = bits(&train_seed_loop(corpus, &config, &mut rng_seed));
             dc_obs::set_enabled(false);
-            let off = Embeddings::train(&corpus, &config, &mut rng_off);
+            let off = Embeddings::train(corpus, &config, &mut rng_off);
             dc_obs::set_enabled(true);
-            let on = Embeddings::train(&corpus, &config, &mut rng_on);
+            let on = Embeddings::train(corpus, &config, &mut rng_on);
             dc_obs::set_enabled(false);
-            assert_eq!(
-                bits(&off.vectors),
-                want,
-                "subsample {subsample:?}, DC_OBS off"
-            );
-            assert_eq!(
-                bits(&on.vectors),
-                want,
-                "subsample {subsample:?}, DC_OBS on"
-            );
+            assert_eq!(bits(&off.vectors), want, "{what}, DC_OBS off");
+            assert_eq!(bits(&on.vectors), want, "{what}, DC_OBS on");
             // Same draws consumed, so whatever trains next sees the same stream.
             let next = rng_seed.gen::<u64>();
-            assert_eq!(rng_off.gen::<u64>(), next);
-            assert_eq!(rng_on.gen::<u64>(), next);
+            assert_eq!(rng_off.gen::<u64>(), next, "{what}");
+            assert_eq!(rng_on.gen::<u64>(), next, "{what}");
         }
+    }
+
+    // One test, so nothing else in this binary flips the dc-obs gate; a
+    // test running beside it would at most record a loss series.
+    #[test]
+    fn slice_loop_is_bitwise_the_seed_loop() {
+        let planted = planted_topic_corpus(3, 6, 120, 9, &mut StdRng::seed_from_u64(11));
+        let config = SgnsConfig::default().with_epochs(3);
+        assert_bitwise_the_seed_loop(&planted, &config.clone().with_dim(10));
+
+        // |V| = 3 with one dominant token: in almost every group the
+        // negatives repeat each other and the context, so the stale-score
+        // recompute and the context skip both run constantly. `negative`
+        // 0 leaves only the positive pair, 5 and 9 exceed |V|, and with
+        // the skips the groups hold every target count from 1 to 10, so
+        // the three-row chains see every remainder; no dim is a multiple
+        // of a vector width.
+        let mut rng = StdRng::seed_from_u64(13);
+        let collisions: Vec<Vec<String>> = (0..80)
+            .map(|_| {
+                (0..12)
+                    .map(|_| ["a", "a", "a", "b", "b", "c"][rng.gen_range(0..6usize)].to_string())
+                    .collect()
+            })
+            .collect();
+        for negative in [0, 1, 5, 9] {
+            for dim in [1, 10, 33] {
+                let config = config.clone().with_negative(negative).with_dim(dim);
+                assert_bitwise_the_seed_loop(&collisions, &config);
+            }
+        }
+
+        // One token: every negative is the context and is skipped.
+        let single = vec![vec!["a".to_string(); 6]; 10];
+        assert_bitwise_the_seed_loop(&single, &config.with_dim(4));
     }
 
     #[test]

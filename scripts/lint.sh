@@ -51,13 +51,14 @@ echo "== filter-verify matcher, slice SGNS loop, pipeline vs seed match loop und
 DC_THREADS=1 cargo test -q -p dc-er --test rule_matcher_equiv
 DC_THREADS=2 cargo test -q -p dc-er --test rule_matcher_equiv
 cargo test -q -p dc-er --test rule_matcher_equiv
-DC_THREADS=1 cargo test -q -p dc-embed --lib slice_loop_is_bitwise_the_seed_loop
-DC_THREADS=2 cargo test -q -p dc-embed --lib slice_loop_is_bitwise_the_seed_loop
-cargo test -q -p dc-embed --lib slice_loop_is_bitwise_the_seed_loop
-# Release: each run replays the seed pipeline over three 1000-row lakes.
-DC_THREADS=1 cargo test -q --release --test pipeline_match_equiv
-DC_THREADS=2 cargo test -q --release --test pipeline_match_equiv
-cargo test -q --release --test pipeline_match_equiv
+# SGNS never enters the kernel pool: one run covers the bitwise loop
+# test and the negative-sampler exactness tests.
+cargo test -q -p dc-embed --lib
+# Release: each run replays the seed pipeline over three 1000-row lakes
+# and holds Pipeline::run to its recorded counts and curated-table hash.
+DC_THREADS=1 cargo test -q --release --test pipeline_match_equiv --test pipeline_golden
+DC_THREADS=2 cargo test -q --release --test pipeline_match_equiv --test pipeline_golden
+cargo test -q --release --test pipeline_match_equiv --test pipeline_golden
 
 echo "== quantized funnel equivalence under DC_THREADS=1, =2, default =="
 DC_THREADS=1 cargo test -q -p dc-tensor --test i8_dot_equiv

@@ -8,8 +8,11 @@
 //! `scripts/lint.sh` runs this suite under `DC_THREADS=1`, `=2`, and the
 //! default.
 
+mod common;
+
 use autodc::pipeline::{Pipeline, PipelineConfig};
 use autodc::prelude::*;
+use common::{bench_lake, config, run_rng};
 use dc_clean::{SimpleImputer, SimpleStrategy};
 use dc_discovery::NeuralSearch;
 use dc_embed::Embeddings;
@@ -22,33 +25,6 @@ use dc_synth::consolidate::{consolidate_cluster, PreferenceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet};
-
-/// `bench/`'s `curate_lake` input: two dirty shards of one
-/// `people_table(rows)` around a products decoy.
-fn bench_lake(seed: u64, rows: usize) -> Vec<Table> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let decoy = autodc::datagen::products_table(rows / 2, &mut rng);
-    let clean = autodc::datagen::people_table(rows, &mut rng);
-    let fds = autodc::datagen::people_fds();
-    let inj = ErrorInjector {
-        typo_rate: 0.01,
-        null_rate: 0.05,
-        swap_rate: 0.0,
-        fd_violation_rate: 0.02,
-        abbreviation_rate: 0.01,
-    };
-    let (mut a, _) = inj.inject(&clean, &fds, &mut rng);
-    a.name = "people_a".into();
-    let (mut b, _) = inj.inject(&clean, &fds, &mut rng);
-    b.name = "people_b".into();
-    vec![a, decoy, b]
-}
-
-fn config() -> PipelineConfig {
-    PipelineConfig::default()
-        .with_query("people name city country")
-        .with_top_k_tables(3)
-}
 
 /// What the seed pipeline reported, and its curated table.
 struct SeedRun {
@@ -207,11 +183,9 @@ impl SeedUnionFind {
 /// both from the rng state the benchmark starts a run from.
 fn assert_pipeline_equals_seed_loop(seed: u64) {
     let tables = bench_lake(seed, 500);
-    let run_seed = seed ^ 0x9e37_79b9_7f4a_7c15;
     let cfg = config();
-    let (curated, report) =
-        Pipeline::new(cfg.clone()).run(&tables, &mut StdRng::seed_from_u64(run_seed));
-    let want = seed_pipeline(&cfg, &tables, &mut StdRng::seed_from_u64(run_seed));
+    let (curated, report) = Pipeline::new(cfg.clone()).run(&tables, &mut run_rng(seed));
+    let want = seed_pipeline(&cfg, &tables, &mut run_rng(seed));
 
     assert_eq!(report.rows_in, want.rows_in);
     assert_eq!(report.candidates, want.candidates);
