@@ -9,9 +9,9 @@
 //! DeepER-average, and the pair-by-pair DeepER-LSTM step — each timed
 //! in two configurations:
 //!
-//! * **baseline** — `DC_POOL=0` / `DC_FUSE=0` semantics: a fresh tape
-//!   per step, every buffer a heap allocation, no elementwise fusion
-//!   (the pre-pool hot path);
+//! * **baseline** — pooling and fusion toggled off: a fresh tape per
+//!   step, every buffer a heap allocation, no elementwise fusion (the
+//!   pre-pool hot path);
 //! * **pooled** — one tape recycled across steps with pooling and
 //!   fusion on (what `run_epochs` does now).
 //!
@@ -28,7 +28,7 @@
 
 use dc_nn::linear::Activation;
 use dc_nn::loss::LossKind;
-use dc_nn::lstm::{set_lstm_fused, LstmEncoder};
+use dc_nn::lstm::LstmEncoder;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::{Adam, Optimizer};
 use dc_tensor::{set_fuse_enabled, set_pool_enabled, Tape, Tensor};
@@ -92,24 +92,11 @@ impl PoolObs {
     }
 }
 
-/// One `lstm_gates` row: per-timestep gate cost, legacy per-gate GEMMs
-/// (`DC_LSTM_FUSED=0`) vs fused 4h-wide projections, both pooled.
-#[derive(Serialize)]
-struct LstmGatesSnapshot {
-    tokens: usize,
-    unfused_us_per_step: f64,
-    fused_us_per_step: f64,
-    unfused_us_per_token: f64,
-    fused_us_per_token: f64,
-    reduction_pct: f64,
-}
-
 #[derive(Serialize)]
 struct Snapshot {
     description: &'static str,
     smoke: bool,
     workloads: Vec<WorkloadSnapshot>,
-    lstm_gates: Vec<LstmGatesSnapshot>,
     obs_pool: PoolObs,
 }
 
@@ -263,53 +250,6 @@ impl Workload for DeeperLstmMicro {
     }
 }
 
-/// A bare LSTM training step over one `T×8` sequence — bind, forward,
-/// sum-of-squares loss, backward, Adam — used to isolate per-timestep
-/// gate cost for the unfused-vs-fused comparison.
-struct LstmGatesMicro {
-    encoder: LstmEncoder,
-    opt: Adam,
-    seq: Tensor,
-    last_loss: f32,
-}
-
-impl LstmGatesMicro {
-    fn new(seed: u64, tokens: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (dim, hidden) = (8, 8);
-        let seq = Tensor::randn(tokens, dim, 1.0, &mut rng);
-        LstmGatesMicro {
-            encoder: LstmEncoder::new(dim, hidden, &mut rng),
-            opt: Adam::new(0.01),
-            seq,
-            last_loss: 0.0,
-        }
-    }
-}
-
-impl Workload for LstmGatesMicro {
-    fn step(&mut self, tape: &Tape) -> f32 {
-        let lvars = self.encoder.bind(tape);
-        let sv = tape.var_slice(self.seq.rows, self.seq.cols, &self.seq.data);
-        let h = self.encoder.forward_tape(tape, sv, &lvars);
-        let loss = tape.sum(tape.mul(h, h));
-        let lv = tape.item(loss);
-        tape.backward(loss);
-        self.opt.begin_step();
-        self.encoder.apply_grads(&mut self.opt, 0, tape, &lvars);
-        self.last_loss = lv;
-        lv
-    }
-
-    fn fingerprint(&self) -> Vec<u32> {
-        let mut bits = vec![self.last_loss.to_bits()];
-        for t in [&self.encoder.wx, &self.encoder.wh, &self.encoder.b] {
-            bits.extend(t.data.iter().map(|v| v.to_bits()));
-        }
-        bits
-    }
-}
-
 /// Run `n` baseline steps (pool + fusion off, fresh tape per step).
 fn run_baseline(w: &mut dyn Workload, n: usize) {
     set_pool_enabled(false);
@@ -358,7 +298,7 @@ fn bench_workload(
     let bitwise_equal = wa.fingerprint() == wb.fingerprint();
     assert!(
         bitwise_equal,
-        "{name}: pooled/fused training diverged from the DC_POOL=0 baseline"
+        "{name}: pooled/fused training diverged from the fresh-unpooled-tape baseline"
     );
 
     // Liveness forecast parity (dc-check): one un-recycled step from a
@@ -467,66 +407,6 @@ fn bench_workload(
     }
 }
 
-/// Time the bare LSTM step at sequence length `tokens` in both gate
-/// modes. Like `bench_workload`, samples are interleaved per-pair so
-/// shared-box noise cancels; each mode keeps its own recycled tape
-/// (the two graphs pool different size classes).
-fn bench_lstm_gates(tokens: usize, warmup: usize, timed: usize, reps: usize) -> LstmGatesSnapshot {
-    set_pool_enabled(true);
-    set_fuse_enabled(true);
-
-    set_lstm_fused(false);
-    let tape_unfused = Tape::new();
-    {
-        let mut w = LstmGatesMicro::new(11, tokens);
-        run_pooled(&mut w, &tape_unfused, warmup);
-    }
-    set_lstm_fused(true);
-    let tape_fused = Tape::new();
-    {
-        let mut w = LstmGatesMicro::new(11, tokens);
-        run_pooled(&mut w, &tape_fused, warmup);
-    }
-
-    let mut unfused_samples = Vec::with_capacity(reps);
-    let mut fused_samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        set_lstm_fused(false);
-        let mut w = LstmGatesMicro::new(11, tokens);
-        let t0 = Instant::now();
-        run_pooled(&mut w, &tape_unfused, timed);
-        unfused_samples.push(t0.elapsed().as_secs_f64() * 1e6 / timed as f64);
-
-        set_lstm_fused(true);
-        let mut w = LstmGatesMicro::new(11, tokens);
-        let t0 = Instant::now();
-        run_pooled(&mut w, &tape_fused, timed);
-        fused_samples.push(t0.elapsed().as_secs_f64() * 1e6 / timed as f64);
-    }
-    set_lstm_fused(true);
-
-    let mut reductions: Vec<f64> = unfused_samples
-        .iter()
-        .zip(&fused_samples)
-        .map(|(u, f)| (1.0 - f / u) * 100.0)
-        .collect();
-    let reduction_pct = median(&mut reductions);
-    let unfused_us_per_step = median(&mut unfused_samples);
-    let fused_us_per_step = median(&mut fused_samples);
-    eprintln!(
-        "lstm_gates T={tokens}: unfused {unfused_us_per_step:.1}us/step  \
-         fused {fused_us_per_step:.1}us/step  ({reduction_pct:+.1}% reduction)"
-    );
-    LstmGatesSnapshot {
-        tokens,
-        unfused_us_per_step,
-        fused_us_per_step,
-        unfused_us_per_token: unfused_us_per_step / tokens as f64,
-        fused_us_per_token: fused_us_per_step / tokens as f64,
-        reduction_pct,
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (warmup, timed, reps, equiv_steps) = if smoke {
@@ -558,11 +438,6 @@ fn main() {
         ),
     ];
 
-    let lstm_gates: Vec<LstmGatesSnapshot> = [4usize, 16, 64]
-        .iter()
-        .map(|&tokens| bench_lstm_gates(tokens, warmup, timed, reps))
-        .collect();
-
     // Short instrumented pooled pass so the snapshot embeds the pool
     // counters/gauge as dc-obs reports them (timing above runs with the
     // obs gate off, so instrumentation never skews the measurements).
@@ -577,10 +452,9 @@ fn main() {
     let obs_pool = PoolObs::from_report(&dc_obs::report());
 
     let snapshot = Snapshot {
-        description: "training-step time: DC_POOL=0/DC_FUSE=0 fresh-tape baseline vs one recycled pooled tape with fused elementwise chains; bitwise-identical results enforced",
+        description: "training-step time: fresh unpooled tape with fusion off vs one recycled pooled tape with fused elementwise chains; bitwise-identical results enforced",
         smoke,
         workloads,
-        lstm_gates,
         obs_pool,
     };
     let json = serde_json::to_string(&snapshot).expect("serialize snapshot");

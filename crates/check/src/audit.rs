@@ -371,7 +371,7 @@ pub fn audit_op(kind: OpKind, eps: f32, tol: f32) -> OpAudit {
             Box::new(|t, v| t.softmax_ce(v, vec![1, 0, 3])),
         )],
         OpKind::FusedEltwise => vec![
-            // Unary chain under the default DC_FUSE: records a plain
+            // Unary chain with fusion on (the default): records a plain
             // scale plus growing FusedEltwise nodes, and backward takes
             // the single-pass fast path.
             (

@@ -686,7 +686,7 @@ impl SimPool {
 /// on the MLP and DeepER-LSTM training steps.
 ///
 /// Assumptions, matching every training loop in the repository: all
-/// recording precedes `backward`, backward runs once, `DC_POOL` is on.
+/// recording precedes `backward`, backward runs once, pooling is on.
 pub fn forecast_pool(tape: &Tape, root: usize) -> Result<PoolStats, Vec<GraphError>> {
     let metas = capture(tape)?;
     if root >= metas.len() {
@@ -897,7 +897,7 @@ mod tests {
         let loss = tape.mean(y);
         let live = analyze(&tape, loss.index()).expect("clean graph");
         if !live.fused.is_empty() {
-            // DC_FUSE on: exactly one chain, fast.
+            // Fusion on: exactly one chain, fast.
             assert_eq!(live.fused.len(), 1);
             assert!(live.fused[0].fast);
         }

@@ -156,8 +156,17 @@ impl ChunkedStore {
         if chunk_rows == 0 || n_chunks != rows.div_ceil(chunk_rows.max(1)) {
             return Err(bad_data("store header is inconsistent"));
         }
+        // The header is untrusted: the directory it describes must fit
+        // between `dir_off` and the end of the file before anything is
+        // allocated for it.
+        let file_len = file.metadata()?.len();
+        let dir_bytes = (n_chunks as u64)
+            .checked_add(1)
+            .and_then(|n| n.checked_mul(8))
+            .filter(|&b| dir_off.checked_add(b).is_some_and(|end| end <= file_len))
+            .ok_or_else(|| bad_data("store chunk directory does not fit in the file"))?;
         file.seek(SeekFrom::Start(dir_off))?;
-        let mut dir = vec![0u8; (n_chunks + 1) * 8];
+        let mut dir = vec![0u8; dir_bytes as usize];
         file.read_exact(&mut dir)?;
         let indptr: Vec<u64> = dir
             .chunks_exact(8)
@@ -165,8 +174,10 @@ impl ChunkedStore {
             .collect();
         for c in 0..n_chunks {
             let len = chunk_rows.min(rows - c * chunk_rows);
-            let expect = (len * cols * 4) as u64;
-            if indptr[c + 1].checked_sub(indptr[c]) != Some(expect) {
+            let expect = (len as u64)
+                .checked_mul(cols as u64)
+                .and_then(|n| n.checked_mul(4));
+            if expect.is_none() || indptr[c + 1].checked_sub(indptr[c]) != expect {
                 return Err(bad_data("store chunk directory is inconsistent"));
             }
         }
@@ -459,6 +470,35 @@ mod tests {
         assert_eq!(s.chunk_len(4), 5);
         let back = s.to_tensor();
         assert_eq!(back.data, x.data, "f32 bits must survive the file");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn crafted_header_with_an_impossible_directory_is_rejected() {
+        // A 48-byte file whose header is self-consistent (n_chunks ==
+        // ceil(rows / chunk_rows)) but claims a directory of 2^60 (then
+        // 2^40) entries, and one whose chunk byte size overflows u64.
+        let header = |rows: u64, cols: u64, chunk_rows: u64, n_chunks: u64| {
+            let mut h = STORE_MAGIC.to_vec();
+            for v in [rows, cols, chunk_rows, n_chunks, HEADER_BYTES] {
+                h.extend_from_slice(&v.to_le_bytes());
+            }
+            h
+        };
+        let mut overflowing = header(1, u64::MAX / 2, 1, 1);
+        overflowing.extend_from_slice(&[0u8; 16]); // a two-entry directory
+        let path = tmp("crafted_header");
+        for bytes in [
+            header(1 << 60, 4, 1, 1 << 60),
+            header(1 << 40, 4, 1, 1 << 40),
+            overflowing,
+        ] {
+            std::fs::write(&path, bytes).expect("write");
+            let err = ChunkedStore::open_with_budget(&path, 2)
+                .err()
+                .expect("must reject");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -16,70 +16,19 @@
 //! the input projections for *all* timesteps are hoisted out of the
 //! recurrence into one `T×4h` GEMM (`seq·Wx`), leaving only the
 //! inherently-serial `h·Wh` product inside the loop.
-//!
-//! `DC_LSTM_FUSED=0` (or [`set_lstm_fused`]`(false)`) selects the
-//! legacy path — separate per-gate weights bound in the pre-fusion
-//! order — which reproduces the old implementation's arithmetic
-//! bitwise. The mode must not flip mid-training: fused mode uses 3
-//! optimiser slots per encoder, legacy mode 12, and slot state is
-//! keyed on that layout.
 
 use dc_tensor::{kernel, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Gate order inside the fused column blocks.
 const GATES: usize = 4; // input, forget, output, candidate
 
-/// 0 = uninitialized, 1 = off, 2 = on (same scheme as the pool gates).
-static FUSED_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// True unless `DC_LSTM_FUSED=0` (or [`set_lstm_fused`]`(false)`):
-/// LSTM encoders use the fused 4h-wide gate projections.
-#[inline(always)]
-pub fn lstm_fused_enabled() -> bool {
-    match FUSED_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = std::env::var("DC_LSTM_FUSED")
-                .map(|v| v != "0")
-                .unwrap_or(true);
-            FUSED_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force the fused-LSTM gate, overriding `DC_LSTM_FUSED`. Flip it only
-/// between training runs — the optimiser slot layout differs per mode.
-pub fn set_lstm_fused(on: bool) {
-    FUSED_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Copy of gate `g`'s column block of a fused `rows × 4·hd` matrix.
-fn copy_block(fused: &Tensor, g: usize, hd: usize) -> Tensor {
-    let mut out = Tensor::zeros(fused.rows, hd);
-    for r in 0..fused.rows {
-        out.row_slice_mut(r)
-            .copy_from_slice(&fused.row_slice(r)[g * hd..(g + 1) * hd]);
-    }
-    out
-}
-
-/// Write `block` back into gate `g`'s column block of `fused`.
-fn store_block(fused: &mut Tensor, g: usize, hd: usize, block: &Tensor) {
-    for r in 0..block.rows {
-        fused.row_slice_mut(r)[g * hd..(g + 1) * hd].copy_from_slice(block.row_slice(r));
-    }
-}
-
 /// A single-direction LSTM encoder with fused gate projections:
 /// `z = xWx + hWh + b` (`1×4h`), `i,f,o = σ(z[·])`, `g = tanh(z[·])`,
 /// `c' = f⊙c + i⊙g`, `h' = o⊙tanh(c')`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LstmEncoder {
     /// Fused input-to-gate weights, `input_dim × 4·hidden_dim`.
     pub wx: Tensor,
@@ -93,65 +42,22 @@ pub struct LstmEncoder {
     pub hidden_dim: usize,
 }
 
-/// Back-compat deserialization, hand-written over the serde facade's
-/// `Value` tree (the derive can't express the up-conversion): new
-/// checkpoints store each weight as one fused tensor (an object); old
-/// per-gate checkpoints store a `Vec<Tensor>` (an array), which
-/// hstacks into the fused `[i|f|o|g]` layout on load.
-impl Deserialize for LstmEncoder {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v.as_object().ok_or_else(|| {
-            serde::Error::custom(format!("LstmEncoder: expected object, got {}", v.kind()))
-        })?;
-        let fused = |key: &str| -> Result<Tensor, serde::Error> {
-            match obj.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-                Some(serde::Value::Array(_)) => {
-                    let gates: Vec<Tensor> = serde::from_field(obj, key)?;
-                    Ok(Tensor::hstack(&gates))
-                }
-                _ => serde::from_field(obj, key),
-            }
-        };
-        Ok(LstmEncoder {
-            wx: fused("wx")?,
-            wh: fused("wh")?,
-            b: fused("b")?,
-            input_dim: serde::from_field(obj, "input_dim")?,
-            hidden_dim: serde::from_field(obj, "hidden_dim")?,
-        })
-    }
-}
-
 /// Tape handles for an [`LstmEncoder`]'s parameters during one step.
-#[derive(Clone, Debug)]
-pub enum LstmVars {
-    /// Fused handles: one var per wide matrix.
-    Fused {
-        /// `input_dim × 4·hidden_dim` input weights.
-        wx: Var,
-        /// `hidden_dim × 4·hidden_dim` hidden weights.
-        wh: Var,
-        /// `1 × 4·hidden_dim` biases.
-        b: Var,
-    },
-    /// Legacy per-gate handles (`DC_LSTM_FUSED=0`), bound in the
-    /// pre-fusion order `wx₀..₃, wh₀..₃, b₀..₃`.
-    PerGate {
-        /// Input-weight vars, one per gate.
-        wx: Vec<Var>,
-        /// Hidden-weight vars, one per gate.
-        wh: Vec<Var>,
-        /// Bias vars, one per gate.
-        b: Vec<Var>,
-    },
+#[derive(Clone, Copy, Debug)]
+pub struct LstmVars {
+    /// `input_dim × 4·hidden_dim` input weights.
+    pub wx: Var,
+    /// `hidden_dim × 4·hidden_dim` hidden weights.
+    pub wh: Var,
+    /// `1 × 4·hidden_dim` biases.
+    pub b: Var,
 }
 
 impl LstmEncoder {
     /// Xavier-initialised LSTM; the forget-gate bias starts at 1 so long
     /// sequences keep gradient flow early in training. Per-gate blocks
-    /// are drawn in the historical order so checkpoints and
-    /// `DC_LSTM_FUSED=0` trajectories stay bitwise reproducible across
-    /// the fused-layout change.
+    /// are drawn in the historical (pre-fusion) rng order so seeded
+    /// trajectories stay bitwise reproducible.
     pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut StdRng) -> Self {
         let wx_gates: Vec<Tensor> = (0..GATES)
             .map(|_| Tensor::xavier(input_dim, hidden_dim, rng))
@@ -192,25 +98,10 @@ impl LstmEncoder {
     /// buffers, so on a recycled tape a step's binds reuse the previous
     /// step's memory.
     pub fn bind(&self, tape: &Tape) -> LstmVars {
-        if lstm_fused_enabled() {
-            LstmVars::Fused {
-                wx: tape.var_from(&self.wx),
-                wh: tape.var_from(&self.wh),
-                b: tape.var_from(&self.b),
-            }
-        } else {
-            let hd = self.hidden_dim;
-            LstmVars::PerGate {
-                wx: (0..GATES)
-                    .map(|g| tape.var_from(&copy_block(&self.wx, g, hd)))
-                    .collect(),
-                wh: (0..GATES)
-                    .map(|g| tape.var_from(&copy_block(&self.wh, g, hd)))
-                    .collect(),
-                b: (0..GATES)
-                    .map(|g| tape.var_from(&copy_block(&self.b, g, hd)))
-                    .collect(),
-            }
+        LstmVars {
+            wx: tape.var_from(&self.wx),
+            wh: tape.var_from(&self.wh),
+            b: tape.var_from(&self.b),
         }
     }
 
@@ -221,39 +112,21 @@ impl LstmEncoder {
         let steps = tape.shape(seq).0;
         let mut h = tape.var(Tensor::zeros(1, hd));
         let mut c = tape.var(Tensor::zeros(1, hd));
-        match vars {
-            LstmVars::Fused { wx, wh, b } => {
-                if steps == 0 {
-                    return h;
-                }
-                // One T×4h GEMM covers every timestep's input
-                // projection; only h·Wh stays inside the recurrence.
-                let xw = tape.matmul(seq, *wx);
-                for t in 0..steps {
-                    let xt = tape.rows_select(xw, vec![t]);
-                    let z = tape.add_row(tape.add(xt, tape.matmul(h, *wh)), *b);
-                    let i = tape.sigmoid(tape.slice_cols(z, 0, hd));
-                    let f = tape.sigmoid(tape.slice_cols(z, hd, hd));
-                    let o = tape.sigmoid(tape.slice_cols(z, 2 * hd, hd));
-                    let g = tape.tanh(tape.slice_cols(z, 3 * hd, hd));
-                    c = tape.add(tape.mul(f, c), tape.mul(i, g));
-                    h = tape.mul(o, tape.tanh(c));
-                }
-            }
-            LstmVars::PerGate { wx, wh, b } => {
-                for t in 0..steps {
-                    let x = tape.rows_select(seq, vec![t]);
-                    let gate = |tape: &Tape, g: usize| {
-                        tape.add_row(tape.add(tape.matmul(x, wx[g]), tape.matmul(h, wh[g])), b[g])
-                    };
-                    let i = tape.sigmoid(gate(tape, 0));
-                    let f = tape.sigmoid(gate(tape, 1));
-                    let o = tape.sigmoid(gate(tape, 2));
-                    let g = tape.tanh(gate(tape, 3));
-                    c = tape.add(tape.mul(f, c), tape.mul(i, g));
-                    h = tape.mul(o, tape.tanh(c));
-                }
-            }
+        if steps == 0 {
+            return h;
+        }
+        // One T×4h GEMM covers every timestep's input projection; only
+        // h·Wh stays inside the recurrence.
+        let xw = tape.matmul(seq, vars.wx);
+        for t in 0..steps {
+            let xt = tape.rows_select(xw, vec![t]);
+            let z = tape.add_row(tape.add(xt, tape.matmul(h, vars.wh)), vars.b);
+            let i = tape.sigmoid(tape.slice_cols(z, 0, hd));
+            let f = tape.sigmoid(tape.slice_cols(z, hd, hd));
+            let o = tape.sigmoid(tape.slice_cols(z, 2 * hd, hd));
+            let g = tape.tanh(tape.slice_cols(z, 3 * hd, hd));
+            c = tape.add(tape.mul(f, c), tape.mul(i, g));
+            h = tape.mul(o, tape.tanh(c));
         }
         h
     }
@@ -261,9 +134,6 @@ impl LstmEncoder {
     /// Tape-free encode of a `T×input_dim` sequence tensor (inference).
     pub fn encode(&self, seq: &Tensor) -> Tensor {
         assert_eq!(seq.cols, self.input_dim, "encode: input dim mismatch");
-        if !lstm_fused_enabled() {
-            return self.encode_unfused(seq);
-        }
         let hd = self.hidden_dim;
         let mut h = Tensor::zeros(1, hd);
         if seq.rows == 0 {
@@ -296,33 +166,6 @@ impl LstmEncoder {
         h
     }
 
-    /// The pre-fusion encode, bitwise pinned: per-gate weight blocks,
-    /// per-timestep row copies, eight small GEMMs per step.
-    fn encode_unfused(&self, seq: &Tensor) -> Tensor {
-        let hd = self.hidden_dim;
-        let wx: Vec<Tensor> = (0..GATES).map(|g| copy_block(&self.wx, g, hd)).collect();
-        let wh: Vec<Tensor> = (0..GATES).map(|g| copy_block(&self.wh, g, hd)).collect();
-        let b: Vec<Tensor> = (0..GATES).map(|g| copy_block(&self.b, g, hd)).collect();
-        let mut h = Tensor::zeros(1, hd);
-        let mut c = Tensor::zeros(1, hd);
-        for t in 0..seq.rows {
-            let x = seq.row_tensor(t);
-            let gate = |g: usize, h: &Tensor| {
-                let mut z = x.matmul(&wx[g]);
-                z.axpy(1.0, &h.matmul(&wh[g]));
-                z.axpy(1.0, &b[g]);
-                z
-            };
-            let i = gate(0, &h).map(sigmoid);
-            let f = gate(1, &h).map(sigmoid);
-            let o = gate(2, &h).map(sigmoid);
-            let g = gate(3, &h).map(f32::tanh);
-            c = f.mul(&c).add(&i.mul(&g));
-            h = o.mul(&c.map(f32::tanh));
-        }
-        h
-    }
-
     /// Tape-free encode of a batch of sequences (inference).
     ///
     /// Sequences are grouped into exact-length buckets: lanes of equal
@@ -333,65 +176,7 @@ impl LstmEncoder {
     /// remainder row) serves an element, so lanes match solo encode to
     /// within a few ulps, and bitwise whenever the row tiling lines up.
     pub fn encode_batch(&self, seqs: &[Tensor]) -> Vec<Tensor> {
-        if !lstm_fused_enabled() {
-            // Legacy shape: independent lanes across the worker pool.
-            let mut out = vec![Tensor::zeros(0, 0); seqs.len()];
-            kernel::parallel_fill(&mut out, |i| self.encode(&seqs[i]));
-            return out;
-        }
-        let hd = self.hidden_dim;
-        let mut out = vec![Tensor::zeros(1, hd); seqs.len()];
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, s) in seqs.iter().enumerate() {
-            assert_eq!(s.cols, self.input_dim, "encode_batch: input dim mismatch");
-            if s.rows > 0 {
-                buckets.entry(s.rows).or_default().push(i);
-            }
-        }
-        for (&tlen, idxs) in &buckets {
-            let bsz = idxs.len();
-            // Row-major by (lane, timestep): one GEMM yields every
-            // lane's every-timestep input projection.
-            let mut stacked = Tensor::zeros(bsz * tlen, self.input_dim);
-            for (lane, &i) in idxs.iter().enumerate() {
-                for t in 0..tlen {
-                    stacked
-                        .row_slice_mut(lane * tlen + t)
-                        .copy_from_slice(seqs[i].row_slice(t));
-                }
-            }
-            let xw = stacked.matmul(&self.wx); // (B·T)×4h
-            let mut hmat = Tensor::zeros(bsz, hd);
-            let mut cmat = Tensor::zeros(bsz, hd);
-            let mut hw = vec![0.0f32; bsz * GATES * hd];
-            for t in 0..tlen {
-                hw.fill(0.0);
-                kernel::matmul_into(&hmat, &self.wh, &mut hw);
-                for lane in 0..bsz {
-                    let xr = xw.row_slice(lane * tlen + t);
-                    let hwr = &hw[lane * GATES * hd..(lane + 1) * GATES * hd];
-                    let cr = cmat.row_slice_mut(lane);
-                    let hr = hmat.row_slice_mut(lane);
-                    for j in 0..hd {
-                        let zi = (xr[j] + hwr[j]) + self.b.data[j];
-                        let zf = (xr[hd + j] + hwr[hd + j]) + self.b.data[hd + j];
-                        let zo = (xr[2 * hd + j] + hwr[2 * hd + j]) + self.b.data[2 * hd + j];
-                        let zg = (xr[3 * hd + j] + hwr[3 * hd + j]) + self.b.data[3 * hd + j];
-                        let i = sigmoid(zi);
-                        let f = sigmoid(zf);
-                        let o = sigmoid(zo);
-                        let g = zg.tanh();
-                        let cj = f * cr[j] + i * g;
-                        cr[j] = cj;
-                        hr[j] = o * cj.tanh();
-                    }
-                }
-            }
-            for (lane, &i) in idxs.iter().enumerate() {
-                out[i].data.copy_from_slice(hmat.row_slice(lane));
-            }
-        }
-        out
+        self.encode_bucketed(seqs, 1)
     }
 
     /// Batch encode with every GEMM row count padded to the kernel's
@@ -408,35 +193,34 @@ impl LstmEncoder {
     /// a pure bitwise function of its own sequence: encoding a sequence
     /// in a batch of 1 or of 1000 yields identical bits, at any
     /// `DC_THREADS`. dc-serve's micro-batcher relies on exactly this.
-    ///
-    /// With `DC_LSTM_FUSED=0` lanes run as independent solo encodes,
-    /// which are trivially batch-invariant.
     pub fn encode_batch_aligned(&self, seqs: &[Tensor]) -> Vec<Tensor> {
-        if !lstm_fused_enabled() {
-            let mut out = vec![Tensor::zeros(0, 0); seqs.len()];
-            kernel::parallel_fill(&mut out, |i| self.encode(&seqs[i]));
-            return out;
-        }
-        const TILE: usize = kernel::ROW_TILE;
+        self.encode_bucketed(seqs, kernel::ROW_TILE)
+    }
+
+    /// The length-bucketed batch encode behind [`Self::encode_batch`]
+    /// (`tile == 1`: lanes packed back to back) and
+    /// [`Self::encode_batch_aligned`] (`tile == ROW_TILE`): each lane's
+    /// timesteps and the lane count are padded up to a multiple of
+    /// `tile` rows.
+    fn encode_bucketed(&self, seqs: &[Tensor], tile: usize) -> Vec<Tensor> {
         let hd = self.hidden_dim;
         let mut out = vec![Tensor::zeros(1, hd); seqs.len()];
         let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, s) in seqs.iter().enumerate() {
-            assert_eq!(
-                s.cols, self.input_dim,
-                "encode_batch_aligned: input dim mismatch"
-            );
+            assert_eq!(s.cols, self.input_dim, "encode_batch: input dim mismatch");
             if s.rows > 0 {
                 buckets.entry(s.rows).or_default().push(i);
             }
         }
         for (&tlen, idxs) in &buckets {
             let bsz = idxs.len();
-            let tpad = tlen.div_ceil(TILE) * TILE;
-            let bpad = bsz.div_ceil(TILE) * TILE;
-            // Lane `l` occupies rows `l·tpad .. l·tpad+tlen`; the zero
-            // rows in between keep every lane start tile-aligned so no
-            // register tile ever straddles two lanes.
+            let tpad = tlen.div_ceil(tile) * tile;
+            let bpad = bsz.div_ceil(tile) * tile;
+            // Row-major by (lane, timestep): one GEMM yields every
+            // lane's every-timestep input projection. Lane `l` occupies
+            // rows `l·tpad .. l·tpad+tlen`; the zero rows in between
+            // keep every lane start tile-aligned so no register tile
+            // ever straddles two lanes.
             let mut stacked = Tensor::zeros(bsz * tpad, self.input_dim);
             for (lane, &i) in idxs.iter().enumerate() {
                 for t in 0..tlen {
@@ -490,40 +274,15 @@ impl LstmEncoder {
         tape: &Tape,
         vars: &LstmVars,
     ) {
-        match vars {
-            LstmVars::Fused { wx, wh, b } => {
-                tape.with_grad(*wx, |g| opt.update(slot_base, &mut self.wx, g));
-                tape.with_grad(*wh, |g| opt.update(slot_base + 1, &mut self.wh, g));
-                tape.with_grad(*b, |g| opt.update(slot_base + 2, &mut self.b, g));
-            }
-            LstmVars::PerGate { wx, wh, b } => {
-                // Legacy slot layout: update each gate block in place so
-                // per-slot Adam state matches the pre-fusion encoder.
-                let hd = self.hidden_dim;
-                for g in 0..GATES {
-                    let mut blk = copy_block(&self.wx, g, hd);
-                    tape.with_grad(wx[g], |gw| opt.update(slot_base + g * 3, &mut blk, gw));
-                    store_block(&mut self.wx, g, hd, &blk);
-                    let mut blk = copy_block(&self.wh, g, hd);
-                    tape.with_grad(wh[g], |gh| opt.update(slot_base + g * 3 + 1, &mut blk, gh));
-                    store_block(&mut self.wh, g, hd, &blk);
-                    let mut blk = copy_block(&self.b, g, hd);
-                    tape.with_grad(b[g], |gb| opt.update(slot_base + g * 3 + 2, &mut blk, gb));
-                    store_block(&mut self.b, g, hd, &blk);
-                }
-            }
-        }
+        tape.with_grad(vars.wx, |g| opt.update(slot_base, &mut self.wx, g));
+        tape.with_grad(vars.wh, |g| opt.update(slot_base + 1, &mut self.wh, g));
+        tape.with_grad(vars.b, |g| opt.update(slot_base + 2, &mut self.b, g));
     }
 
-    /// Number of optimiser slots this encoder consumes in the current
-    /// mode. Do not flip the fused gate mid-training: slot state is
-    /// keyed on this layout.
+    /// Number of optimiser slots this encoder consumes: one per fused
+    /// matrix (`wx`, `wh`, `b`).
     pub fn slot_count(&self) -> usize {
-        if lstm_fused_enabled() {
-            3
-        } else {
-            GATES * 3
-        }
+        3
     }
 }
 
@@ -822,33 +581,25 @@ mod tests {
     }
 
     #[test]
-    fn per_gate_checkpoints_up_convert_on_load() {
-        // A checkpoint written by the pre-fusion encoder: per-gate
-        // Vec<Tensor> weights. Loading it must hstack the gates into
-        // the fused layout with values preserved.
+    fn checkpoint_round_trips_and_rejects_the_per_gate_layout() {
         let mut rng = StdRng::seed_from_u64(3);
-        let wx: Vec<Tensor> = (0..4).map(|_| Tensor::xavier(3, 5, &mut rng)).collect();
-        let wh: Vec<Tensor> = (0..4).map(|_| Tensor::xavier(5, 5, &mut rng)).collect();
-        let mut b = vec![Tensor::zeros(1, 5); 4];
-        b[1] = Tensor::ones(1, 5);
+        let enc = LstmEncoder::new(3, 5, &mut rng);
+        let back: LstmEncoder =
+            serde_json::from_str(&serde_json::to_string(&enc).unwrap()).unwrap();
+        assert_eq!((&back.wx, &back.wh, &back.b), (&enc.wx, &enc.wh, &enc.b));
+        assert_eq!((back.input_dim, back.hidden_dim), (3, 5));
+
+        // The pre-fusion layout (per-gate `Vec<Tensor>` weights) must
+        // come back as a decode error, not a panic.
+        let per_gate = |rows: usize| vec![Tensor::zeros(rows, 5); 4].to_value();
         let legacy = serde::Value::Object(vec![
-            ("wx".to_string(), wx.to_value()),
-            ("wh".to_string(), wh.to_value()),
-            ("b".to_string(), b.to_value()),
+            ("wx".to_string(), per_gate(3)),
+            ("wh".to_string(), per_gate(5)),
+            ("b".to_string(), per_gate(1)),
             ("input_dim".to_string(), 3usize.to_value()),
             ("hidden_dim".to_string(), 5usize.to_value()),
         ]);
         let json = serde_json::to_string(&legacy).unwrap();
-        let enc: LstmEncoder = serde_json::from_str(&json).unwrap();
-        assert_eq!((enc.wx.rows, enc.wx.cols), (3, 20));
-        assert_eq!(enc.wx, Tensor::hstack(&wx));
-        assert_eq!(enc.wh, Tensor::hstack(&wh));
-        assert_eq!(enc.b, Tensor::hstack(&b));
-
-        // And a round-trip of the fused layout is the identity.
-        let back: LstmEncoder =
-            serde_json::from_str(&serde_json::to_string(&enc).unwrap()).unwrap();
-        assert_eq!(back.wx, enc.wx);
-        assert_eq!(back.b, enc.b);
+        assert!(serde_json::from_str::<LstmEncoder>(&json).is_err());
     }
 }

@@ -29,7 +29,6 @@
 //! earns its keep: one pooled [`Tape`] serves every step, recycled
 //! ([`Tape::recycle`]) after each `Trainer::fit`, so steady-state steps
 //! reuse the previous step's buffers instead of allocating fresh ones.
-//! `DC_POOL=0` falls back to plain allocation, bitwise identically.
 
 use dc_data::Dataset;
 use dc_tensor::{Tape, Tensor};
@@ -191,7 +190,7 @@ pub fn run_epochs_with_tape<T: Trainer + ?Sized>(
         assert_eq!(x.rows, y.rows, "run_epochs: x/y row mismatch");
     }
     let mut ds = dc_data::DenseView::new(x, y);
-    run_dataset_epochs_with_tape(name, trainer, &mut ds, opts, rng, tape)
+    epoch_loop(name, trainer, &mut ds, opts, rng, tape)
 }
 
 /// [`run_epochs`] over any [`Dataset`] minibatch source — the
@@ -207,17 +206,17 @@ pub fn run_dataset_epochs<T: Trainer + ?Sized, D: Dataset + ?Sized>(
     rng: &mut StdRng,
 ) -> Vec<EpochStats> {
     let tape = Tape::new();
-    run_dataset_epochs_with_tape(name, trainer, ds, opts, rng, &tape)
+    epoch_loop(name, trainer, ds, opts, rng, &tape)
 }
 
-/// [`run_dataset_epochs`] against a caller-owned [`Tape`].
+/// The loop body behind [`run_dataset_epochs`] and
+/// [`run_epochs_with_tape`].
 ///
 /// One persistent order vector (the dataset re-shuffles it in place
 /// each epoch, preserving the seed loop's cumulative-shuffle rng
 /// stream) and one pooled [`Batch`] refilled in place per step — warm
 /// steps perform zero batch allocations.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dataset_epochs_with_tape<T: Trainer + ?Sized, D: Dataset + ?Sized>(
+fn epoch_loop<T: Trainer + ?Sized, D: Dataset + ?Sized>(
     name: &'static str,
     trainer: &mut T,
     ds: &mut D,

@@ -8,7 +8,7 @@
 
 use dc_nn::linear::Activation;
 use dc_nn::loss::LossKind;
-use dc_nn::lstm::{set_lstm_fused, LstmEncoder};
+use dc_nn::lstm::LstmEncoder;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::{Adam, Optimizer};
 use dc_tensor::{set_fuse_enabled, set_pool_enabled, Tape, Tensor};
@@ -71,13 +71,14 @@ fn forecast_matches_actuals_on_mlp_training_step() {
     assert_eq!(steady.high_water_bytes, first.high_water_bytes);
 }
 
-/// One DeeperLstmMicro-shaped training step: shared-LSTM pair encoding,
-/// |ha−hb| ⧺ ha⊙hb features, MLP classifier, BCE loss.
-fn deeper_lstm_parity(fused: bool, label: &str) {
+/// One DeeperLstmMicro-shaped training step: shared-LSTM pair encoding
+/// (T×4h input precompute, slice_cols gate splits), |ha−hb| ⧺ ha⊙hb
+/// features, MLP classifier, BCE loss.
+#[test]
+fn forecast_matches_actuals_on_deeper_lstm_training_step() {
     let _gates = GATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     set_pool_enabled(true);
     set_fuse_enabled(true);
-    set_lstm_fused(fused);
 
     let mut rng = StdRng::seed_from_u64(23);
     let (dim, hidden, tokens) = (8, 8, 10);
@@ -118,7 +119,7 @@ fn deeper_lstm_parity(fused: bool, label: &str) {
         };
 
     run_step(&tape, &mut encoder, &mut classifier, &mut opt);
-    check_step(&tape, label);
+    check_step(&tape, "deeper-lstm");
     let first = tape.pool_stats();
 
     tape.recycle();
@@ -126,18 +127,4 @@ fn deeper_lstm_parity(fused: bool, label: &str) {
     let steady = tape.pool_stats();
     assert_eq!(steady.misses, first.misses, "steady-state step missed");
     assert_eq!(steady.high_water_bytes, first.high_water_bytes);
-
-    set_lstm_fused(true);
-}
-
-#[test]
-fn forecast_matches_actuals_on_deeper_lstm_training_step() {
-    // The fused graph: T×4h input precompute, slice_cols gate splits.
-    deeper_lstm_parity(true, "deeper-lstm-fused");
-}
-
-#[test]
-fn forecast_matches_actuals_on_unfused_deeper_lstm_training_step() {
-    // The DC_LSTM_FUSED=0 escape hatch: per-gate GEMMs.
-    deeper_lstm_parity(false, "deeper-lstm-unfused");
 }

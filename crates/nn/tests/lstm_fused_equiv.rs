@@ -1,8 +1,9 @@
 //! Fused-LSTM equivalence suite (ISSUE 7).
 //!
 //! The fused gate path (one `T×4h` input GEMM, one `h·Wh` GEMM per
-//! step, `slice_cols` gate splits) must be interchangeable with the
-//! `DC_LSTM_FUSED=0` legacy path (eight tiny per-gate GEMMs per step):
+//! step, `slice_cols` gate splits) must stay interchangeable with the
+//! per-gate formulation it replaced (eight tiny per-gate GEMMs per
+//! step), which lives on only as this file's [`per_gate`] oracle:
 //!
 //! 1. **Cross-mode within 1e-5.** The kernel accumulates full `NR`-wide
 //!    column strips (and full `MR`-row tiles) with hardware FMA but the
@@ -20,14 +21,14 @@
 //!    row tiling lines up; `lstm.rs` has a unit test pinning that).
 //! 3. **Pooled vs fresh bitwise.** A recycled pooled tape running the
 //!    fused graph (slice_cols backward included) replays the identical
-//!    GEMM shapes, so it must reproduce a fresh `DC_POOL=0` tape bit
-//!    for bit.
+//!    GEMM shapes, so it must reproduce a fresh unpooled tape bit for
+//!    bit.
 //!
 //! `scripts/lint.sh` runs this suite under `DC_THREADS` 1, 2, and the
 //! default. The gates are process-global, so tests serialise on a
 //! mutex and re-pin every gate they depend on at entry.
 
-use dc_nn::lstm::{set_lstm_fused, LstmEncoder};
+use dc_nn::lstm::LstmEncoder;
 use dc_nn::optim::{Adam, Optimizer, Sgd};
 use dc_tensor::{set_fuse_enabled, set_pool_enabled, Tape, Tensor};
 use proptest::prelude::*;
@@ -35,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
-/// Serialises tests that flip the global pool/fuse/lstm-fused gates.
+/// Serialises tests that flip the global pool/fuse gates.
 static GATE_LOCK: Mutex<()> = Mutex::new(());
 
 fn seq_tensor(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
@@ -72,6 +73,102 @@ fn close(a: &Tensor, b: &Tensor, tol: f32) -> bool {
         .all(|(x, y)| (x - y).abs() <= tol * scale)
 }
 
+/// The pre-fusion LSTM, kept as the oracle properties 1a/1b compare
+/// against: separate per-gate weight blocks, per-timestep row copies,
+/// eight small GEMMs per step, twelve optimiser slots.
+mod per_gate {
+    use super::*;
+
+    const GATES: usize = 4; // [i|f|o|g] column blocks of the fused layout
+
+    /// Copy of gate `g`'s column block of a fused `rows × 4·hd` matrix.
+    fn block(fused: &Tensor, g: usize, hd: usize) -> Tensor {
+        let mut out = Tensor::zeros(fused.rows, hd);
+        for r in 0..fused.rows {
+            out.row_slice_mut(r)
+                .copy_from_slice(&fused.row_slice(r)[g * hd..(g + 1) * hd]);
+        }
+        out
+    }
+
+    fn blocks(fused: &Tensor, hd: usize) -> Vec<Tensor> {
+        (0..GATES).map(|g| block(fused, g, hd)).collect()
+    }
+
+    fn sigmoid(x: f32) -> f32 {
+        1.0 / (1.0 + (-x).exp())
+    }
+
+    /// Tape-free encode, one gate at a time.
+    pub fn encode(enc: &LstmEncoder, seq: &Tensor) -> Tensor {
+        let hd = enc.hidden_dim;
+        let (wx, wh, b) = (blocks(&enc.wx, hd), blocks(&enc.wh, hd), blocks(&enc.b, hd));
+        let mut h = Tensor::zeros(1, hd);
+        let mut c = Tensor::zeros(1, hd);
+        for t in 0..seq.rows {
+            let x = seq.row_tensor(t);
+            let gate = |g: usize, h: &Tensor| {
+                let mut z = x.matmul(&wx[g]);
+                z.axpy(1.0, &h.matmul(&wh[g]));
+                z.axpy(1.0, &b[g]);
+                z
+            };
+            let i = gate(0, &h).map(sigmoid);
+            let f = gate(1, &h).map(sigmoid);
+            let o = gate(2, &h).map(sigmoid);
+            let g = gate(3, &h).map(f32::tanh);
+            c = f.mul(&c).add(&i.mul(&g));
+            h = o.mul(&c.map(f32::tanh));
+        }
+        h
+    }
+
+    /// [`super::train_step`] over the per-gate graph: twelve bound
+    /// vars, per-gate gradients written back into the fused blocks.
+    pub fn train_step(
+        enc: &mut LstmEncoder,
+        opt: &mut dyn Optimizer,
+        tape: &Tape,
+        seq: &Tensor,
+    ) -> u32 {
+        let hd = enc.hidden_dim;
+        let mut params = [blocks(&enc.wx, hd), blocks(&enc.wh, hd), blocks(&enc.b, hd)];
+        let [wx, wh, b] = params
+            .each_ref()
+            .map(|p| p.iter().map(|t| tape.var_from(t)).collect::<Vec<_>>());
+        let sv = tape.var_slice(seq.rows, seq.cols, &seq.data);
+        let mut h = tape.var(Tensor::zeros(1, hd));
+        let mut c = tape.var(Tensor::zeros(1, hd));
+        for t in 0..seq.rows {
+            let x = tape.rows_select(sv, vec![t]);
+            let gate = |g: usize| {
+                tape.add_row(tape.add(tape.matmul(x, wx[g]), tape.matmul(h, wh[g])), b[g])
+            };
+            let i = tape.sigmoid(gate(0));
+            let f = tape.sigmoid(gate(1));
+            let o = tape.sigmoid(gate(2));
+            let g = tape.tanh(gate(3));
+            c = tape.add(tape.mul(f, c), tape.mul(i, g));
+            h = tape.mul(o, tape.tanh(c));
+        }
+        let loss = tape.sum(tape.mul(h, h));
+        let bits = tape.item(loss).to_bits();
+        tape.backward(loss);
+        opt.begin_step();
+        let fused = [&mut enc.wx, &mut enc.wh, &mut enc.b];
+        for (k, (vars, fused)) in [wx, wh, b].iter().zip(fused).enumerate() {
+            for g in 0..GATES {
+                let blk = &mut params[k][g];
+                tape.with_grad(vars[g], |grad| opt.update(g * 3 + k, blk, grad));
+                for r in 0..blk.rows {
+                    fused.row_slice_mut(r)[g * hd..(g + 1) * hd].copy_from_slice(blk.row_slice(r));
+                }
+            }
+        }
+        bits
+    }
+}
+
 proptest! {
     /// Property 1a: fused and unfused `encode` agree within 1e-5
     /// relative (FMA-strip vs scalar-remainder rounding, see module
@@ -91,11 +188,8 @@ proptest! {
         let enc = LstmEncoder::new(dim, hidden, &mut rng);
         let seq = seq_tensor(tokens, dim, &mut rng);
 
-        set_lstm_fused(true);
         let fused = enc.encode(&seq);
-        set_lstm_fused(false);
-        let unfused = enc.encode(&seq);
-        set_lstm_fused(true);
+        let unfused = per_gate::encode(&enc, &seq);
 
         prop_assert!(close(&fused, &unfused, 1e-5));
     }
@@ -114,7 +208,6 @@ proptest! {
         let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_pool_enabled(true);
         set_fuse_enabled(true);
-        set_lstm_fused(true);
 
         let mut rng = StdRng::seed_from_u64(seed);
         let enc = LstmEncoder::new(dim, hidden, &mut rng);
@@ -147,7 +240,6 @@ proptest! {
         set_fuse_enabled(true);
 
         let run = |fused: bool| {
-            set_lstm_fused(fused);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut enc = LstmEncoder::new(dim, hidden, &mut rng);
             let seq = seq_tensor(tokens, dim, &mut rng);
@@ -155,7 +247,11 @@ proptest! {
             let mut first_loss = 0;
             for step in 0..3 {
                 let tape = Tape::new();
-                let bits = train_step(&mut enc, &mut opt, &tape, &seq);
+                let bits = if fused {
+                    train_step(&mut enc, &mut opt, &tape, &seq)
+                } else {
+                    per_gate::train_step(&mut enc, &mut opt, &tape, &seq)
+                };
                 if step == 0 {
                     first_loss = bits;
                 }
@@ -165,7 +261,6 @@ proptest! {
 
         let (loss_f, enc_f) = run(true);
         let (loss_u, enc_u) = run(false);
-        set_lstm_fused(true);
 
         // Step 0 starts from identical weights: the losses only differ
         // by the kernel's shape-dependent rounding.
@@ -188,7 +283,6 @@ proptest! {
     ) {
         let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_fuse_enabled(true);
-        set_lstm_fused(true);
 
         let run = |pooled: bool| {
             set_pool_enabled(pooled);

@@ -17,8 +17,8 @@
 //!   size; results are bitwise identical for every thread count).
 //! * [`pool`] — the step-scoped [`BufferPool`] behind every tape
 //!   allocation; [`Tape::recycle`] makes steady-state training steps
-//!   (near-)allocation-free. `DC_POOL=0` / `DC_FUSE=0` fall back to
-//!   fresh allocations / unfused ops, bitwise identically.
+//!   (near-)allocation-free, bitwise identically to a fresh unpooled
+//!   tape with fusion off (the reference the equivalence suites build).
 //! * [`grad_check`] — finite-difference gradient checking used by the
 //!   test-suites of every downstream model.
 //!

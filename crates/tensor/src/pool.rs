@@ -16,72 +16,56 @@
 //! (elementwise maps/zips, row copies) or asks for [`BufferPool::take_zeroed`]
 //! (matmul panels accumulate with `+=`; scatter-style backward ops).
 //!
-//! Gates: `DC_POOL=0` disables pooling (every take is a fresh
-//! allocation, every put a drop) and `DC_FUSE=0` disables elementwise
-//! fusion; both default on and can be flipped at runtime with
-//! [`set_pool_enabled`]/[`set_fuse_enabled`] for in-process A/B runs —
-//! a [`BufferPool`] samples the pool gate at construction and at each
-//! [`crate::tape::Tape::recycle`], never mid-step.
+//! Gates: pooling and elementwise fusion are always on in production.
+//! [`set_pool_enabled`]/[`set_fuse_enabled`] exist so the equivalence
+//! suites (`pool_equiv`, `liveness_prop`, `lstm_fused_equiv`) and
+//! `bench_train` can build their reference in-process — a fresh
+//! unpooled tape (every take a fresh allocation, every put a drop)
+//! with fusion off. A [`BufferPool`] samples the pool gate at
+//! construction and at each [`crate::tape::Tape::recycle`], never
+//! mid-step.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 // ---------------------------------------------------------------------------
 // Gates
 // ---------------------------------------------------------------------------
 
-/// 0 = uninitialized, 1 = off, 2 = on (same scheme as dc-obs's gate).
-static POOL_STATE: AtomicU8 = AtomicU8::new(0);
-static FUSE_STATE: AtomicU8 = AtomicU8::new(0);
-/// Memory-safety instrumentation gate. Unlike the pool/fuse gates this
-/// defaults *off*: it is keyed on `DC_CHECK` (the same opt-in switch
-/// dc-check's `debug_validate` uses), so production steps never pay for
-/// handle tracking or poison fills.
+static POOL_ON: AtomicBool = AtomicBool::new(true);
+static FUSE_ON: AtomicBool = AtomicBool::new(true);
+/// Memory-safety instrumentation gate: 0 = uninitialized, 1 = off,
+/// 2 = on (same scheme as dc-obs's gate). Unlike the pool/fuse gates
+/// this defaults *off*: it is keyed on `DC_CHECK` (the same opt-in
+/// switch dc-check's `debug_validate` uses), so production steps never
+/// pay for handle tracking or poison fills.
 static CHECK_STATE: AtomicU8 = AtomicU8::new(0);
 
-#[inline(always)]
-fn gate(state: &'static AtomicU8, env: &'static str) -> bool {
-    match state.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => gate_init(state, env),
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn gate_init(state: &'static AtomicU8, env: &'static str) -> bool {
-    let on = std::env::var(env).map(|v| v != "0").unwrap_or(true);
-    state.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// True unless `DC_POOL=0` (or [`set_pool_enabled`]`(false)`). Sampled
-/// by tapes at construction/recycle time, and by the kernel pack
-/// scratch cache on every matmul panel.
+/// True unless [`set_pool_enabled`]`(false)`. Sampled by tapes at
+/// construction/recycle time, and by the kernel pack scratch cache on
+/// every matmul panel.
 #[inline(always)]
 pub fn pool_enabled() -> bool {
-    gate(&POOL_STATE, "DC_POOL")
+    POOL_ON.load(Ordering::Relaxed)
 }
 
-/// True unless `DC_FUSE=0` (or [`set_fuse_enabled`]`(false)`):
-/// adjacent unary elementwise tape ops collapse into one
-/// `FusedEltwise` node.
+/// True unless [`set_fuse_enabled`]`(false)`: adjacent unary
+/// elementwise tape ops collapse into one `FusedEltwise` node.
 #[inline(always)]
 pub fn fuse_enabled() -> bool {
-    gate(&FUSE_STATE, "DC_FUSE")
+    FUSE_ON.load(Ordering::Relaxed)
 }
 
-/// Force the pool gate, overriding `DC_POOL`. Existing tapes keep the
-/// setting they sampled until their next `recycle()`.
+/// Test/bench toggle for the pool gate (see the module doc). Existing
+/// tapes keep the setting they sampled until their next `recycle()`.
 pub fn set_pool_enabled(on: bool) {
-    POOL_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    POOL_ON.store(on, Ordering::Relaxed);
 }
 
-/// Force the fusion gate, overriding `DC_FUSE`. Takes effect for ops
-/// recorded after the call.
+/// Test/bench toggle for the fusion gate (see the module doc). Takes
+/// effect for ops recorded after the call.
 pub fn set_fuse_enabled(on: bool) {
-    FUSE_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    FUSE_ON.store(on, Ordering::Relaxed);
 }
 
 /// True when `DC_CHECK` is set to anything but `0` (or after

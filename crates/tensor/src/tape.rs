@@ -14,12 +14,12 @@
 //! * **Buffer pooling** — every node value and gradient buffer comes
 //!   from the tape's [`BufferPool`]; [`Tape::recycle`] returns them all
 //!   at step end and re-mints the tape's generation id, so one tape
-//!   serves a whole training run without growing. `DC_POOL=0` disables.
+//!   serves a whole training run without growing.
 //! * **Elementwise fusion** — chains of unary elementwise ops
 //!   (`scale`/`add_scalar`/`sigmoid`/`tanh`/`relu`/`leaky_relu`/`exp`/
 //!   `ln`/`abs`) collapse into one [`Op::FusedEltwise`] node whose
 //!   backward replays the whole chain in a single per-element pass when
-//!   no intermediate is consumed elsewhere. `DC_FUSE=0` disables.
+//!   no intermediate is consumed elsewhere.
 
 use crate::pool::BufferPool;
 use crate::tensor::Tensor;
@@ -1485,7 +1485,7 @@ fn consumer_counts(nodes: &[Node], counts: &mut Vec<u32>, upto: usize) {
 
 impl Drop for Tape {
     /// Flush pool hit/miss counts to the dc-obs counters so tapes that
-    /// are dropped without ever recycling (e.g. the `DC_POOL=0`
+    /// are dropped without ever recycling (e.g. the unpooled
     /// fresh-tape-per-step baseline) still show up in `ObsReport`.
     fn drop(&mut self) {
         self.pool.publish_counters();
@@ -1702,7 +1702,7 @@ mod tests {
 
     #[test]
     fn gradcheck_long_fused_chain() {
-        // Four unary stages in a row — under the default DC_FUSE this
+        // Four unary stages in a row — with fusion on (the default) this
         // records plain(scale) + three growing FusedEltwise nodes, and
         // backward takes the single-pass fast path.
         let x = Tensor::from_vec(1, 5, vec![0.3, -0.7, 1.5, -2.0, 0.9]);
@@ -1734,7 +1734,7 @@ mod tests {
     #[test]
     fn fusion_collapses_unary_chains_without_stealing_interiors() {
         if !crate::pool::fuse_enabled() {
-            return; // DC_FUSE=0 run: nothing to inspect
+            return; // fusion off: nothing to inspect
         }
         let t = Tape::new();
         let x = t.var(Tensor::row(vec![0.5, -1.0]));

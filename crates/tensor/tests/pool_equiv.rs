@@ -4,7 +4,7 @@
 //!
 //! 1. **Pooled vs fresh.** A single tape recycled across repeated runs
 //!    of the same program (so every buffer it hands out is a stale
-//!    recycled one) must reproduce a fresh `DC_POOL=0` tape
+//!    recycled one) must reproduce a fresh unpooled tape
 //!    bit-for-bit — forward value and every leaf gradient.
 //! 2. **Fused vs unfused.** Collapsing unary elementwise chains into
 //!    `FusedEltwise` nodes must not change a single bit of the output
@@ -148,7 +148,7 @@ proptest! {
     }
 
     /// The full training contract the benchmark relies on: everything
-    /// off (the `DC_POOL=0`/`DC_FUSE=0` baseline) ≡ everything on.
+    /// off (fresh unpooled tape, fusion off) ≡ everything on.
     #[test]
     fn baseline_matches_fully_optimised(
         prog in program(),

@@ -18,127 +18,130 @@ for arg in "$@"; do
     esac
 done
 
-echo "== cargo fmt --check =="
-cargo fmt --all -- --check
+# The gate manifest, run top to bottom by the one loop below. Entries:
+#   "== <text>"                         section header
+#   "run <command>"                     a command, as written
+#   "pool <package>:<test>[:release]"   an integration-test suite whose
+#       subject enters the kernel worker pool: run under DC_THREADS=1,
+#       =2 and the default
+#   "once <package>:<test>[:release]"   a suite that never does: one run
+gates=(
+    "== cargo fmt --check"
+    "run cargo fmt --all -- --check"
 
-echo "== cargo clippy (deny warnings, every unsafe block documented) =="
-cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented-unsafe-blocks
+    "== cargo clippy (deny warnings, every unsafe block documented)"
+    "run cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented-unsafe-blocks"
 
-echo "== dc-obs selftest + unit/property tests =="
-cargo run -q -p dc-obs --bin dc-obs-selftest
-cargo test -q -p dc-obs
+    "== dc-obs selftest + unit/property tests"
+    "run cargo run -q -p dc-obs --bin dc-obs-selftest"
+    "run cargo test -q -p dc-obs"
 
-echo "== dc-check selftest =="
-cargo run -q -p dc-check --bin dc-check-selftest
+    "== dc-check selftest"
+    "run cargo run -q -p dc-check --bin dc-check-selftest"
 
-echo "== kernel equivalence under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-tensor --test kernel_equiv
-DC_THREADS=2 cargo test -q -p dc-tensor --test kernel_equiv
-cargo test -q -p dc-tensor --test kernel_equiv
+    "== kernel equivalence"
+    "pool dc-tensor:kernel_equiv"
 
-echo "== dc-index selftest =="
-cargo run -q -p dc-index --bin dc-index-selftest
+    "== dc-index selftest"
+    "run cargo run -q -p dc-index --bin dc-index-selftest"
 
-echo "== retrieval equivalence under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-index --test index_equiv
-DC_THREADS=2 cargo test -q -p dc-index --test index_equiv
-cargo test -q -p dc-index --test index_equiv
-DC_THREADS=1 cargo test -q -p dc-er --test blocking_equiv
-DC_THREADS=2 cargo test -q -p dc-er --test blocking_equiv
-cargo test -q -p dc-er --test blocking_equiv
+    "== retrieval equivalence"
+    "pool dc-index:index_equiv"
+    "pool dc-er:blocking_equiv"
 
-echo "== filter-verify matcher, slice SGNS loop, pipeline vs seed match loop under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-er --test rule_matcher_equiv
-DC_THREADS=2 cargo test -q -p dc-er --test rule_matcher_equiv
-cargo test -q -p dc-er --test rule_matcher_equiv
-# SGNS never enters the kernel pool: one run covers the bitwise loop
-# test and the negative-sampler exactness tests.
-cargo test -q -p dc-embed --lib
-# Release: each run replays the seed pipeline over three 1000-row lakes
-# and holds Pipeline::run to its recorded counts and curated-table hash.
-DC_THREADS=1 cargo test -q --release --test pipeline_match_equiv --test pipeline_golden
-DC_THREADS=2 cargo test -q --release --test pipeline_match_equiv --test pipeline_golden
-cargo test -q --release --test pipeline_match_equiv --test pipeline_golden
+    "== filter-verify matcher, slice SGNS loop, pipeline vs seed match loop"
+    # RuleMatcher and SGNS never enter the kernel pool: one run each (the
+    # dc-embed unit tests cover the bitwise loop test and the
+    # negative-sampler exactness tests).
+    "once dc-er:rule_matcher_equiv"
+    "run cargo test -q -p dc-embed --lib"
+    # Release: each run replays the seed pipeline over three 1000-row lakes
+    # and holds Pipeline::run to its recorded counts and curated-table hash.
+    "pool autodc:pipeline_match_equiv:release"
+    "pool autodc:pipeline_golden:release"
 
-echo "== quantized funnel equivalence under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-tensor --test i8_dot_equiv
-DC_THREADS=2 cargo test -q -p dc-tensor --test i8_dot_equiv
-cargo test -q -p dc-tensor --test i8_dot_equiv
-DC_THREADS=1 cargo test -q -p dc-index --test quant_equiv
-DC_THREADS=2 cargo test -q -p dc-index --test quant_equiv
-cargo test -q -p dc-index --test quant_equiv
+    "== quantized funnel equivalence"
+    "pool dc-tensor:i8_dot_equiv"
+    "pool dc-index:quant_equiv"
 
-echo "== Trainer migration (unified run_epochs loop) =="
-cargo test -q -p dc-nn --test trainer_migration
+    "== Trainer migration (unified run_epochs loop)"
+    "once dc-nn:trainer_migration"
 
-echo "== chunked-store + CSR equivalence under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-data --test chunk_equiv
-DC_THREADS=2 cargo test -q -p dc-data --test chunk_equiv
-cargo test -q -p dc-data --test chunk_equiv
-DC_THREADS=1 cargo test -q -p dc-data --test csr_equiv
-DC_THREADS=2 cargo test -q -p dc-data --test csr_equiv
-cargo test -q -p dc-data --test csr_equiv
+    "== chunked-store + CSR equivalence"
+    "pool dc-data:chunk_equiv"
+    "pool dc-data:csr_equiv"
 
-echo "== out-of-core training equivalence under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-nn --test data_equiv
-DC_THREADS=2 cargo test -q -p dc-nn --test data_equiv
-cargo test -q -p dc-nn --test data_equiv
+    "== out-of-core training equivalence"
+    "pool dc-nn:data_equiv"
 
-echo "== pool/fusion bitwise equivalence under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-tensor --test pool_equiv
-DC_THREADS=2 cargo test -q -p dc-tensor --test pool_equiv
-cargo test -q -p dc-tensor --test pool_equiv
+    "== pool/fusion bitwise equivalence"
+    "pool dc-tensor:pool_equiv"
 
-echo "== fused-LSTM equivalence (DC_LSTM_FUSED paths) under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-nn --test lstm_fused_equiv
-DC_THREADS=2 cargo test -q -p dc-nn --test lstm_fused_equiv
-cargo test -q -p dc-nn --test lstm_fused_equiv
+    "== fused-LSTM equivalence (per-gate oracle, pooled vs fresh tape) + DeepER-LSTM golden run"
+    "pool dc-nn:lstm_fused_equiv"
+    "pool dc-er:deeper_lstm_golden"
 
-echo "== pool leak guard (high-water stable after epoch 1) =="
-cargo test -q -p dc-nn --test pool_leak
+    "== pool leak guard (high-water stable after epoch 1)"
+    "once dc-nn:pool_leak"
 
-echo "== pool job-slot handoff model (exhaustive schedule permutation) =="
-cargo test -q -p dc-tensor --test pool_model
+    "== pool job-slot handoff model (exhaustive schedule permutation)"
+    "once dc-tensor:pool_model"
 
-echo "== memory-safety diagnostics (poison regression + liveness forecast parity) =="
-cargo test -q -p dc-check --test memsafe_regression
-cargo test -q -p dc-nn --test liveness_parity
+    "== memory-safety diagnostics (poison regression + liveness forecast parity)"
+    "once dc-check:memsafe_regression"
+    "once dc-nn:liveness_parity"
 
-echo "== training benchmark smoke (equivalence + pool warmup, no wall-clock gate) =="
-cargo run -q --release -p dc-bench --bin bench_train -- --smoke
+    "== training benchmark smoke (equivalence + pool warmup, no wall-clock gate)"
+    "run cargo run -q --release -p dc-bench --bin bench_train -- --smoke"
 
-echo "== index benchmark smoke (funnel-vs-exact equality, no wall-clock gate) =="
-cargo run -q --release -p dc-bench --bin bench_index -- --smoke
+    "== index benchmark smoke (funnel-vs-exact equality, no wall-clock gate)"
+    "run cargo run -q --release -p dc-bench --bin bench_index -- --smoke"
 
-echo "== data benchmark smoke (streamed-vs-resident bitwise, zero warm allocs, no wall-clock gate) =="
-cargo run -q --release -p dc-bench --bin bench_data -- --smoke
+    "== data benchmark smoke (streamed-vs-resident bitwise, zero warm allocs, no wall-clock gate)"
+    "run cargo run -q --release -p dc-bench --bin bench_data -- --smoke"
 
-echo "== observability is observational (bitwise weights) under DC_THREADS=1, =2 =="
-DC_THREADS=1 cargo test -q -p dc-er --test obs_equiv
-DC_THREADS=2 cargo test -q -p dc-er --test obs_equiv
+    "== observability is observational (bitwise weights)"
+    "pool dc-er:obs_equiv"
 
-echo "== incremental LSH index vs full rebuild (proptest pair-set equality) =="
-cargo test -q -p dc-index --test inc_equiv
+    "== incremental LSH index vs full rebuild (proptest pair-set equality)"
+    "once dc-index:inc_equiv"
 
-echo "== dc-serve selftest (endpoints, errors, hot reload over a live socket) =="
-cargo run -q -p dc-serve --bin dc-serve-selftest
+    "== dc-serve selftest (endpoints, errors, hot reload over a live socket)"
+    "run cargo run -q -p dc-serve --bin dc-serve-selftest"
 
-echo "== micro-batch bitwise equivalence under DC_THREADS=1, =2, default =="
-DC_THREADS=1 cargo test -q -p dc-serve --test microbatch_equiv
-DC_THREADS=2 cargo test -q -p dc-serve --test microbatch_equiv
-cargo test -q -p dc-serve --test microbatch_equiv
+    "== micro-batch bitwise equivalence"
+    "pool dc-serve:microbatch_equiv"
 
-echo "== serve smoke (concurrent clients, malformed traffic stays non-fatal) =="
-cargo test -q -p dc-serve --test server_smoke
+    "== serve smoke (concurrent clients, malformed traffic stays non-fatal)"
+    "once dc-serve:server_smoke"
 
-echo "== serving benchmark smoke (open-loop clients, every response well-formed) =="
-cargo run -q --release -p dc-bench --bin bench_serve -- --smoke
+    "== serving benchmark smoke (open-loop clients, every response well-formed)"
+    "run cargo run -q --release -p dc-bench --bin bench_serve -- --smoke"
 
-echo "== end-to-end ledger: bench/ unit tests + smoke (every check, both passes, no wall-clock gate) =="
-# bench/Cargo.lock predates dc-er's direct dc-obs dependency, so cargo
-# rewrites it in place here until a benchmark PR commits the refresh.
-(cd bench && cargo test -q --offline)
-bash bench/run.sh --smoke
+    "== end-to-end ledger: bench/ unit tests + smoke (every check, both passes, no wall-clock gate)"
+    # bench/Cargo.lock predates dc-er's direct dc-obs dependency, so cargo
+    # rewrites it in place here until a benchmark PR commits the refresh.
+    "run (cd bench && cargo test -q --offline)"
+    "run bash bench/run.sh --smoke"
+)
+
+for gate in "${gates[@]}"; do
+    kind=${gate%% *}
+    spec=${gate#* }
+    case "$kind" in
+    ==) echo "== $spec ==" ;;
+    run) eval "$spec" ;;
+    pool | once)
+        IFS=: read -r package suite profile <<<"$spec"
+        cmd=(cargo test -q ${profile:+--release} -p "$package" --test "$suite")
+        if [ "$kind" = pool ]; then
+            DC_THREADS=1 "${cmd[@]}"
+            DC_THREADS=2 "${cmd[@]}"
+        fi
+        "${cmd[@]}"
+        ;;
+    esac
+done
 
 if [ "$deep" = 1 ]; then
     echo "== deep: sanitizer/race gates (scripts/sanitize.sh) =="
