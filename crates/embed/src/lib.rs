@@ -22,14 +22,11 @@
 //!   compositions.
 //! * [`coherent`] — coherent-group similarity for multi-word phrases
 //!   and out-of-vocabulary terms (§5.1).
-//! * [`knn`] — nearest-neighbour and analogy queries over any embedding
-//!   set.
 
 pub mod celldoc;
 pub mod cellgraph;
 pub mod coherent;
 pub mod compose;
-pub mod knn;
 pub mod onehot;
 pub mod sgns;
 pub mod vocab;
@@ -38,7 +35,6 @@ pub use celldoc::CellDocEmbedder;
 pub use cellgraph::{GraphEmbedConfig, GraphEmbedder};
 pub use coherent::coherent_group_similarity;
 pub use compose::{column2vec, database2vec, table2vec, tuple2vec, SifWeights};
-pub use knn::{analogy, nearest, NearestIndex};
 pub use onehot::OneHot;
-pub use sgns::{Embeddings, SgnsConfig, SimilarityIndex};
+pub use sgns::{Embeddings, SgnsConfig};
 pub use vocab::Vocabulary;

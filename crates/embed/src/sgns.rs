@@ -8,7 +8,7 @@
 //! for speed — the tape-backed models live in `dc-nn`.
 
 use crate::vocab::Vocabulary;
-use dc_index::{topk_scores, CosineIndex, FunnelConfig, Order};
+use dc_index::{topk_scores, Order};
 use dc_tensor::tensor::cosine;
 use dc_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -345,18 +345,6 @@ impl Embeddings {
         }
     }
 
-    /// A reusable similarity index over the vocabulary: vectors are
-    /// normalized once into a [`CosineIndex`] behind the quantized
-    /// retrieval funnel, so repeated [`SimilarityIndex::most_similar`]
-    /// / [`SimilarityIndex::analogy`] queries skip the per-call
-    /// `O(V · d)` cosine scan that [`Embeddings::most_similar`] pays.
-    pub fn similarity_index(&self) -> SimilarityIndex<'_> {
-        SimilarityIndex {
-            emb: self,
-            index: CosineIndex::build_funnel(&self.vectors, FunnelConfig::default()),
-        }
-    }
-
     /// Mean vector of a bag of tokens (OOV tokens skipped); `None` when
     /// nothing is in vocabulary.
     pub fn mean_vector(&self, tokens: &[String]) -> Option<Vec<f32>> {
@@ -376,54 +364,6 @@ impl Embeddings {
         let inv = 1.0 / n as f32;
         acc.iter_mut().for_each(|a| *a *= inv);
         Some(acc)
-    }
-}
-
-/// A funnel-backed query index over trained [`Embeddings`] (see
-/// [`Embeddings::similarity_index`]). Exclusion semantics mirror the
-/// direct methods: [`SimilarityIndex::most_similar`] excludes the query
-/// token itself, [`SimilarityIndex::analogy`] all three inputs, and
-/// ties break toward the lower token id. Scores are cosine computed as
-/// normalize-then-dot, which can differ from
-/// [`Embeddings::most_similar`]'s fused `cosine` in the last ulp.
-pub struct SimilarityIndex<'a> {
-    emb: &'a Embeddings,
-    index: CosineIndex,
-}
-
-impl SimilarityIndex<'_> {
-    /// The `k` most similar tokens to `token` (excluding itself).
-    pub fn most_similar(&self, token: &str, k: usize) -> Vec<(String, f32)> {
-        let Some(target) = self.emb.get(token) else {
-            return Vec::new();
-        };
-        let target = target.to_vec();
-        self.topk_excluding(&target, k, &[token])
-    }
-
-    /// 3CosAdd analogy `a : b :: c : ?`, excluding the three inputs.
-    pub fn analogy(&self, a: &str, b: &str, c: &str, k: usize) -> Vec<(String, f32)> {
-        let (Some(va), Some(vb), Some(vc)) = (self.emb.get(a), self.emb.get(b), self.emb.get(c))
-        else {
-            return Vec::new();
-        };
-        let query: Vec<f32> = vb
-            .iter()
-            .zip(va)
-            .zip(vc)
-            .map(|((b, a), c)| b - a + c)
-            .collect();
-        self.topk_excluding(&query, k, &[a, b, c])
-    }
-
-    fn topk_excluding(&self, query: &[f32], k: usize, exclude: &[&str]) -> Vec<(String, f32)> {
-        self.index
-            .nearest(query, k.saturating_add(exclude.len()))
-            .into_iter()
-            .filter(|hit| !exclude.contains(&self.emb.vocab.token(hit.index)))
-            .take(k)
-            .map(|hit| (self.emb.vocab.token(hit.index).to_string(), hit.score))
-            .collect()
     }
 }
 
@@ -584,26 +524,6 @@ mod tests {
         assert_eq!(m.len(), emb.dim());
         assert_eq!(m, emb.get("a").expect("a").to_vec());
         assert!(emb.mean_vector(&["nope".to_string()]).is_none());
-    }
-
-    #[test]
-    fn similarity_index_agrees_with_direct_queries() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let corpus = planted_topic_corpus(2, 5, 500, 8, &mut rng);
-        let emb = Embeddings::train(&corpus, &SgnsConfig::default(), &mut rng);
-        let idx = emb.similarity_index();
-        for token in ["t0w0", "t1w3"] {
-            let direct = emb.most_similar(token, 4);
-            let indexed = idx.most_similar(token, 4);
-            assert_eq!(direct.len(), indexed.len());
-            for ((td, sd), (ti, si)) in direct.iter().zip(&indexed) {
-                assert_eq!(td, ti, "ranking mismatch for {token}");
-                assert!((sd - si).abs() < 1e-4, "{token}: {sd} vs {si}");
-                assert_ne!(ti, token, "query token must be excluded");
-            }
-        }
-        assert!(idx.most_similar("zzz", 3).is_empty());
-        assert!(idx.analogy("t0w0", "zzz", "t1w0", 3).is_empty());
     }
 
     /// The seed training loop, verbatim: every element through the

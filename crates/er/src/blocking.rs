@@ -143,7 +143,8 @@ impl LshBlocker {
                 rows_per_band: self.rows_per_band,
                 probes: self.probes,
             },
-        );
+        )
+        .expect("plane count asserted by from_planes");
         let pairs = index.candidate_pairs();
         match self.max_candidates {
             Some(cap) if pairs.len() > cap => {

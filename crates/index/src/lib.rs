@@ -12,10 +12,12 @@
 //!   product through [`dc_tensor::kernel`] and compared by
 //!   `XOR`/`count_ones` Hamming distance.
 //! * [`lsh`] — banded inverted buckets over those signatures, keyed by
-//!   `u64` band words, with an iterator-based candidate stream (no
-//!   materialized pair set for the common consumer), a dedup adapter
-//!   for callers that need exact pair sets, and optional multi-probe on
-//!   near-boundary bits to recover pair completeness at fewer bands.
+//!   `u64` band words: one [`LshIndex`] that is bulk-built for batch
+//!   blocking and takes inserts, tombstone deletes and compactions for
+//!   the online service (sorted tier + overflow tier), emits the exact
+//!   pair set by sort/dedup over packed pair codes, and optionally
+//!   multi-probes near-boundary bits to recover pair completeness at
+//!   fewer bands.
 //! * [`topk`] — a binary-heap [`topk::TopK`] selector under a *total*
 //!   score order (NaN sinks last, ties break toward the lower index)
 //!   plus a chunked parallel scan over the shared worker pool and a
@@ -39,14 +41,12 @@
 //! `scripts/lint.sh` runs the equivalence suites under `DC_THREADS=1`,
 //! `=2`, and the default to enforce this.
 
-pub mod inc;
 pub mod lsh;
 pub mod quant;
 pub mod sig;
 pub mod topk;
 
-pub use inc::IncrementalLshIndex;
-pub use lsh::{dedup_pairs, CandidateStream, LshConfig, LshIndex};
+pub use lsh::{LshConfig, LshIndex};
 pub use quant::{i32_goodness, QuantizedSet};
 pub use sig::{sign_scores, SignatureSet};
 pub use topk::{

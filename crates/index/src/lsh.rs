@@ -1,15 +1,40 @@
-//! Banded LSH candidate retrieval over bit-packed signatures.
+//! Banded LSH candidate retrieval over bit-packed signatures: one
+//! index for batch blocking and for the online service.
 //!
 //! The classic banding scheme (and the seed's): split each signature
 //! into `bands` bands of `rows_per_band` bits; two items are candidates
 //! when *any* band matches exactly. The seed materialized a
 //! `HashMap<Vec<bool>, Vec<usize>>` per band and a `HashSet` of every
 //! pair; here each band is a sorted `(key, item)` table of `u64` band
-//! words, candidates come out of an iterator-based [`CandidateStream`]
-//! (nothing materialized for the common consumer), and callers that
-//! need an exact pair set run the stream through [`dedup_pairs`] — a
-//! sort/dedup over packed `u64` pair codes, far cheaper than hashing
-//! every occurrence.
+//! words, and [`LshIndex::candidate_pairs`] dedups packed `u64` pair
+//! codes by sort — far cheaper than hashing every occurrence.
+//!
+//! Each band's items live in two tiers:
+//!
+//! * a **sorted tier** — a `BandTable` (radix/packed-sorted,
+//!   binary-searchable) over the items that were live at the last bulk
+//!   build or [`LshIndex::compact`];
+//! * an **overflow tier** — every item inserted since, kept as one
+//!   shared append-only id list and sorted *at query time* into a small
+//!   per-band `BandTable` (sorting only the overflow, not the world).
+//!
+//! Deletes are tombstones (`alive` bitmap) filtered during candidate
+//! emission; [`LshIndex::compact`] folds the overflow and tombstones
+//! back into fresh sorted tables (dc-serve runs it from a background
+//! maintenance thread once the overflow crosses a threshold). A bulk
+//! build ([`LshIndex::from_scores`] / [`LshIndex::build`]) lands every
+//! item in the sorted tier, so a batch caller such as
+//! `dc_er::LshBlocker` has no overflow to merge and no tombstone to
+//! filter: it pays one `Vec<bool>` of length n and nothing per pair.
+//!
+//! Candidate generation merges three pair sources per band — within
+//! each tier and across the two — plus multi-probe lookups against both
+//! tiers, all through one walk over a table's equal-key runs. The
+//! result is the **same pair set a fresh bulk build over the live items
+//! would produce** (modulo the rebuild's renumbering): every live item
+//! is in exactly one tier and signatures and probe orders come from the
+//! same code whichever way an item arrived. `inc_equiv.rs` proves the
+//! equality by proptest over insert/delete/compact interleavings.
 //!
 //! **Multi-probe**: with [`LshConfig::probes`] > 0, each item
 //! additionally looks up, per band, the band keys obtained by flipping
@@ -19,20 +44,24 @@
 //! smaller index.
 
 use crate::sig::{sign_scores, SignatureSet};
+use dc_core::{DcError, DcResult};
 use dc_tensor::Tensor;
 use std::ops::Range;
 
-// Retrieval telemetry (dc-obs): candidate generation vs survival and
-// multi-probe effectiveness. Single load+branch each when DC_OBS is off.
+// Retrieval telemetry (dc-obs): candidate generation vs survival,
+// multi-probe effectiveness and tier maintenance. Single load+branch
+// each when DC_OBS is off.
 static IDX_SIGNATURES: dc_obs::Counter = dc_obs::Counter::new("index.signatures");
-static IDX_STREAM_PAIRS: dc_obs::Counter = dc_obs::Counter::new("index.stream_pairs");
 static IDX_PROBE_LOOKUPS: dc_obs::Counter = dc_obs::Counter::new("index.probe_lookups");
 static IDX_PROBE_CANDIDATES: dc_obs::Counter = dc_obs::Counter::new("index.probe_candidates");
 static IDX_CANDIDATES_RAW: dc_obs::Counter = dc_obs::Counter::new("index.candidates_raw");
 static IDX_CANDIDATES_UNIQUE: dc_obs::Counter = dc_obs::Counter::new("index.candidates_unique");
-static IDX_DEDUP_IN: dc_obs::Counter = dc_obs::Counter::new("index.dedup_in");
-static IDX_DEDUP_OUT: dc_obs::Counter = dc_obs::Counter::new("index.dedup_out");
 static IDX_BUILD: dc_obs::Hist = dc_obs::Hist::new("index.build");
+static IDX_QUERY: dc_obs::Hist = dc_obs::Hist::new("index.query");
+static INC_INSERTS: dc_obs::Counter = dc_obs::Counter::new("index.inc.inserts");
+static INC_DELETES: dc_obs::Counter = dc_obs::Counter::new("index.inc.deletes");
+static INC_COMPACTIONS: dc_obs::Counter = dc_obs::Counter::new("index.inc.compactions");
+static INC_OVERFLOW: dc_obs::Gauge = dc_obs::Gauge::new("index.inc.overflow");
 
 /// Banding/probing parameters for an [`LshIndex`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,43 +97,28 @@ impl LshConfig {
 
 /// One band's inverted buckets: items sorted by band key, equal keys
 /// adjacent. Multi-word keys (bands wider than 64 bits) compare
-/// lexicographically word-by-word. `pub(crate)` so the incremental
-/// index ([`crate::IncrementalLshIndex`]) can reuse it for both its
-/// sorted tier and its query-time overflow merges.
-pub(crate) struct BandTable {
+/// lexicographically word-by-word. Backs both the sorted tier and the
+/// query-time overflow merges.
+struct BandTable {
     /// `u64` words per key.
     stride: usize,
     /// Keys in sorted order, `stride` words each.
     keys: Vec<u64>,
     /// Item ids in key-sorted order; ties sort by item id, so bucket
     /// members are ascending and in-bucket pairs come out `(min, max)`.
-    pub(crate) items: Vec<u32>,
+    items: Vec<u32>,
 }
 
 impl BandTable {
-    pub(crate) fn build(sigs: &SignatureSet, lo: usize, width: usize) -> BandTable {
-        let members: Vec<u32> = (0..sigs.len() as u32).collect();
-        Self::build_subset(sigs, lo, width, &members)
-    }
-
-    /// Build over an arbitrary ascending subset of the signature set's
-    /// items (the incremental index's alive lists). Sort order matches
-    /// [`Self::build`]: key ascending, item id ascending within a key.
-    pub(crate) fn build_subset(
-        sigs: &SignatureSet,
-        lo: usize,
-        width: usize,
-        members: &[u32],
-    ) -> BandTable {
+    /// Build over an ascending list of the signature set's items (all
+    /// of them for a bulk build, the live or overflow ids otherwise).
+    /// Sort order: key ascending, item id ascending within a key.
+    fn build(sigs: &SignatureSet, lo: usize, width: usize, members: &[u32]) -> BandTable {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascend");
         let n = members.len();
-        let stride = width.div_ceil(64).max(1);
-        if width <= 16 && n >= 64 {
-            // Byte-wise LSB radix sort for narrow bands (the common
-            // blocking regime): two stable passes over `(key << 32) |
-            // item` with L1-resident 256-entry counters. Stability on
-            // the initial ascending-item order means equal keys keep
-            // ascending item order — identical to the sort paths below.
+        if width <= 32 {
+            // Bands of ≤ 32 bits pack `(key << 32) | item` into one u64
+            // and sort comparator-free — same order as the general path.
             let mut packed: Vec<u64> = members
                 .iter()
                 .map(|&i| {
@@ -113,62 +127,41 @@ impl BandTable {
                     (k[0] << 32) | i as u64
                 })
                 .collect();
-            let mut tmp = vec![0u64; n];
-            for pass in 0..2 {
-                let shift = 32 + pass * 8;
-                let mut counts = [0u32; 257];
-                for &p in &packed {
-                    counts[(p >> shift & 0xff) as usize + 1] += 1;
+            if width <= 16 && n >= 64 {
+                // Byte-wise LSB radix sort for narrow bands (the common
+                // blocking regime): two stable passes with L1-resident
+                // 256-entry counters. Stability on the initial
+                // ascending-item order means equal keys keep ascending
+                // item order.
+                let mut tmp = vec![0u64; n];
+                for pass in 0..2 {
+                    let shift = 32 + pass * 8;
+                    let mut counts = [0u32; 257];
+                    for &p in &packed {
+                        counts[(p >> shift & 0xff) as usize + 1] += 1;
+                    }
+                    for c in 1..257 {
+                        counts[c] += counts[c - 1];
+                    }
+                    for &p in &packed {
+                        let b = (p >> shift & 0xff) as usize;
+                        tmp[counts[b] as usize] = p;
+                        counts[b] += 1;
+                    }
+                    std::mem::swap(&mut packed, &mut tmp);
                 }
-                for c in 1..257 {
-                    counts[c] += counts[c - 1];
-                }
-                for &p in &packed {
-                    let b = (p >> shift & 0xff) as usize;
-                    tmp[counts[b] as usize] = p;
-                    counts[b] += 1;
-                }
-                std::mem::swap(&mut packed, &mut tmp);
-            }
-            let mut keys = Vec::with_capacity(n);
-            let mut items = Vec::with_capacity(n);
-            for p in packed {
-                keys.push(p >> 32);
-                items.push(p as u32);
-            }
-            return BandTable {
-                stride: 1,
-                keys,
-                items,
-            };
-        }
-        if stride == 1 && width <= 32 {
-            // Fast path for bands of ≤ 32 bits: pack `(key << 32) | item`
-            // into one u64 and sort comparator-free — same order as the
-            // general path (key ascending, item ascending within key).
-            let mut packed: Vec<u64> = members
-                .iter()
-                .map(|&i| {
-                    let mut k = [0u64; 1];
-                    sigs.band_key_into(i as usize, lo, width, &mut k);
-                    (k[0] << 32) | i as u64
-                })
-                .collect();
-            packed.sort_unstable();
-            let mut keys = Vec::with_capacity(n);
-            let mut items = Vec::with_capacity(n);
-            for p in packed {
-                keys.push(p >> 32);
-                items.push(p as u32);
+            } else {
+                packed.sort_unstable();
             }
             return BandTable {
                 stride: 1,
-                keys,
-                items,
+                keys: packed.iter().map(|&p| p >> 32).collect(),
+                items: packed.iter().map(|&p| p as u32).collect(),
             };
         }
         // General path: keys are indexed by *position* in `members`
         // (`raw[p]` is member p's key), sorted by (key, item id).
+        let stride = width.div_ceil(64);
         let mut raw = vec![0u64; n * stride];
         for (p, &i) in members.iter().enumerate() {
             sigs.band_key_into(
@@ -200,70 +193,35 @@ impl BandTable {
     }
 
     #[inline]
-    pub(crate) fn key(&self, r: usize) -> &[u64] {
+    fn key(&self, r: usize) -> &[u64] {
         &self.keys[r * self.stride..(r + 1) * self.stride]
     }
 
+    /// The maximal runs of equal keys (the band's buckets), in key
+    /// order — the one scan every bucket walk goes through.
+    fn runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let n = self.items.len();
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            if start >= n {
+                return None;
+            }
+            let mut end = start + 1;
+            while end < n && self.key(end) == self.key(start) {
+                end += 1;
+            }
+            let run = start..end;
+            start = end;
+            Some(run)
+        })
+    }
+
     /// Rows whose key equals `probe` (binary search on the sorted keys).
-    pub(crate) fn equal_run(&self, probe: &[u64]) -> Range<usize> {
+    fn equal_run(&self, probe: &[u64]) -> Range<usize> {
         let n = self.items.len();
         let lower = partition(n, |r| self.key(r) < probe);
         let upper = partition(n, |r| self.key(r) <= probe);
         lower..upper
-    }
-}
-
-/// Validate banding parameters against an item/score shape — the
-/// shared guard of [`LshIndex::try_from_scores`] and the incremental
-/// index's constructors.
-pub(crate) fn validate_lsh_shape(
-    rows: usize,
-    score_cols: usize,
-    cfg: LshConfig,
-) -> dc_core::DcResult<()> {
-    use dc_core::DcError;
-    if cfg.bands < 1 {
-        return Err(DcError::invalid("LshIndex: at least one band"));
-    }
-    if cfg.rows_per_band < 1 {
-        return Err(DcError::invalid("LshIndex: at least one row per band"));
-    }
-    if score_cols != cfg.bands * cfg.rows_per_band {
-        return Err(DcError::invalid(format!(
-            "LshIndex: {score_cols} score columns for {} bands × {} rows",
-            cfg.bands, cfg.rows_per_band
-        )));
-    }
-    if rows > u32::MAX as usize {
-        return Err(DcError::limit("LshIndex: item count exceeds u32 range"));
-    }
-    Ok(())
-}
-
-/// Append item `row`'s multi-probe bit orders — per band, the `ppb`
-/// band-relative bits with the smallest |margin| (ties by bit index, so
-/// probe order is fully deterministic). Shared between the bulk build
-/// and the incremental index's inserts, which keeps their probe sets
-/// identical for identical score rows.
-pub(crate) fn push_row_flips(
-    row: &[f32],
-    bands: usize,
-    width: usize,
-    ppb: usize,
-    order: &mut Vec<u16>,
-    out: &mut Vec<u16>,
-) {
-    for b in 0..bands {
-        let band = &row[b * width..(b + 1) * width];
-        order.clear();
-        order.extend(0..width as u16);
-        order.sort_unstable_by(|&x, &y| {
-            band[x as usize]
-                .abs()
-                .total_cmp(&band[y as usize].abs())
-                .then(x.cmp(&y))
-        });
-        out.extend_from_slice(&order[..ppb]);
     }
 }
 
@@ -281,85 +239,180 @@ fn partition(n: usize, pred: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
-/// A banded LSH index over one set of vectors (self-join retrieval).
+/// Validate banding parameters; returns the signature width
+/// `bands · rows_per_band`.
+fn signature_bits(cfg: LshConfig) -> DcResult<usize> {
+    if cfg.bands < 1 {
+        return Err(DcError::invalid("LshIndex: at least one band"));
+    }
+    if cfg.rows_per_band < 1 {
+        return Err(DcError::invalid("LshIndex: at least one row per band"));
+    }
+    if cfg.probes > 0 && cfg.rows_per_band > u16::MAX as usize {
+        return Err(DcError::limit(format!(
+            "LshIndex: probe orders hold u16 bit positions; {}-bit bands cannot be probed",
+            cfg.rows_per_band
+        )));
+    }
+    cfg.bands.checked_mul(cfg.rows_per_band).ok_or_else(|| {
+        DcError::limit(format!(
+            "LshIndex: {} bands × {} rows overflows the signature width",
+            cfg.bands, cfg.rows_per_band
+        ))
+    })
+}
+
+/// Hyperplanes must come one per signature bit.
+fn check_planes(planes: &Tensor, cfg: LshConfig) -> DcResult<()> {
+    if planes.rows != signature_bits(cfg)? {
+        return Err(DcError::invalid(format!(
+            "LshIndex: {} planes for {} bands × {} rows",
+            planes.rows, cfg.bands, cfg.rows_per_band
+        )));
+    }
+    Ok(())
+}
+
+/// Append each score row's multi-probe bit orders — per band, the
+/// `ppb` band-relative bits with the smallest |margin| (ties by bit
+/// index, so probe order is fully deterministic). Bulk builds and
+/// single inserts both come through here, which keeps their probe sets
+/// identical for identical score rows. `width` fits `u16`
+/// ([`signature_bits`]).
+fn push_flips<'a>(
+    rows: impl Iterator<Item = &'a [f32]>,
+    width: usize,
+    ppb: usize,
+    out: &mut Vec<u16>,
+) {
+    if ppb == 0 {
+        return;
+    }
+    let mut order: Vec<u16> = Vec::with_capacity(width);
+    for row in rows {
+        for band in row.chunks_exact(width) {
+            order.clear();
+            order.extend(0..width as u16);
+            order.sort_unstable_by(|&x, &y| {
+                band[x as usize]
+                    .abs()
+                    .total_cmp(&band[y as usize].abs())
+                    .then(x.cmp(&y))
+            });
+            out.extend_from_slice(&order[..ppb]);
+        }
+    }
+}
+
+/// A banded LSH index over one set of vectors (self-join retrieval),
+/// bulk-built or grown and shrunk in place. See the module docs for the
+/// tier design.
 pub struct LshIndex {
     cfg: LshConfig,
-    sigs: SignatureSet,
-    tables: Vec<BandTable>,
-    /// Per `(item, band, probe)`: the band-relative bit to flip,
-    /// ordered by ascending score margin. Present iff `cfg.probes > 0`.
-    flips: Option<Vec<u16>>,
     /// Effective probes per band (`cfg.probes` clamped to the band width).
     probes_per_band: usize,
+    /// Hyperplanes for [`Self::insert_vector`]; score-row inserts work
+    /// without them.
+    planes: Option<Tensor>,
+    /// Signatures of every item ever inserted (tombstones included —
+    /// ids are stable for the index's lifetime).
+    sigs: SignatureSet,
+    /// Per `(item, band, probe)`: the band-relative bit to flip,
+    /// ordered by ascending score margin. Empty when `probes == 0`.
+    flips: Vec<u16>,
+    alive: Vec<bool>,
+    n_alive: usize,
+    /// Sorted tier: one table per band over the items live at the last
+    /// bulk build or compaction.
+    tables: Vec<BandTable>,
+    /// Overflow tier: ids inserted since, ascending (may contain
+    /// tombstoned ids; filtered at query/compaction).
+    recent: Vec<u32>,
 }
 
 impl LshIndex {
-    /// Build from `n×d` item vectors and `(bands·rows_per_band)×d`
-    /// hyperplanes. Signature bits are the signs of one blocked kernel
-    /// matmul, so they are identical for every `DC_THREADS` setting.
-    pub fn build(vectors: &Tensor, planes: &Tensor, cfg: LshConfig) -> Self {
-        assert_eq!(
-            planes.rows,
-            cfg.bands * cfg.rows_per_band,
-            "LshIndex::build: {} planes for {} bands × {} rows",
-            planes.rows,
-            cfg.bands,
-            cfg.rows_per_band
-        );
-        Self::from_scores(&sign_scores(vectors, planes), cfg)
+    /// An empty index accepting [`Self::insert_scores`].
+    pub fn new(cfg: LshConfig) -> DcResult<Self> {
+        Self::from_scores(&Tensor::zeros(0, signature_bits(cfg)?), cfg)
     }
 
-    /// Build from a precomputed `n×nbits` score matrix (the margins of
-    /// `vectors · planesᵀ`). Panics on a malformed configuration;
-    /// service code should use [`LshIndex::try_from_scores`].
-    pub fn from_scores(scores: &Tensor, cfg: LshConfig) -> Self {
-        Self::try_from_scores(scores, cfg).unwrap_or_else(|e| panic!("LshIndex::from_scores: {e}"))
+    /// An empty index carrying `(bands·rows_per_band)×d` hyperplanes so
+    /// raw `d`-dim vectors can be inserted directly.
+    pub fn with_planes(planes: Tensor, cfg: LshConfig) -> DcResult<Self> {
+        check_planes(&planes, cfg)?;
+        let mut idx = Self::new(cfg)?;
+        idx.planes = Some(planes);
+        Ok(idx)
     }
 
-    /// [`LshIndex::from_scores`] with configuration validation instead
-    /// of panics.
-    pub fn try_from_scores(scores: &Tensor, cfg: LshConfig) -> dc_core::DcResult<Self> {
+    /// Bulk-build from `n×d` item vectors and `(bands·rows_per_band)×d`
+    /// hyperplanes (kept for later [`Self::insert_vector`] calls).
+    /// Signature bits are the signs of one blocked kernel matmul, so
+    /// they are identical for every `DC_THREADS` setting.
+    pub fn build(vectors: &Tensor, planes: &Tensor, cfg: LshConfig) -> DcResult<Self> {
+        check_planes(planes, cfg)?;
+        if planes.cols != vectors.cols {
+            return Err(DcError::invalid(format!(
+                "LshIndex: {}-dim vectors for {}-dim planes",
+                vectors.cols, planes.cols
+            )));
+        }
+        let mut idx = Self::from_scores(&sign_scores(vectors, planes), cfg)?;
+        idx.planes = Some(planes.clone());
+        Ok(idx)
+    }
+
+    /// Bulk-build from a precomputed `n×nbits` score matrix (the
+    /// margins of `vectors · planesᵀ`). Every item lands in the sorted
+    /// tier, as after a compaction.
+    pub fn from_scores(scores: &Tensor, cfg: LshConfig) -> DcResult<Self> {
         let _build = IDX_BUILD.start();
         IDX_SIGNATURES.add(scores.rows as u64);
-        validate_lsh_shape(scores.rows, scores.cols, cfg)?;
-        let sigs = SignatureSet::from_scores(scores);
-        let tables: Vec<BandTable> = (0..cfg.bands)
-            .map(|b| BandTable::build(&sigs, b * cfg.rows_per_band, cfg.rows_per_band))
-            .collect();
+        let nbits = signature_bits(cfg)?;
+        if scores.cols != nbits {
+            return Err(DcError::invalid(format!(
+                "LshIndex: {} score columns for {} bands × {} rows",
+                scores.cols, cfg.bands, cfg.rows_per_band
+            )));
+        }
+        let n = scores.rows;
+        if n > u32::MAX as usize {
+            return Err(DcError::limit("LshIndex: item count exceeds u32 range"));
+        }
         let probes_per_band = cfg.probes.min(cfg.rows_per_band);
-        let flips = (probes_per_band > 0).then(|| {
-            let n = scores.rows;
-            let mut flips = Vec::with_capacity(n * cfg.bands * probes_per_band);
-            let mut order: Vec<u16> = Vec::new();
-            for i in 0..n {
-                push_row_flips(
-                    scores.row_slice(i),
-                    cfg.bands,
-                    cfg.rows_per_band,
-                    probes_per_band,
-                    &mut order,
-                    &mut flips,
-                );
-            }
-            flips
-        });
-        Ok(LshIndex {
-            cfg,
-            sigs,
-            tables,
-            flips,
+        let mut flips = Vec::with_capacity(n * cfg.bands * probes_per_band);
+        push_flips(
+            (0..n).map(|i| scores.row_slice(i)),
+            cfg.rows_per_band,
             probes_per_band,
-        })
+            &mut flips,
+        );
+        let mut idx = LshIndex {
+            cfg,
+            probes_per_band,
+            planes: None,
+            sigs: SignatureSet::from_scores(scores),
+            flips,
+            alive: vec![true; n],
+            n_alive: n,
+            tables: Vec::new(),
+            recent: Vec::new(),
+        };
+        idx.sort_live();
+        Ok(idx)
     }
 
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// True when no items are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
+    /// Rebuild the sorted tier over every live item and empty the
+    /// overflow.
+    fn sort_live(&mut self) {
+        let members: Vec<u32> = (0..self.alive.len() as u32)
+            .filter(|&i| self.alive[i as usize])
+            .collect();
+        let width = self.cfg.rows_per_band;
+        self.tables = (0..self.cfg.bands)
+            .map(|b| BandTable::build(&self.sigs, b * width, width, &members))
+            .collect();
+        self.recent.clear();
     }
 
     /// The banding configuration.
@@ -367,89 +420,160 @@ impl LshIndex {
         self.cfg
     }
 
-    /// The packed signatures backing the index.
-    pub fn signatures(&self) -> &SignatureSet {
-        &self.sigs
+    /// Total ids ever issued (tombstones included).
+    pub fn len(&self) -> usize {
+        self.alive.len()
     }
 
-    /// Stream of exact-band candidate pairs, ordered `(min, max)`.
-    ///
-    /// The common-consumer path: nothing is materialized, but a pair
-    /// sharing several bands appears once per shared band. Run it
-    /// through [`dedup_pairs`] (or use [`LshIndex::candidate_pairs`])
-    /// when an exact set is needed. Multi-probe pairs are *not* in the
-    /// stream; they come from [`LshIndex::probe_pairs`].
-    pub fn candidate_stream(&self) -> CandidateStream<'_> {
-        CandidateStream {
-            tables: &self.tables,
-            band: 0,
-            run_end: 0,
-            x: 0,
-            y: 0,
+    /// True when no item was ever inserted.
+    pub fn is_empty(&self) -> bool {
+        self.alive.is_empty()
+    }
+
+    /// Number of live (non-tombstoned) items.
+    pub fn alive_count(&self) -> usize {
+        self.n_alive
+    }
+
+    /// True when `id` exists and is not tombstoned.
+    pub fn is_alive(&self, id: usize) -> bool {
+        self.alive.get(id).copied().unwrap_or(false)
+    }
+
+    /// Items currently in the overflow tier (tombstoned ones included);
+    /// the background-compaction trigger.
+    pub fn overflow_len(&self) -> usize {
+        self.recent.len()
+    }
+
+    /// Insert one item by its `nbits` hyperplane margins; returns the
+    /// new item's id. O(overflow) — no sorted-tier rebuild.
+    pub fn insert_scores(&mut self, row: &[f32]) -> DcResult<usize> {
+        if row.len() != self.sigs.nbits() {
+            return Err(DcError::invalid(format!(
+                "insert: {} scores for {}-bit signatures",
+                row.len(),
+                self.sigs.nbits()
+            )));
+        }
+        if self.alive.len() >= u32::MAX as usize {
+            return Err(DcError::limit("LshIndex: id space exhausted"));
+        }
+        let id = self.sigs.push_scores(row);
+        push_flips(
+            std::iter::once(row),
+            self.cfg.rows_per_band,
+            self.probes_per_band,
+            &mut self.flips,
+        );
+        self.alive.push(true);
+        self.n_alive += 1;
+        self.recent.push(id as u32);
+        INC_INSERTS.incr();
+        INC_OVERFLOW.set(self.recent.len() as u64);
+        Ok(id)
+    }
+
+    /// Insert a raw `d`-dim vector (requires construction via
+    /// [`Self::with_planes`] or [`Self::build`]); its margins are one
+    /// kernel matvec.
+    pub fn insert_vector(&mut self, v: &[f32]) -> DcResult<usize> {
+        let planes = self
+            .planes
+            .as_ref()
+            .ok_or_else(|| DcError::invalid("insert_vector: index built without hyperplanes"))?;
+        if v.len() != planes.cols {
+            return Err(DcError::invalid(format!(
+                "insert_vector: {}-dim vector for {}-dim planes",
+                v.len(),
+                planes.cols
+            )));
+        }
+        let row = sign_scores(&Tensor::from_vec(1, v.len(), v.to_vec()), planes);
+        self.insert_scores(row.row_slice(0))
+    }
+
+    /// Tombstone an item. Its id stays allocated; candidates stop
+    /// including it immediately.
+    pub fn delete(&mut self, id: usize) -> DcResult<()> {
+        match self.alive.get_mut(id) {
+            Some(a) if *a => {
+                *a = false;
+                self.n_alive -= 1;
+                INC_DELETES.incr();
+                Ok(())
+            }
+            Some(_) => Err(DcError::not_found(format!("item {id} already deleted"))),
+            None => Err(DcError::not_found(format!("item {id} does not exist"))),
         }
     }
 
-    /// Multi-probe candidate pairs: for each item and band, the buckets
-    /// reached by flipping its lowest-margin bits. Empty when
-    /// [`LshConfig::probes`] is 0. May repeat pairs; dedup downstream.
-    pub fn probe_pairs(&self) -> Vec<(usize, usize)> {
-        let Some(flips) = &self.flips else {
-            return Vec::new();
-        };
+    /// Fold the overflow tier and tombstones into fresh sorted band
+    /// tables. Ids are preserved; only the tier assignment changes, so
+    /// [`Self::candidate_pairs`] is unaffected (proven by proptest).
+    pub fn compact(&mut self) {
+        self.sort_live();
+        INC_COMPACTIONS.incr();
+        INC_OVERFLOW.set(0);
+    }
+
+    /// The exact deduplicated candidate pair set over live items —
+    /// banding plus multi-probe, sorted ascending `(min, max)`. Same
+    /// pair set as a fresh bulk build over the live score rows (with
+    /// rebuild ids mapped back through the live list).
+    pub fn candidate_pairs(&self) -> Vec<(usize, usize)> {
+        let _query = IDX_QUERY.start();
         let width = self.cfg.rows_per_band;
         let ppb = self.probes_per_band;
-        let mut out = Vec::new();
-        let mut key = vec![0u64; width.div_ceil(64).max(1)];
-        for i in 0..self.len() {
-            for (b, table) in self.tables.iter().enumerate() {
-                let lo = b * width;
+        let recent: Vec<u32> = self
+            .recent
+            .iter()
+            .copied()
+            .filter(|&i| self.alive[i as usize])
+            .collect();
+        let mut codes: Vec<u64> = Vec::new();
+        let mut live: Vec<u32> = Vec::new();
+        let mut key = vec![0u64; width.div_ceil(64)];
+        let mut probe_codes = 0;
+        for (b, sorted) in self.tables.iter().enumerate() {
+            let lo = b * width;
+            let overflow =
+                (!recent.is_empty()).then(|| BandTable::build(&self.sigs, lo, width, &recent));
+            let tiers = || std::iter::once(sorted).chain(&overflow);
+            // In-bucket pairs within each tier.
+            for t in tiers() {
+                for run in t.runs() {
+                    self.push_run(t, run, None, &mut live, &mut codes);
+                }
+            }
+            // Cross-tier: each overflow bucket against the sorted
+            // tier's equal bucket. The tiers are disjoint, so no self
+            // pairs can appear.
+            if let Some(ovf) = &overflow {
+                for run in ovf.runs() {
+                    let hits = sorted.equal_run(ovf.key(run.start));
+                    self.push_run(sorted, hits, Some(&ovf.items[run]), &mut live, &mut codes);
+                }
+            }
+            // Multi-probe: flipped keys of every live item against both
+            // tiers (a flipped key never equals the item's own key, so
+            // no self pairs here either).
+            let exact = codes.len();
+            for i in (0..self.alive.len()).filter(|&i| self.alive[i]) {
                 for p in 0..ppb {
-                    let rel = flips[(i * self.cfg.bands + b) * ppb + p] as usize;
+                    let rel = self.flips[(i * self.cfg.bands + b) * ppb + p] as usize;
                     self.sigs.band_key_into(i, lo, width, &mut key);
                     key[rel / 64] ^= 1u64 << (rel % 64);
                     IDX_PROBE_LOOKUPS.incr();
-                    for r in table.equal_run(&key) {
-                        let j = table.items[r] as usize;
-                        out.push((i.min(j), i.max(j)));
+                    for t in tiers() {
+                        let hits = t.equal_run(&key);
+                        self.push_run(t, hits, Some(&[i as u32]), &mut live, &mut codes);
                     }
                 }
             }
+            probe_codes += codes.len() - exact;
         }
-        IDX_PROBE_CANDIDATES.add(out.len() as u64);
-        out
-    }
-
-    /// The exact deduplicated candidate pair set (banding plus
-    /// multi-probe), sorted ascending.
-    ///
-    /// Equivalent to `dedup_pairs(candidate_stream().chain(
-    /// probe_pairs()))` but walks the band tables directly: in-bucket
-    /// items are already ascending, so pair codes are emitted in one
-    /// tight loop without the stream's per-pair state machine.
-    pub fn candidate_pairs(&self) -> Vec<(usize, usize)> {
-        let mut codes: Vec<u64> = Vec::new();
-        for t in &self.tables {
-            let n = t.items.len();
-            let mut start = 0;
-            while start < n {
-                let mut end = start + 1;
-                while end < n && t.key(end) == t.key(start) {
-                    end += 1;
-                }
-                for x in start..end {
-                    let i = (t.items[x] as u64) << 32;
-                    for y in x + 1..end {
-                        codes.push(i | t.items[y] as u64);
-                    }
-                }
-                start = end;
-            }
-        }
-        codes.extend(
-            self.probe_pairs()
-                .into_iter()
-                .map(|(i, j)| ((i as u64) << 32) | j as u64),
-        );
+        IDX_PROBE_CANDIDATES.add(probe_codes as u64);
         IDX_CANDIDATES_RAW.add(codes.len() as u64);
         codes.sort_unstable();
         codes.dedup();
@@ -459,89 +583,59 @@ impl LshIndex {
             .map(|c| ((c >> 32) as usize, (c & 0xffff_ffff) as usize))
             .collect()
     }
-}
 
-/// Iterator over in-bucket pairs of every band (see
-/// [`LshIndex::candidate_stream`]).
-pub struct CandidateStream<'a> {
-    tables: &'a [BandTable],
-    band: usize,
-    /// End row of the current equal-key run (0 = no run loaded).
-    run_end: usize,
-    /// Next pair to emit: rows `x < y` within the current run.
-    x: usize,
-    y: usize,
-}
-
-impl Iterator for CandidateStream<'_> {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        while self.band < self.tables.len() {
-            let t = &self.tables[self.band];
-            if self.y < self.run_end {
-                let pair = (t.items[self.x] as usize, t.items[self.y] as usize);
-                IDX_STREAM_PAIRS.incr();
-                self.y += 1;
-                if self.y == self.run_end {
-                    self.x += 1;
-                    self.y = self.x + 1;
+    /// Emit the pair codes of one bucket — rows `run` of `t`: every
+    /// pair among its live items, or, given `with` (live items of
+    /// another tier, or a probing item), each of those against each
+    /// live item of the bucket. The tombstone filter runs per bucket
+    /// item, not per pair, and not at all while nothing is deleted.
+    fn push_run(
+        &self,
+        t: &BandTable,
+        run: Range<usize>,
+        with: Option<&[u32]>,
+        live: &mut Vec<u32>,
+        codes: &mut Vec<u64>,
+    ) {
+        let mut items = &t.items[run];
+        if self.n_alive < self.alive.len() {
+            live.clear();
+            live.extend(items.iter().filter(|&&i| self.alive[i as usize]));
+            items = &live[..];
+        }
+        match with {
+            // Bucket items ascend, so `(i, j)` is already `(min, max)`.
+            None => {
+                for (x, &i) in items.iter().enumerate() {
+                    let hi = (i as u64) << 32;
+                    codes.extend(items[x + 1..].iter().map(|&j| hi | j as u64));
                 }
-                return Some(pair);
             }
-            // Scan forward for the next run of >= 2 equal keys.
-            let n = t.items.len();
-            let mut start = self.run_end.max(self.x);
-            let mut found = false;
-            while start < n {
-                let mut end = start + 1;
-                while end < n && t.key(end) == t.key(start) {
-                    end += 1;
+            Some(others) => {
+                for &j in items {
+                    codes.extend(
+                        others
+                            .iter()
+                            .map(|&i| ((i.min(j) as u64) << 32) | i.max(j) as u64),
+                    );
                 }
-                if end - start >= 2 {
-                    self.run_end = end;
-                    self.x = start;
-                    self.y = start + 1;
-                    found = true;
-                    break;
-                }
-                start = end;
-            }
-            if !found {
-                self.band += 1;
-                self.run_end = 0;
-                self.x = 0;
-                self.y = 0;
             }
         }
-        None
     }
-}
-
-/// Deduplicate a pair stream into a sorted `(min, max)` pair list —
-/// packed `u64` codes, sort, dedup: one allocation, no hashing.
-pub fn dedup_pairs(pairs: impl IntoIterator<Item = (usize, usize)>) -> Vec<(usize, usize)> {
-    let mut codes: Vec<u64> = pairs
-        .into_iter()
-        .map(|(i, j)| {
-            debug_assert!(i < j && j <= u32::MAX as usize, "pair ({i}, {j})");
-            ((i as u64) << 32) | j as u64
-        })
-        .collect();
-    IDX_DEDUP_IN.add(codes.len() as u64);
-    codes.sort_unstable();
-    codes.dedup();
-    IDX_DEDUP_OUT.add(codes.len() as u64);
-    codes
-        .into_iter()
-        .map(|c| ((c >> 32) as usize, (c & 0xffff_ffff) as usize))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    fn cfg(bands: usize, rows_per_band: usize, probes: usize) -> LshConfig {
+        LshConfig {
+            bands,
+            rows_per_band,
+            probes,
+        }
+    }
 
     /// Score matrix whose signs are given directly (±1), so bucket
     /// membership is transparent.
@@ -555,43 +649,52 @@ mod tests {
         Tensor::from_vec(n, nbits, data)
     }
 
+    /// Random-ish deterministic score rows in `[-0.5, 0.5)`.
+    fn det_scores(n: usize, nbits: usize, salt: u64) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|i| {
+                (0..nbits)
+                    .map(|j| {
+                        let x = ((i * nbits + j) as u64)
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(salt);
+                        ((x >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn matrix(rows: &[Vec<f32>]) -> Tensor {
+        let nbits = rows.first().map_or(0, |r| r.len());
+        Tensor::from_vec(rows.len(), nbits, rows.iter().flatten().copied().collect())
+    }
+
+    /// Pair set of a fresh bulk build over the live rows, mapped back
+    /// to the mutated index's ids.
+    fn rebuild_pairs(idx: &LshIndex, rows: &[Vec<f32>]) -> Vec<(usize, usize)> {
+        let live: Vec<usize> = (0..rows.len()).filter(|&i| idx.is_alive(i)).collect();
+        let live_rows: Vec<Vec<f32>> = live.iter().map(|&i| rows[i].clone()).collect();
+        LshIndex::from_scores(&matrix(&live_rows), idx.config())
+            .unwrap()
+            .candidate_pairs()
+            .into_iter()
+            .map(|(a, b)| (live[a], live[b]))
+            .collect()
+    }
+
     #[test]
-    fn exact_band_collisions_stream_once_per_band() {
+    fn exact_band_collisions_dedup_across_bands() {
         // Items 0 and 1 share band 0; items 0, 1, 2 share band 1.
         let scores = scores_from_bits(&[&[1, 1, 0, 0], &[1, 1, 0, 0], &[0, 0, 0, 0]]);
-        let idx = LshIndex::from_scores(
-            &scores,
-            LshConfig {
-                bands: 2,
-                rows_per_band: 2,
-                probes: 0,
-            },
-        );
-        let streamed: Vec<_> = idx.candidate_stream().collect();
-        // Band 0: (0,1). Band 1: (0,1), (0,2), (1,2).
-        assert_eq!(streamed, vec![(0, 1), (0, 1), (0, 2), (1, 2)]);
+        let idx = LshIndex::from_scores(&scores, cfg(2, 2, 0)).unwrap();
         assert_eq!(idx.candidate_pairs(), vec![(0, 1), (0, 2), (1, 2)]);
     }
 
     #[test]
-    fn dedup_pairs_sorts_and_dedups() {
-        let pairs = vec![(3, 9), (0, 1), (3, 9), (0, 2)];
-        assert_eq!(dedup_pairs(pairs), vec![(0, 1), (0, 2), (3, 9)]);
-        assert!(dedup_pairs(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn empty_index_streams_nothing() {
-        let idx = LshIndex::from_scores(
-            &Tensor::zeros(0, 4),
-            LshConfig {
-                bands: 2,
-                rows_per_band: 2,
-                probes: 1,
-            },
-        );
+    fn empty_index_has_no_candidates() {
+        let idx = LshIndex::from_scores(&Tensor::zeros(0, 4), cfg(2, 2, 1)).unwrap();
         assert!(idx.is_empty());
-        assert_eq!(idx.candidate_stream().count(), 0);
         assert!(idx.candidate_pairs().is_empty());
     }
 
@@ -601,44 +704,23 @@ mod tests {
         // tiny: one band of 2 bits never collides exactly, but one
         // probe flips exactly that bit.
         let scores = Tensor::from_vec(2, 2, vec![1.0, 0.001, 1.0, -1.0]);
-        let cfg = |probes| LshConfig {
-            bands: 1,
-            rows_per_band: 2,
-            probes,
-        };
-        let exact = LshIndex::from_scores(&scores, cfg(0));
+        let exact = LshIndex::from_scores(&scores, cfg(1, 2, 0)).unwrap();
         assert!(exact.candidate_pairs().is_empty());
-        let probed = LshIndex::from_scores(&scores, cfg(1));
+        let probed = LshIndex::from_scores(&scores, cfg(1, 2, 1)).unwrap();
         assert_eq!(probed.candidate_pairs(), vec![(0, 1)]);
     }
 
     #[test]
     fn probe_pairs_are_a_superset_preserving_exact_pairs() {
-        // Random-ish deterministic scores; probing may only add pairs.
-        let n = 40;
-        let nbits = 12;
-        let data: Vec<f32> = (0..n * nbits)
-            .map(|i| {
-                let x = (i as u64)
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((x >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-            })
-            .collect();
-        let scores = Tensor::from_vec(n, nbits, data);
-        let cfg = |probes| LshConfig {
-            bands: 3,
-            rows_per_band: 4,
-            probes,
+        let scores = matrix(&det_scores(40, 12, 1442695040888963407));
+        let pairs = |probes| -> HashSet<(usize, usize)> {
+            LshIndex::from_scores(&scores, cfg(3, 4, probes))
+                .unwrap()
+                .candidate_pairs()
+                .into_iter()
+                .collect()
         };
-        let exact: HashSet<_> = LshIndex::from_scores(&scores, cfg(0))
-            .candidate_pairs()
-            .into_iter()
-            .collect();
-        let probed: HashSet<_> = LshIndex::from_scores(&scores, cfg(2))
-            .candidate_pairs()
-            .into_iter()
-            .collect();
+        let (exact, probed) = (pairs(0), pairs(2));
         assert!(exact.is_subset(&probed));
         assert!(probed.len() > exact.len(), "probing added nothing");
     }
@@ -657,15 +739,88 @@ mod tests {
             .collect();
         rows[4] = rows[1].clone(); // plant an exact duplicate
         let refs: Vec<&[u8]> = rows.iter().map(|r| r.as_slice()).collect();
-        let idx = LshIndex::from_scores(
-            &scores_from_bits(&refs),
-            LshConfig {
-                bands: 2,
-                rows_per_band: 70,
-                probes: 0,
-            },
-        );
+        let idx = LshIndex::from_scores(&scores_from_bits(&refs), cfg(2, 70, 0)).unwrap();
         let pairs = idx.candidate_pairs();
         assert!(pairs.contains(&(1, 4)), "{pairs:?}");
+    }
+
+    #[test]
+    fn insert_delete_compact_matches_rebuild() {
+        for probes in [0, 2] {
+            let rows = det_scores(60, 12, 99);
+            let mut idx = LshIndex::new(cfg(3, 4, probes)).unwrap();
+            for r in &rows[..40] {
+                idx.insert_scores(r).unwrap();
+            }
+            assert_eq!(idx.candidate_pairs(), rebuild_pairs(&idx, &rows));
+            idx.compact();
+            assert_eq!(idx.overflow_len(), 0);
+            assert_eq!(idx.candidate_pairs(), rebuild_pairs(&idx, &rows));
+            for r in &rows[40..] {
+                idx.insert_scores(r).unwrap();
+            }
+            for id in [3, 17, 41, 59] {
+                idx.delete(id).unwrap();
+            }
+            assert_eq!(idx.candidate_pairs(), rebuild_pairs(&idx, &rows));
+            idx.compact();
+            assert_eq!(idx.candidate_pairs(), rebuild_pairs(&idx, &rows));
+            assert_eq!(idx.alive_count(), 56);
+        }
+    }
+
+    #[test]
+    fn errors_are_structured() {
+        let mut idx = LshIndex::new(cfg(3, 4, 1)).unwrap();
+        assert_eq!(
+            idx.insert_scores(&[0.0; 5]).unwrap_err().kind(),
+            "invalid_input"
+        );
+        assert_eq!(idx.delete(0).unwrap_err().kind(), "not_found");
+        let id = idx.insert_scores(&[1.0; 12]).unwrap();
+        idx.delete(id).unwrap();
+        assert_eq!(idx.delete(id).unwrap_err().kind(), "not_found");
+        assert!(LshIndex::new(cfg(0, 4, 0)).is_err());
+        assert!(LshIndex::from_scores(&Tensor::zeros(2, 5), cfg(3, 4, 0)).is_err());
+        assert!(idx.insert_vector(&[1.0; 4]).is_err(), "no planes");
+    }
+
+    #[test]
+    fn band_count_times_width_overflow_is_an_error_not_a_panic() {
+        let err = LshIndex::from_scores(&Tensor::zeros(0, 4), cfg(usize::MAX, 2, 0)).err();
+        assert_eq!(err.map(|e| e.kind()), Some("limit"));
+        assert!(LshIndex::new(cfg(usize::MAX / 2 + 1, 2, 0)).is_err());
+    }
+
+    #[test]
+    fn probed_bands_wider_than_u16_are_rejected() {
+        // Probe orders are u16 bit positions: a 65 536-bit band used to
+        // truncate `width as u16` and probe the wrong bits.
+        let wide = u16::MAX as usize + 1;
+        let err = LshIndex::new(cfg(1, wide, 1)).err();
+        assert_eq!(err.map(|e| e.kind()), Some("limit"));
+        assert!(LshIndex::new(cfg(1, wide, 0)).is_ok(), "unprobed is fine");
+        assert!(LshIndex::new(cfg(1, wide - 1, 1)).is_ok());
+    }
+
+    #[test]
+    fn vector_inserts_go_through_planes() {
+        let planes = matrix(&det_scores(12, 4, 7));
+        let mut grown = LshIndex::with_planes(planes.clone(), cfg(3, 4, 0)).unwrap();
+        let vs = det_scores(10, 4, 21);
+        for v in &vs {
+            grown.insert_vector(v).unwrap();
+        }
+        // Same pair set as the bulk build from the same vectors, which
+        // keeps its planes and so accepts vectors too.
+        let mut built = LshIndex::build(&matrix(&vs), &planes, cfg(3, 4, 0)).unwrap();
+        assert_eq!(grown.candidate_pairs(), built.candidate_pairs());
+        assert_eq!(built.insert_vector(&vs[0]).unwrap(), 10);
+        assert!(built.candidate_pairs().contains(&(0, 10)));
+        assert_eq!(
+            grown.insert_vector(&[0.0; 3]).unwrap_err().kind(),
+            "invalid_input"
+        );
+        assert!(LshIndex::with_planes(planes, cfg(2, 4, 0)).is_err());
     }
 }

@@ -1,12 +1,13 @@
-//! Incremental LSH equivalence suite (ISSUE 9).
+//! Mutated-index equivalence suite (ISSUE 9; one index since ISSUE 23).
 //!
 //! Property: after an arbitrary interleaving of inserts, deletes and
-//! compactions, [`IncrementalLshIndex::candidate_pairs`] equals the
-//! pair set of a fresh [`LshIndex::from_scores`] rebuild over the live
-//! score rows (rebuild ids mapped back through the monotone live-id
-//! list). This is the contract dc-serve's mutable per-tenant blocking
-//! endpoints rely on: tombstones and the unsorted overflow tier must be
-//! invisible to candidate quality.
+//! compactions — starting from an empty index or from a bulk-built one
+//! — [`LshIndex::candidate_pairs`] equals the pair set of a fresh
+//! [`LshIndex::from_scores`] rebuild over the live score rows (rebuild
+//! ids mapped back through the monotone live-id list). This is the
+//! contract dc-serve's mutable per-tenant blocking endpoints rely on:
+//! tombstones and the unsorted overflow tier must be invisible to
+//! candidate quality.
 //!
 //! Score rows are drawn on a dyadic grid, but no precision argument is
 //! needed here: both sides consume the *same* stored score rows through
@@ -14,7 +15,7 @@
 //! not numeric. The grid just keeps |margins| tying often enough to
 //! exercise multi-probe tie-breaking.
 
-use dc_index::{IncrementalLshIndex, LshConfig, LshIndex};
+use dc_index::{LshConfig, LshIndex};
 use dc_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -34,19 +35,26 @@ fn score_row(nbits: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Pair set of a fresh batch index over the live rows, with the
-/// rebuild's dense ids mapped back to incremental ids. The live list is
-/// ascending, so the map is monotone and `(min, max)` order survives.
-fn rebuild_pairs(inc: &IncrementalLshIndex, rows: &[Vec<f32>]) -> Vec<(usize, usize)> {
+fn score_matrix(rows: &[&Vec<f32>], nbits: usize) -> Tensor {
+    let data = rows.iter().flat_map(|r| r.iter().copied()).collect();
+    Tensor::from_vec(rows.len(), nbits, data)
+}
+
+/// Pair set of a fresh bulk build over the live rows, with the
+/// rebuild's dense ids mapped back to the mutated index's ids. The live
+/// list is ascending, so the map is monotone and `(min, max)` order
+/// survives.
+fn rebuild_pairs(inc: &LshIndex, rows: &[Vec<f32>]) -> Vec<(usize, usize)> {
     let live: Vec<usize> = (0..rows.len()).filter(|&i| inc.is_alive(i)).collect();
     let nbits = inc.config().bands * inc.config().rows_per_band;
-    let data: Vec<f32> = live.iter().flat_map(|&i| rows[i].iter().copied()).collect();
-    let scores = Tensor::from_vec(live.len(), nbits, data);
-    let mut pairs: Vec<(usize, usize)> = LshIndex::from_scores(&scores, inc.config())
-        .candidate_pairs()
-        .into_iter()
-        .map(|(a, b)| (live[a], live[b]))
-        .collect();
+    let live_rows: Vec<&Vec<f32>> = live.iter().map(|&i| &rows[i]).collect();
+    let mut pairs: Vec<(usize, usize)> =
+        LshIndex::from_scores(&score_matrix(&live_rows, nbits), inc.config())
+            .unwrap()
+            .candidate_pairs()
+            .into_iter()
+            .map(|(a, b)| (live[a], live[b]))
+            .collect();
     pairs.sort_unstable();
     pairs
 }
@@ -61,12 +69,24 @@ proptest! {
         rows_per_band in 1usize..6,
         probes in 0usize..3,
         seed in 0u64..1_000_000,
+        // 0 starts from an empty index; otherwise from a bulk build
+        // over this many rows (everything in the sorted tier, no
+        // compaction behind it).
+        bulk in 0usize..40,
         ops in collection::vec((0u8..7, 0usize..64), 1..48),
     ) {
         let cfg = LshConfig { bands, rows_per_band, probes };
         let nbits = bands * rows_per_band;
-        let mut inc = IncrementalLshIndex::new(cfg).unwrap();
-        let mut rows: Vec<Vec<f32>> = Vec::new();
+        let mut rows: Vec<Vec<f32>> = (0..bulk)
+            .map(|i| score_row(nbits, seed ^ ((i as u64) << 20)))
+            .collect();
+        let mut inc = if bulk == 0 {
+            LshIndex::new(cfg).unwrap()
+        } else {
+            let all: Vec<&Vec<f32>> = rows.iter().collect();
+            LshIndex::from_scores(&score_matrix(&all, nbits), cfg).unwrap()
+        };
+        prop_assert_eq!(inc.overflow_len(), 0);
         let mut checks = 0usize;
         for (step, &(kind, arg)) in ops.iter().enumerate() {
             match kind {

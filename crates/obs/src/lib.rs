@@ -9,7 +9,7 @@
 //! * Everything is gated on [`enabled()`], a single relaxed atomic
 //!   load plus one branch. The flag is read once from the `DC_OBS`
 //!   environment variable (any value other than `0` turns it on) and
-//!   cached; tests and selftests can override it with
+//!   cached; tests and benchmarks can override it with
 //!   [`set_enabled`]. `scripts/bench_obs.sh` records the measured
 //!   disabled-path cost into `BENCH_obs.json`.
 //! * When enabled, recording is lock-free: counters are single
@@ -63,7 +63,7 @@ fn init_from_env() -> bool {
 }
 
 /// Force the gate on or off, overriding the `DC_OBS` environment
-/// check. Used by selftests (which always want counters) and by tests
+/// check. Used by benchmarks (which always want counters) and by tests
 /// that must exercise both states in one process.
 pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
@@ -810,6 +810,9 @@ mod tests {
         G.raise(11);
         record_ns("test", "on_hist", 1000);
         record_ns("test", "on_hist", 3000);
+        static H: Hist = Hist::new("test.on_static_hist");
+        H.record_ns(512);
+        drop(H.start());
         series_push("test", "on_series", 0.5);
         series_push("test", "on_series", 0.25);
         {
@@ -832,6 +835,13 @@ mod tests {
         assert_eq!(h.hist.sum_ns, 4000);
         assert_eq!(h.hist.min_ns, 1000);
         assert_eq!(h.hist.max_ns, 3000);
+        let h = rep
+            .timers
+            .iter()
+            .find(|t| t.name == "test.on_static_hist")
+            .unwrap();
+        assert_eq!(h.hist.count, 2, "one explicit sample, one guard drop");
+        assert!(h.hist.min_ns <= 512 && h.hist.max_ns >= 512);
         let inner = rep.spans.iter().find(|s| s.name == "test.inner").unwrap();
         assert_eq!(inner.parent.as_deref(), Some("test.outer"));
         let outer = rep.spans.iter().find(|s| s.name == "test.outer").unwrap();
@@ -847,7 +857,10 @@ mod tests {
         assert!(json.contains("\"test.on_counter\":3"));
         assert!(json.contains("\"test.on_gauge\":11"));
         assert!(json.contains("\"test.inner\":{\"parent\":\"test.outer\""));
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(json.starts_with("{\"counters\":{") && json.ends_with("}}"));
+        for section in ["\"timers\":{", "\"spans\":{", "\"series\":{"] {
+            assert!(json.contains(section), "missing {section}");
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   `ROW_TILE`-aligned GEMM, with responses **bitwise identical** to
 //!   solo execution (the `microbatch_equiv` test proves it under
 //!   `DC_THREADS` = 1, 2, and default);
-//! * **incremental blocking** ([`dc_index::IncrementalLshIndex`]):
-//!   inserts and deletes without rebuilding, compacted by a background
-//!   thread;
+//! * **incremental blocking** ([`dc_index::LshIndex`], the index batch
+//!   blocking bulk-builds): inserts and deletes without rebuilding,
+//!   compacted by a background thread;
 //! * **per-tenant models** with generation-swapped hot reload
 //!   ([`tenant::Tenant::reload`]);
 //! * structured errors: malformed requests come back as

@@ -3,7 +3,7 @@
 //! Each [`Tenant`] owns everything one customer's requests touch: the
 //! record table and trained DeepER matcher (match/encode), a fitted
 //! encoder plus dirty table (impute), BM25/neural search indexes over
-//! its lake, and a mutable [`IncrementalLshIndex`] for streaming
+//! its lake, and a mutable [`LshIndex`] for streaming
 //! blocking. Match and encode requests flow through per-tenant
 //! [`MicroBatcher`]s so concurrent requests against the same model
 //! coalesce into one aligned GEMM.
@@ -22,7 +22,7 @@ use dc_clean::TableEncoder;
 use dc_core::{check_pairs, DcError, DcResult};
 use dc_discovery::{Bm25Lite, NeuralSearch};
 use dc_er::DeepEr;
-use dc_index::{IncrementalLshIndex, LshConfig};
+use dc_index::{LshConfig, LshIndex};
 use dc_relational::Table;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,7 +146,7 @@ impl TenantSpec {
             dirty: self.dirty,
             model,
             generation: AtomicU64::new(1),
-            index: Mutex::new(IncrementalLshIndex::new(self.lsh)?),
+            index: Mutex::new(LshIndex::new(self.lsh)?),
             bm25,
             neural: self.neural,
             match_batcher,
@@ -162,7 +162,7 @@ pub struct Tenant {
     dirty: Option<(Table, TableEncoder)>,
     model: Arc<RwLock<Arc<DeepEr>>>,
     generation: AtomicU64,
-    index: Mutex<IncrementalLshIndex>,
+    index: Mutex<LshIndex>,
     bm25: Bm25Lite,
     neural: Option<NeuralSearch>,
     match_batcher: MatchBatcher,

@@ -1,5 +1,5 @@
-//! Deterministic tenant provisioning for tests, the selftest binary,
-//! and the demo server: everything is seeded, so two calls with the
+//! Deterministic tenant provisioning for tests, benchmarks and the
+//! demo server: everything is seeded, so two calls with the
 //! same `(name, seed)` produce bitwise-identical models.
 
 use crate::tenant::TenantSpec;
@@ -61,7 +61,7 @@ pub fn tiny_tenant_spec(name: &str, seed: u64) -> TenantSpec {
 
 /// A fully-loaded tenant: matcher, dirty table + encoder for
 /// imputation, lake tables behind BM25, and a neural search index.
-/// Used by the demo binary, the selftest, and the integration tests.
+/// Used by the demo binary, `bench_serve`, and the integration tests.
 pub fn demo_tenant_spec(name: &str, seed: u64) -> TenantSpec {
     let mut rng = StdRng::seed_from_u64(seed);
     let (model, emb, bench) = trained_matcher(30, 12, 6, &mut rng);
@@ -78,7 +78,7 @@ pub fn demo_tenant_spec(name: &str, seed: u64) -> TenantSpec {
 
 /// Bare-bones blocking HTTP client for exercising a running server:
 /// one `Connection: close` request, returns `(status, body)`. Panics on
-/// transport failures — it only runs inside tests and the selftest.
+/// transport failures — it only runs inside tests and benchmarks.
 pub fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write!(

@@ -2,9 +2,10 @@
 //! running server, interleaving valid work with malformed requests, and
 //! checking that every valid response is solo-exact while every
 //! malformed one gets a structured 4xx — and the service outlives all
-//! of it.
+//! of it. The last test walks the remaining endpoints (impute, search,
+//! blocking index, checkpoint / hot reload) on a fully-loaded tenant.
 
-use dc_serve::testutil::{http_request, tiny_tenant_spec};
+use dc_serve::testutil::{demo_tenant_spec, http_request, raw_request, tiny_tenant_spec};
 use dc_serve::{engine, Registry, ServeConfig};
 use std::sync::Arc;
 
@@ -50,15 +51,7 @@ fn concurrent_clients_get_solo_exact_answers_and_errors_dont_kill_it() {
         match c % 4 {
             0 | 1 => {
                 assert_eq!(status, 200, "valid match failed: {body}");
-                let served: Vec<u32> = body
-                    .split_once('[')
-                    .map(|(_, rest)| rest.split(']').next().unwrap_or(""))
-                    .unwrap_or("")
-                    .split(',')
-                    .filter_map(|s| s.trim().parse::<f32>().ok())
-                    .map(|s| s.to_bits())
-                    .collect();
-                assert_eq!(served, solo, "served scores must be solo-exact");
+                assert_eq!(served_bits(&body), solo, "served scores must be solo-exact");
             }
             2 => {
                 assert_eq!(status, 400, "malformed JSON must be 400: {body}");
@@ -103,5 +96,92 @@ fn oversized_bodies_and_bad_methods_are_refused() {
 
     let (status, _) = http_request(addr, "GET", "/v1/health", "");
     assert_eq!(status, 200, "service lives on after refusals");
+    server.stop();
+}
+
+/// The scores array of a `/match` response body, as bit patterns.
+fn served_bits(body: &str) -> Vec<u32> {
+    body.split_once('[')
+        .map(|(_, rest)| rest.split(']').next().unwrap_or(""))
+        .unwrap_or("")
+        .split(',')
+        .filter_map(|s| s.trim().parse::<f32>().ok())
+        .map(|s| s.to_bits())
+        .collect()
+}
+
+#[test]
+fn impute_search_index_and_hot_reload_answer_over_http() {
+    let cfg = ServeConfig::default()
+        .with_addr("127.0.0.1:0")
+        .with_workers(2)
+        .with_batch_window_us(200);
+    let registry = Arc::new(Registry::new(cfg.max_tenants));
+    let tenant = registry
+        .insert(demo_tenant_spec("demo", 7).build(&cfg).unwrap())
+        .unwrap();
+    let server = dc_serve::start(cfg, registry).unwrap();
+    let addr = server.addr();
+    let post = |path: &str, body: &str| http_request(addr, "POST", path, body);
+
+    // Impute and both search engines answer; an unknown engine is a 400.
+    let (status, body) = post("/v1/t/demo/impute", "{}");
+    assert_eq!(status, 200, "impute with default k: {body}");
+    assert!(body.contains("\"filled\""));
+    let (status, body) = post("/v1/t/demo/search", "{\"query\":\"alice\",\"k\":3}");
+    assert_eq!(status, 200, "bm25 search: {body}");
+    assert!(body.contains("\"hits\""));
+    let neural = "{\"query\":\"alice\",\"k\":3,\"engine\":\"neural\"}";
+    assert_eq!(post("/v1/t/demo/search", neural).0, 200);
+    let psychic = "{\"query\":\"x\",\"engine\":\"psychic\"}";
+    assert_eq!(post("/v1/t/demo/search", psychic).0, 400);
+
+    // Blocking index: insert the same signature twice, see the pair;
+    // delete one, the pair is gone; a wrong-width signature is a 400.
+    let sig = format!("{{\"scores\":{:?}}}", vec![1.0f32; 32]);
+    let (status, body) = post("/v1/t/demo/index/insert", &sig);
+    assert_eq!(status, 200, "first insert: {body}");
+    assert!(body.contains("\"id\""));
+    assert_eq!(post("/v1/t/demo/index/insert", &sig).0, 200);
+    let (status, body) = http_request(addr, "GET", "/v1/t/demo/index/pairs", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("[0,1]"), "pairs after two inserts: {body}");
+    assert_eq!(post("/v1/t/demo/index/delete", "{\"id\":1}").0, 200);
+    let (_, body) = http_request(addr, "GET", "/v1/t/demo/index/pairs", "");
+    assert!(!body.contains("[0,1]"), "pairs after delete: {body}");
+    assert_eq!(post("/v1/t/demo/index/insert", "{\"scores\":[1.0]}").0, 400);
+
+    // An out-of-range pair is a 400 and protocol garbage still gets an
+    // HTTP reply.
+    assert_eq!(post("/v1/t/demo/match", "{\"pairs\":[[0,999999]]}").0, 400);
+    let raw = raw_request(addr, b"NONSENSE\r\n\r\n");
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+
+    // Checkpoint + hot reload bumps the generation and keeps served
+    // scores bitwise; a missing checkpoint is a 404.
+    let pairs = [(0usize, 1usize), (2, 3), (1, 4)];
+    let solo: Vec<u32> = engine::match_pairs(&tenant.model(), tenant.table(), &pairs)
+        .unwrap()
+        .iter()
+        .map(|s| s.to_bits())
+        .collect();
+    let ckpt = std::env::temp_dir().join(format!("dc_serve_smoke_{}.json", std::process::id()));
+    let ckpt_body = format!("{{\"path\":{:?}}}", ckpt.to_str().unwrap());
+    assert_eq!(post("/v1/t/demo/checkpoint", &ckpt_body).0, 200);
+    let (status, body) = post("/v1/t/demo/reload", &ckpt_body);
+    std::fs::remove_file(&ckpt).ok();
+    assert_eq!(status, 200, "reload: {body}");
+    assert!(body.contains("\"generation\":2"), "{body}");
+    let (status, body) = post("/v1/t/demo/match", "{\"pairs\":[[0,1],[2,3],[1,4]]}");
+    assert_eq!(status, 200);
+    assert_eq!(
+        served_bits(&body),
+        solo,
+        "reloaded scores must be solo-exact"
+    );
+    assert_eq!(
+        post("/v1/t/demo/reload", "{\"path\":\"/nope.json\"}").0,
+        404
+    );
     server.stop();
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Workspace lint gate: formatting, clippy (warnings are errors), and the
-# dc-check self-test (static checks + FD audit of every autograd op).
+# Workspace lint gate: formatting, clippy (warnings are errors), the
+# equivalence and golden suites, and the bench smokes.
 #
 # `--deep` additionally runs scripts/sanitize.sh (DC_CHECK poison sweep,
 # pool schedule model, and the Miri/TSan lanes where installed).
@@ -32,22 +32,16 @@ gates=(
     "== cargo clippy (deny warnings, every unsafe block documented)"
     "run cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented-unsafe-blocks"
 
-    "== dc-obs selftest + unit/property tests"
-    "run cargo run -q -p dc-obs --bin dc-obs-selftest"
+    "== dc-obs unit/property tests"
     "run cargo test -q -p dc-obs"
-
-    "== dc-check selftest"
-    "run cargo run -q -p dc-check --bin dc-check-selftest"
 
     "== kernel equivalence"
     "pool dc-tensor:kernel_equiv"
 
-    "== dc-index selftest"
-    "run cargo run -q -p dc-index --bin dc-index-selftest"
-
-    "== retrieval equivalence"
+    "== retrieval equivalence + banded-LSH golden pair sets"
     "pool dc-index:index_equiv"
     "pool dc-er:blocking_equiv"
+    "once dc-index:lsh_golden"
 
     "== filter-verify matcher, slice SGNS loop, pipeline vs seed match loop"
     # RuleMatcher and SGNS never enter the kernel pool: one run each (the
@@ -103,16 +97,13 @@ gates=(
     "== observability is observational (bitwise weights)"
     "pool dc-er:obs_equiv"
 
-    "== incremental LSH index vs full rebuild (proptest pair-set equality)"
+    "== mutated LSH index (bulk-built or empty, then insert/delete/compact) vs full rebuild (proptest pair-set equality)"
     "once dc-index:inc_equiv"
-
-    "== dc-serve selftest (endpoints, errors, hot reload over a live socket)"
-    "run cargo run -q -p dc-serve --bin dc-serve-selftest"
 
     "== micro-batch bitwise equivalence"
     "pool dc-serve:microbatch_equiv"
 
-    "== serve smoke (concurrent clients, malformed traffic stays non-fatal)"
+    "== serve smoke (concurrent clients, malformed traffic stays non-fatal, every endpoint + hot reload over a live socket)"
     "once dc-serve:server_smoke"
 
     "== serving benchmark smoke (open-loop clients, every response well-formed)"
