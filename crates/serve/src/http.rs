@@ -5,7 +5,7 @@
 //! of dying.
 
 use dc_core::{DcError, DcResult};
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest accepted request line + header block.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -31,18 +31,22 @@ impl Request {
     }
 }
 
-/// Read one request off a buffered connection. `Ok(None)` means the
-/// client closed cleanly before sending anything (normal keep-alive
-/// teardown); errors are protocol violations the caller should answer
-/// with `e.http_status()` and then close.
-pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> DcResult<Option<Request>> {
-    let mut line = String::new();
-    match read_crlf_line(stream, &mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
+/// Read one request off a buffered connection; `line` is scratch for the
+/// request and header lines, reused across a connection's requests.
+/// `Ok(None)` means the client closed cleanly before sending anything
+/// (normal keep-alive teardown); errors are protocol violations the
+/// caller should answer with `e.http_status()` and then close.
+pub fn read_request(
+    stream: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    max_body: usize,
+) -> DcResult<Option<Request>> {
+    let request_line = match read_line(stream, line) {
+        Ok(None) => return Ok(None),
+        Ok(Some(l)) => l,
         Err(e) => return Err(DcError::invalid(format!("request line: {e}"))),
-    }
-    let mut parts = line.split_whitespace();
+    };
+    let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
         .ok_or_else(|| DcError::invalid("empty request line"))?
@@ -61,20 +65,20 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> DcResult<Opti
     let mut content_length = 0usize;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version == "HTTP/1.1";
-    let mut head_bytes = line.len();
+    let mut head_bytes = request_line.len();
     loop {
-        line.clear();
-        read_crlf_line(stream, &mut line)
-            .map_err(|e| DcError::invalid(format!("header line: {e}")))?;
-        if line.is_empty() {
+        let header =
+            read_line(stream, line).map_err(|e| DcError::invalid(format!("header line: {e}")))?;
+        // A blank line ends the head; so does EOF at a line boundary.
+        let Some(header) = header.filter(|h| !h.is_empty()) else {
             break;
-        }
-        head_bytes += line.len();
+        };
+        head_bytes += header.len();
         if head_bytes > MAX_HEAD_BYTES {
             return Err(DcError::limit("request headers exceed 8 KiB"));
         }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(DcError::invalid(format!("malformed header {line:?}")));
+        let Some((name, value)) = header.split_once(':') else {
+            return Err(DcError::invalid(format!("malformed header {header:?}")));
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
@@ -102,72 +106,54 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> DcResult<Opti
     }))
 }
 
-/// Read a `\r\n`-terminated line into `out` (terminator stripped).
-/// Returns bytes consumed; 0 means EOF before any byte.
-fn read_crlf_line(stream: &mut impl BufRead, out: &mut String) -> std::io::Result<usize> {
-    let mut raw = Vec::new();
-    let mut n = 0;
-    loop {
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if n == 0 {
-                    return Ok(0);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "EOF mid-line",
-                ));
-            }
-            Ok(_) => {
-                n += 1;
-                if n > MAX_HEAD_BYTES {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "line too long",
-                    ));
-                }
-                if byte[0] == b'\n' {
-                    if raw.last() == Some(&b'\r') {
-                        raw.pop();
-                    }
-                    break;
-                }
-                raw.push(byte[0]);
-            }
-            Err(e) => return Err(e),
-        }
+/// Read one `\n`-terminated line of at most [`MAX_HEAD_BYTES`] bytes
+/// into `line`, replacing its contents, and return it as text with the
+/// `\n` or `\r\n` stripped. `None` means EOF before any byte.
+fn read_line<'a>(stream: &mut impl BufRead, line: &'a mut Vec<u8>) -> io::Result<Option<&'a str>> {
+    let invalid = |msg| io::Error::new(io::ErrorKind::InvalidData, msg);
+    line.clear();
+    // One byte past the limit is enough to tell "too long" from "fits".
+    stream
+        .take(MAX_HEAD_BYTES as u64 + 1)
+        .read_until(b'\n', line)?;
+    if line.len() > MAX_HEAD_BYTES {
+        return Err(invalid("line too long"));
     }
-    out.push_str(
-        std::str::from_utf8(&raw).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 header")
-        })?,
-    );
-    Ok(n)
+    if line.pop() != Some(b'\n') {
+        return if line.is_empty() {
+            Ok(None)
+        } else {
+            Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF mid-line"))
+        };
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    std::str::from_utf8(line)
+        .map(Some)
+        .map_err(|_| invalid("non-UTF-8 header"))
 }
 
-/// Write one JSON response (status line, minimal headers, body).
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
+/// Frame one JSON response (status line, minimal headers, body) into
+/// `buf`, replacing its contents; the caller hands `buf` to the socket in
+/// one `write_all`, so a response never leaves as several small segments.
+pub fn frame_response(buf: &mut Vec<u8>, status: u16, body: &str, keep_alive: bool) {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
-        _ => "Status",
+        // No `DcError::http_status` lands here.
+        _ => "Unknown",
     };
     let conn = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
+    buf.clear();
+    buf.write_fmt(format_args!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {conn}\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()
+    ))
+    .expect("writing to a Vec<u8> cannot fail");
 }
 
 #[cfg(test)]
@@ -176,7 +162,11 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(raw: &str, max_body: usize) -> DcResult<Option<Request>> {
-        read_request(&mut BufReader::new(raw.as_bytes()), max_body)
+        parse_bytes(raw.as_bytes(), max_body)
+    }
+
+    fn parse_bytes(raw: &[u8], max_body: usize) -> DcResult<Option<Request>> {
+        read_request(&mut BufReader::new(raw), &mut Vec::new(), max_body)
     }
 
     #[test]
@@ -233,12 +223,79 @@ mod tests {
 
     #[test]
     fn response_is_well_formed() {
-        let mut out = Vec::new();
-        write_response(&mut out, 404, "{\"e\":1}", false).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 404 Not Found\r\n"));
-        assert!(s.contains("Content-Length: 7\r\n"));
-        assert!(s.contains("Connection: close\r\n"));
-        assert!(s.ends_with("{\"e\":1}"));
+        let mut buf = b"stale bytes from the previous response".to_vec();
+        frame_response(&mut buf, 404, "{\"e\":1}", false);
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 7\r\nConnection: close\r\n\r\n{\"e\":1}"
+        );
+    }
+
+    #[test]
+    fn bare_newline_line_endings_parse() {
+        let req = parse("POST /x HTTP/1.1\nContent-Length: 2\n\nhi", 16)
+            .unwrap()
+            .unwrap();
+        assert_eq!((req.path.as_str(), req.body.as_slice()), ("/x", &b"hi"[..]));
+    }
+
+    #[test]
+    fn header_line_at_and_over_the_head_limit() {
+        // A raw header line (terminator included) of exactly the limit is
+        // read, then refused by the whole-head budget; one byte more is
+        // refused by the line reader.
+        let header = |raw_len: usize| {
+            let value = "v".repeat(raw_len - "X: \r\n".len());
+            format!("GET / HTTP/1.1\r\nX: {value}\r\n\r\n")
+        };
+        let e = parse(&header(MAX_HEAD_BYTES), 0).unwrap_err();
+        assert_eq!(
+            (e.kind(), e.message()),
+            ("limit", "request headers exceed 8 KiB")
+        );
+        let e = parse(&header(MAX_HEAD_BYTES + 1), 0).unwrap_err();
+        assert_eq!(
+            (e.kind(), e.message()),
+            ("invalid_input", "header line: line too long")
+        );
+        // The largest head that fits: request line + header == the limit.
+        let fits = MAX_HEAD_BYTES - "GET / HTTP/1.1".len() + "\r\n".len();
+        assert!(parse(&header(fits), 0).unwrap().is_some());
+        assert_eq!(parse(&header(fits + 1), 0).unwrap_err().kind(), "limit");
+    }
+
+    #[test]
+    fn eof_mid_line_and_non_utf8_are_distinct_errors() {
+        let e = parse("GET / HTTP/1.1\r\nHost: h", 0).unwrap_err();
+        assert_eq!(
+            (e.kind(), e.message()),
+            ("invalid_input", "header line: EOF mid-line")
+        );
+        let e = parse("GET / HT", 0).unwrap_err();
+        assert_eq!(e.message(), "request line: EOF mid-line");
+        let e = parse_bytes(b"GET / HTTP/1.1\r\nX: \xff\r\n\r\n", 0).unwrap_err();
+        assert_eq!(
+            (e.kind(), e.message()),
+            ("invalid_input", "header line: non-UTF-8 header")
+        );
+    }
+
+    #[test]
+    fn back_to_back_requests_parse_from_where_the_body_ended() {
+        let raw = "POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET /b HTTP/1.1\r\n\r\n";
+        let mut stream = BufReader::new(raw.as_bytes());
+        let mut line = Vec::new();
+        let first = read_request(&mut stream, &mut line, 16).unwrap().unwrap();
+        assert_eq!(
+            (first.path.as_str(), first.body.as_slice()),
+            ("/a", &b"abc"[..])
+        );
+        let second = read_request(&mut stream, &mut line, 16).unwrap().unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/b")
+        );
+        assert!(second.body.is_empty());
+        assert!(read_request(&mut stream, &mut line, 16).unwrap().is_none());
     }
 }

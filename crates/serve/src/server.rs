@@ -27,20 +27,24 @@
 //! | `POST /v1/t/{t}/reload` | `{"path":"..."}` | hot-swap model, new generation |
 
 use crate::config::ServeConfig;
-use crate::http::{read_request, write_response, Request};
+use crate::http::{frame_response, read_request, Request};
 use crate::tenant::Registry;
 use dc_core::{DcError, DcResult};
 use serde::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 static REQUESTS: dc_obs::Counter = dc_obs::Counter::new("serve.requests");
 static ERRORS: dc_obs::Counter = dc_obs::Counter::new("serve.errors");
+/// One per response handed to the socket: `serve.requests` + protocol errors.
+static WRITES: dc_obs::Counter = dc_obs::Counter::new("serve.response.writes");
+static WRITE_TIME: dc_obs::Hist = dc_obs::Hist::new("serve.request.write");
 
 /// A running service instance; dropping the handle does **not** stop it
 /// — call [`ServerHandle::stop`].
@@ -83,8 +87,14 @@ impl ConnQueue {
         }
     }
 
+    /// Every update leaves the queue valid (one `push_back`, `pop_front` or
+    /// flag store), so a poisoned lock is recovered, not passed on to all workers.
+    fn lock(&self) -> MutexGuard<'_, (VecDeque<TcpStream>, bool)> {
+        self.q.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn push(&self, s: TcpStream) {
-        let mut q = self.q.lock().expect("conn queue");
+        let mut q = self.lock();
         q.0.push_back(s);
         drop(q);
         self.cv.notify_one();
@@ -92,7 +102,7 @@ impl ConnQueue {
 
     /// Blocks until a connection or close; `None` means shut down.
     fn pop(&self) -> Option<TcpStream> {
-        let mut q = self.q.lock().expect("conn queue");
+        let mut q = self.lock();
         loop {
             if let Some(s) = q.0.pop_front() {
                 return Some(s);
@@ -100,12 +110,12 @@ impl ConnQueue {
             if q.1 {
                 return None;
             }
-            q = self.cv.wait(q).expect("conn queue");
+            q = self.cv.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     fn close(&self) {
-        self.q.lock().expect("conn queue").1 = true;
+        self.lock().1 = true;
         self.cv.notify_all();
     }
 }
@@ -133,6 +143,12 @@ pub fn start(cfg: ServeConfig, registry: Arc<Registry>) -> DcResult<ServerHandle
                             break;
                         }
                         if let Ok(s) = conn {
+                            // A stuck client must not pin a handler thread forever.
+                            let _ = s.set_read_timeout(Some(Duration::from_secs(30)));
+                            // Responses are written whole, so Nagle has nothing to
+                            // coalesce; left on, it holds a reply for the ~40 ms of
+                            // the client's delayed ACK while earlier bytes are unacked.
+                            let _ = s.set_nodelay(true);
                             queue.push(s);
                         }
                     }
@@ -148,8 +164,12 @@ pub fn start(cfg: ServeConfig, registry: Arc<Registry>) -> DcResult<ServerHandle
             std::thread::Builder::new()
                 .name(format!("dc-serve-worker-{i}"))
                 .spawn(move || {
+                    let max_body = cfg.max_body_bytes;
+                    let route = |req: &Request| route(req, &registry);
                     while let Some(stream) = queue.pop() {
-                        serve_connection(stream, &registry, &cfg);
+                        // `&TcpStream` reads and writes: no cloned descriptor.
+                        let reader = BufReader::new(&stream);
+                        serve_connection(reader, &stream, &mut Vec::new(), max_body, route);
                     }
                 })
                 .expect("spawn handler thread"),
@@ -183,40 +203,46 @@ pub fn start(cfg: ServeConfig, registry: Arc<Registry>) -> DcResult<ServerHandle
     })
 }
 
-/// Serve one connection's keep-alive request loop.
-fn serve_connection(stream: TcpStream, registry: &Registry, cfg: &ServeConfig) {
-    // A stuck client must not pin a handler thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
+/// One connection's keep-alive request loop over any byte source and
+/// sink. Every response is framed into `buf`, the connection's response
+/// buffer, and handed to `writer` in exactly one `write_all`. A panicking
+/// `handler` answers 500 and the loop (and its thread) lives on.
+fn serve_connection(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    buf: &mut Vec<u8>,
+    max_body: usize,
+    handler: impl Fn(&Request) -> (&'static str, DcResult<String>),
+) {
+    let mut line = Vec::new();
     loop {
-        let req = match read_request(&mut reader, cfg.max_body_bytes) {
-            Ok(Some(req)) => req,
+        let (keep_alive, result) = match read_request(&mut reader, &mut line, max_body) {
             Ok(None) => return,
-            Err(e) => {
-                // Protocol-level garbage: answer once, then close (the
-                // stream may be desynchronized).
-                ERRORS.incr();
-                let _ = write_response(&mut writer, e.http_status(), &error_body(&e), false);
-                return;
+            // Protocol-level garbage: answer once, then close (the
+            // stream may be desynchronized).
+            Err(e) => (false, Err(e)),
+            Ok(Some(req)) => {
+                REQUESTS.incr();
+                let start = Instant::now();
+                let (endpoint, result) = catch_unwind(AssertUnwindSafe(|| handler(&req)))
+                    .unwrap_or_else(|_| ("panicked", Err(DcError::internal("handler panicked"))));
+                dc_obs::record_ns("serve.request", endpoint, start.elapsed().as_nanos() as u64);
+                (req.keep_alive, result)
             }
         };
-        REQUESTS.incr();
-        let keep_alive = req.keep_alive;
-        let start = Instant::now();
-        let (endpoint, result) = route(&req, registry);
-        dc_obs::record_ns("serve.request", endpoint, start.elapsed().as_nanos() as u64);
-        let ok = match result {
-            Ok(body) => write_response(&mut writer, 200, &body, keep_alive),
+        let (status, body) = match result {
+            Ok(body) => (200, body),
             Err(e) => {
                 ERRORS.incr();
-                write_response(&mut writer, e.http_status(), &error_body(&e), keep_alive)
+                (e.http_status(), error_body(&e))
             }
         };
-        if ok.is_err() || !keep_alive {
+        frame_response(buf, status, &body, keep_alive);
+        WRITES.incr();
+        let timer = WRITE_TIME.start();
+        let sent = writer.write_all(buf).and_then(|()| writer.flush());
+        drop(timer);
+        if sent.is_err() || !keep_alive {
             return;
         }
     }
@@ -479,5 +505,174 @@ fn route(req: &Request, registry: &Registry) -> (&'static str, DcResult<String>)
                 req.method, req.path
             ))),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::tiny_tenant_spec;
+    use std::io;
+
+    /// A sink that takes at most 7 bytes per `write` and records every
+    /// hand-off: one entry per `write_all`, or per `write` made outside
+    /// one.
+    #[derive(Default)]
+    struct ShortWriter {
+        handoffs: Vec<Vec<u8>>,
+        in_write_all: bool,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            if !self.in_write_all {
+                self.handoffs.push(Vec::new());
+            }
+            let n = data.len().min(7);
+            let current = self.handoffs.last_mut().expect("an open hand-off");
+            current.extend_from_slice(&data[..n]);
+            Ok(n)
+        }
+
+        fn write_all(&mut self, mut data: &[u8]) -> io::Result<()> {
+            self.handoffs.push(Vec::new());
+            self.in_write_all = true;
+            while !data.is_empty() {
+                let n = self.write(data)?;
+                data = &data[n..];
+            }
+            self.in_write_all = false;
+            Ok(())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The wire format replies have had since the seed (`write!` straight
+    /// onto the socket), verbatim: framing into a buffer must not move a byte.
+    fn parent_format(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
+        let reason = match status {
+            200 => "OK",
+            400 => "Bad Request",
+            404 => "Not Found",
+            other => panic!("unexpected status {other}"),
+        };
+        let conn = if keep_alive { "keep-alive" } else { "close" };
+        format!(
+            "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {conn}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn eight_pipelined_requests_cost_one_write_all_each_from_one_buffer() {
+        let cfg = ServeConfig::default();
+        let registry = Registry::new(4);
+        registry
+            .insert(tiny_tenant_spec("acme", 7).build(&cfg).unwrap())
+            .unwrap();
+        let big_match = format!("{{\"pairs\":[{}[2,3]]}}", "[0,1],".repeat(399));
+        let requests = [
+            ("GET", "/v1/health", "", 200),
+            ("POST", "/v1/t/acme/match", "{oops", 400),
+            ("GET", "/v1/nowhere", "", 404),
+            ("POST", "/v1/t/acme/match", big_match.as_str(), 200),
+            ("GET", "/v1/tenants", "", 200),
+            ("POST", "/v1/t/acme/match", "{\"pairs\":[[0,1]]}", 200),
+            ("POST", "/v1/t/ghost/match", "{\"pairs\":[[0,1]]}", 404),
+            ("GET", "/v1/health", "", 200),
+        ];
+        let mut input = Vec::new();
+        let mut expected = Vec::new();
+        for (i, (method, path, body, status)) in requests.into_iter().enumerate() {
+            let keep_alive = i + 1 < requests.len();
+            let conn = if keep_alive {
+                ""
+            } else {
+                "Connection: close\r\n"
+            };
+            let len = body.len();
+            input.extend_from_slice(
+                format!("{method} {path} HTTP/1.1\r\n{conn}Content-Length: {len}\r\n\r\n{body}")
+                    .as_bytes(),
+            );
+            let req = Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                body: body.as_bytes().to_vec(),
+                keep_alive,
+            };
+            let reply = route(&req, &registry).1.unwrap_or_else(|e| error_body(&e));
+            expected.push(parent_format(status, &reply, keep_alive));
+        }
+        let largest = expected.iter().map(Vec::len).max().unwrap();
+        assert_eq!(largest, expected[3].len());
+        assert!(largest > 4096, "the big /match reply is multi-KB");
+
+        let mut buf = Vec::new();
+        let serve = |buf: &mut Vec<u8>| {
+            let mut writer = ShortWriter::default();
+            serve_connection(&input[..], &mut writer, buf, cfg.max_body_bytes, |req| {
+                route(req, &registry)
+            });
+            writer.handoffs
+        };
+        let handoffs = serve(&mut buf);
+        assert_eq!(handoffs.len(), 8, "one write_all hand-off per response");
+        for (i, (got, want)) in handoffs.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                String::from_utf8_lossy(got),
+                String::from_utf8_lossy(want),
+                "response {i}"
+            );
+        }
+        // The buffer grew to fit the largest reply and no further: the
+        // four replies after it, and the same traffic again, reuse it.
+        let capacity = buf.capacity();
+        assert!((largest..2 * largest).contains(&capacity));
+        assert_eq!(serve(&mut buf), handoffs);
+        assert_eq!(buf.capacity(), capacity);
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_loop_lives_on() {
+        let input = b"GET /ok HTTP/1.1\r\n\r\nGET /boom HTTP/1.1\r\n\r\nGET /ok HTTP/1.1\r\n\r\n";
+        let mut writer = ShortWriter::default();
+        serve_connection(&input[..], &mut writer, &mut Vec::new(), 0, |req| {
+            assert_ne!(req.path, "/boom", "handler bug");
+            ("ok", Ok("{}".to_string()))
+        });
+        let replies: Vec<_> = writer
+            .handoffs
+            .iter()
+            .map(|r| String::from_utf8_lossy(r))
+            .collect();
+        assert_eq!(replies.len(), 3);
+        assert!(replies[0].starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(replies[1].starts_with("HTTP/1.1 500 Internal Server Error\r\n"));
+        assert!(replies[1]
+            .ends_with("\r\n\r\n{\"error\":\"internal\",\"message\":\"handler panicked\"}"));
+        assert!(replies[1].contains("Connection: keep-alive\r\n"));
+        assert!(replies[2].starts_with("HTTP/1.1 200 OK\r\n"));
+    }
+
+    #[test]
+    fn conn_queue_outlives_a_worker_that_panicked_holding_its_lock() {
+        let queue = Arc::new(ConnQueue::new());
+        let held = queue.clone();
+        let worker = std::thread::spawn(move || {
+            let _guard = held.q.lock().unwrap();
+            panic!("worker dies holding the queue lock");
+        });
+        assert!(worker.join().is_err());
+        assert!(queue.q.is_poisoned());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        queue.push(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        assert!(queue.pop().is_some());
+        queue.close();
+        assert!(queue.pop().is_none());
     }
 }

@@ -11,7 +11,7 @@ use dc_er::{Composition, DeepEr, DeepErConfig};
 use dc_relational::tokenize_tuple;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// Train a small DeepER matcher over a generated clean-suite benchmark.
@@ -76,29 +76,95 @@ pub fn demo_tenant_spec(name: &str, seed: u64) -> TenantSpec {
         .with_neural(neural)
 }
 
+/// A whole request in one buffer, so it reaches the kernel in one write.
+fn request_bytes(method: &str, path: &str, body: &str, conn: &str) -> Vec<u8> {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: {conn}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// The status code on a response's first line.
+fn status_of(raw: &str) -> u16 {
+    raw.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line in {raw:?}"))
+}
+
 /// Bare-bones blocking HTTP client for exercising a running server:
 /// one `Connection: close` request, returns `(status, body)`. Panics on
 /// transport failures — it only runs inside tests and benchmarks.
 pub fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
+    stream
+        .write_all(&request_bytes(method, path, body, "close"))
+        .expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
     let body = raw
         .split_once("\r\n\r\n")
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
-    (status, body)
+    (status_of(&raw), body)
+}
+
+/// The same client over one persistent connection, behaving as a
+/// well-mannered caller does: `TCP_NODELAY` on, each request in a single
+/// write, each `Content-Length`-framed reply read in full before the
+/// next request.
+pub struct KeepAliveClient {
+    stream: BufReader<TcpStream>,
+}
+
+impl KeepAliveClient {
+    /// Open the connection.
+    pub fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
+        KeepAliveClient {
+            stream: BufReader::new(stream),
+        }
+    }
+
+    /// One request that leaves the connection open.
+    pub fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
+        self.exchange(&request_bytes(method, path, body, "keep-alive"))
+    }
+
+    /// One `Connection: close` request; panics unless the server then
+    /// closes the socket.
+    pub fn close(mut self, method: &str, path: &str, body: &str) -> (u16, String) {
+        let reply = self.exchange(&request_bytes(method, path, body, "close"));
+        let mut rest = Vec::new();
+        self.stream.read_to_end(&mut rest).expect("read to EOF");
+        assert!(rest.is_empty(), "bytes after the final response");
+        reply
+    }
+
+    fn exchange(&mut self, request: &[u8]) -> (u16, String) {
+        self.stream
+            .get_mut()
+            .write_all(request)
+            .expect("send request");
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            let n = self.stream.read_line(&mut head).expect("read header");
+            assert!(n > 0, "connection closed inside the headers: {head:?}");
+        }
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no content-length in {head:?}"));
+        let mut body = vec![0u8; len];
+        self.stream.read_exact(&mut body).expect("read body");
+        (
+            status_of(&head),
+            String::from_utf8(body).expect("UTF-8 body"),
+        )
+    }
 }
 
 /// Send a raw byte blob (possibly not even HTTP) and return the raw

@@ -2,10 +2,13 @@
 //! running server, interleaving valid work with malformed requests, and
 //! checking that every valid response is solo-exact while every
 //! malformed one gets a structured 4xx — and the service outlives all
-//! of it. The last test walks the remaining endpoints (impute, search,
-//! blocking index, checkpoint / hot reload) on a fully-loaded tenant.
+//! of it. The third test walks the remaining endpoints (impute, search,
+//! blocking index, checkpoint / hot reload) on a fully-loaded tenant;
+//! the last holds one persistent connection through 50 mixed requests.
 
-use dc_serve::testutil::{demo_tenant_spec, http_request, raw_request, tiny_tenant_spec};
+use dc_serve::testutil::{
+    demo_tenant_spec, http_request, raw_request, tiny_tenant_spec, KeepAliveClient,
+};
 use dc_serve::{engine, Registry, ServeConfig};
 use std::sync::Arc;
 
@@ -183,5 +186,59 @@ fn impute_search_index_and_hot_reload_answer_over_http() {
         post("/v1/t/demo/reload", "{\"path\":\"/nope.json\"}").0,
         404
     );
+    server.stop();
+}
+
+#[test]
+fn fifty_mixed_requests_on_one_connection_never_stall() {
+    let cfg = ServeConfig::default()
+        .with_addr("127.0.0.1:0")
+        .with_workers(1)
+        .with_batch_window_us(200);
+    let registry = Arc::new(Registry::new(cfg.max_tenants));
+    let tenant = registry
+        .insert(tiny_tenant_spec("acme", 11).build(&cfg).unwrap())
+        .unwrap();
+    let server = dc_serve::start(cfg, registry).unwrap();
+    let solo: Vec<u32> = engine::match_pairs(&tenant.model(), tenant.table(), &[(0, 1), (2, 3)])
+        .unwrap()
+        .iter()
+        .map(|s| s.to_bits())
+        .collect();
+    let sig = format!("{{\"scores\":{:?}}}", vec![1.0f32; 32]);
+
+    let mut client = KeepAliveClient::connect(server.addr());
+    let started = std::time::Instant::now();
+    for round in 0..10 {
+        assert_eq!(
+            client.request("GET", "/v1/health", ""),
+            (200, "{\"status\":\"ok\"}".to_string())
+        );
+        let (status, body) =
+            client.request("POST", "/v1/t/acme/match", "{\"pairs\":[[0,1],[2,3]]}");
+        assert_eq!(status, 200, "match: {body}");
+        assert_eq!(served_bits(&body), solo, "served scores must be solo-exact");
+        let (status, body) = client.request("GET", "/v1/nowhere", "");
+        assert_eq!(status, 404, "{body}");
+        assert!(body.contains("not_found"));
+        assert_eq!(
+            client.request("POST", "/v1/t/acme/index/insert", &sig),
+            (200, format!("{{\"id\":{round}}}"))
+        );
+        let delete = format!("{{\"id\":{round}}}");
+        assert_eq!(
+            client.request("POST", "/v1/t/acme/index/delete", &delete),
+            (200, "{\"deleted\":true}".to_string())
+        );
+    }
+    let took = started.elapsed();
+    // A response that leaves as several segments without TCP_NODELAY
+    // waits ~44 ms for the client's delayed ACK: 2.2 s for these 50.
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "50 keep-alive requests took {took:?}"
+    );
+    // `close` panics unless the server hangs up after its reply.
+    assert_eq!(client.close("GET", "/v1/health", "").0, 200);
     server.stop();
 }

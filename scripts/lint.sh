@@ -103,8 +103,13 @@ gates=(
     "== micro-batch bitwise equivalence"
     "pool dc-serve:microbatch_equiv"
 
-    "== serve smoke (concurrent clients, malformed traffic stays non-fatal, every endpoint + hot reload over a live socket)"
+    "== serve smoke (concurrent clients, malformed traffic stays non-fatal, every endpoint + hot reload over a live socket, 50 keep-alive requests on one connection in < 1 s)"
     "once dc-serve:server_smoke"
+
+    "== dc-serve hands each response over in one write (no cloned socket handle, no formatting straight onto a stream)"
+    # Responses are framed with `buf.write_fmt` into the connection's
+    # buffer; any other formatted write could reach the socket piecemeal.
+    "run if git grep -nE 'try_clone|write(ln)?![(]|write_fmt' -- crates/serve/src | grep -v 'buf[.]write_fmt[(]'; then exit 1; fi"
 
     "== serving benchmark smoke (open-loop clients, every response well-formed)"
     "run cargo run -q --release -p dc-bench --bin bench_serve -- --smoke"
