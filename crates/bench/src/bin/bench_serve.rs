@@ -61,7 +61,6 @@ struct Snapshot {
     description: &'static str,
     threads: usize,
     workers: usize,
-    batch_window_us: u64,
     batch_max: usize,
     rates: Vec<RateRecord>,
 }
@@ -150,7 +149,6 @@ fn main() {
     let cfg = ServeConfig::default()
         .with_addr("127.0.0.1:0")
         .with_workers(8)
-        .with_batch_window_us(300)
         .with_batch_max(32);
     eprintln!("provisioning demo tenant...");
     let registry = Arc::new(Registry::new(cfg.max_tenants));
@@ -238,7 +236,6 @@ fn main() {
         description: "open-loop load against a live dc-serve instance (70% micro-batched match, 15% encode, 10% bm25 search, 5% health); sustained QPS per offered rate, latency percentiles from the server's dc-obs serve.request.* histograms (cumulative across rate steps)",
         threads: dc_tensor::kernel::pool().threads(),
         workers: cfg.workers,
-        batch_window_us: cfg.batch_window_us,
         batch_max: cfg.batch_max,
         rates: rate_records,
     };

@@ -9,7 +9,7 @@
 /// let cfg = ServeConfig::default()
 ///     .with_addr("127.0.0.1:0")
 ///     .with_workers(2)
-///     .with_batch_window_us(200);
+///     .with_batch_max(16);
 /// assert_eq!(cfg.workers, 2);
 /// ```
 #[derive(Clone, Debug)]
@@ -20,10 +20,8 @@ pub struct ServeConfig {
     /// inside a handler still runs on the shared dc-tensor worker pool,
     /// so raising this does not oversubscribe the kernels.
     pub workers: usize,
-    /// Micro-batch window in microseconds: how long the first request
-    /// of a batch waits for company before the fused GEMM launches.
-    pub batch_window_us: u64,
-    /// Requests per micro-batch at which the window closes early.
+    /// Most requests per micro-batch. A queue that reaches it launches
+    /// even while an earlier batch of the same batcher is still running.
     pub batch_max: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
@@ -41,7 +39,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7700".to_string(),
             workers: 4,
-            batch_window_us: 500,
             batch_max: 32,
             max_body_bytes: 1 << 20,
             max_tenants: 16,
@@ -61,13 +58,6 @@ impl ServeConfig {
     /// Set the HTTP handler thread count (chainable builder).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Set the micro-batch time window in microseconds (chainable
-    /// builder).
-    pub fn with_batch_window_us(mut self, us: u64) -> Self {
-        self.batch_window_us = us;
         self
     }
 
@@ -114,7 +104,6 @@ mod tests {
         let cfg = ServeConfig::default()
             .with_addr("0.0.0.0:0")
             .with_workers(0)
-            .with_batch_window_us(10)
             .with_batch_max(0)
             .with_max_body_bytes(512)
             .with_max_tenants(0)

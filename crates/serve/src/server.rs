@@ -186,7 +186,9 @@ pub fn start(cfg: ServeConfig, registry: Arc<Registry>) -> DcResult<ServerHandle
                     let period = Duration::from_millis(cfg.compact_interval_ms);
                     while !stop.load(Ordering::SeqCst) {
                         for tenant in registry.all() {
-                            tenant.maybe_compact(cfg.compact_threshold);
+                            // A poisoned index answers its own requests with
+                            // a 500; there is nothing to compact.
+                            let _ = tenant.maybe_compact(cfg.compact_threshold);
                         }
                         std::thread::sleep(period);
                     }
@@ -381,17 +383,19 @@ fn route(req: &Request, registry: &Registry) -> (&'static str, DcResult<String>)
         ("GET", ["v1", "health"]) => ("health", Ok("{\"status\":\"ok\"}".to_string())),
         ("GET", ["v1", "stats"]) => ("stats", Ok(dc_obs::report().to_json())),
         ("GET", ["v1", "tenants"]) => ("tenants", {
-            let infos: Vec<TenantInfo> = registry
+            let infos: DcResult<Vec<TenantInfo>> = registry
                 .all()
                 .iter()
-                .map(|t| TenantInfo {
-                    name: t.name().to_string(),
-                    generation: t.generation(),
-                    rows: t.rows(),
-                    index_overflow: t.index_pairs().1,
+                .map(|t| {
+                    Ok(TenantInfo {
+                        name: t.name().to_string(),
+                        generation: t.generation(),
+                        rows: t.rows(),
+                        index_overflow: t.index_pairs()?.1,
+                    })
                 })
                 .collect();
-            to_json(&infos)
+            infos.and_then(|infos| to_json(&infos))
         }),
         ("POST", ["v1", "t", name, rest @ ..]) => {
             let name = (*name).to_string();
@@ -494,7 +498,7 @@ fn route(req: &Request, registry: &Registry) -> (&'static str, DcResult<String>)
         }
         ("GET", ["v1", "t", name, "index", "pairs"]) => ("index_pairs", {
             registry.get(name).and_then(|t| {
-                let (pairs, overflow) = t.index_pairs();
+                let (pairs, overflow) = t.index_pairs()?;
                 to_json(&PairsResp { pairs, overflow })
             })
         }),

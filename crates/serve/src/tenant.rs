@@ -26,8 +26,7 @@ use dc_index::{LshConfig, LshIndex};
 use dc_relational::Table;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 static TENANTS: dc_obs::Gauge = dc_obs::Gauge::new("serve.tenants");
 static RELOADS: dc_obs::Counter = dc_obs::Counter::new("serve.reloads");
@@ -95,16 +94,15 @@ impl TenantSpec {
         self
     }
 
-    /// Finalize: wire the micro-batchers (window/size from `cfg`) and
+    /// Finalize: wire the micro-batchers (size cap from `cfg`) and
     /// build the per-tenant indexes.
     pub fn build(self, cfg: &ServeConfig) -> DcResult<Tenant> {
         let table = Arc::new(self.table);
         let model = Arc::new(RwLock::new(Arc::new(self.model)));
-        let window = Duration::from_micros(cfg.batch_window_us);
 
         let (t, m) = (table.clone(), model.clone());
-        let match_batcher = MicroBatcher::new(window, cfg.batch_max, move |jobs| {
-            let snapshot = m.read().expect("model lock").clone();
+        let match_batcher = MicroBatcher::new(cfg.batch_max, move |jobs| {
+            let snapshot = read(&m).clone();
             let lens: Vec<usize> = jobs.iter().map(Vec::len).collect();
             let all: Vec<(usize, usize)> = jobs.into_iter().flatten().collect();
             match engine::match_pairs(&snapshot, &t, &all) {
@@ -122,21 +120,20 @@ impl TenantSpec {
         });
 
         let (t, m) = (table.clone(), model.clone());
-        let encode_batcher =
-            MicroBatcher::new(window, cfg.batch_max, move |jobs: Vec<Vec<usize>>| {
-                let snapshot = m.read().expect("model lock").clone();
-                let lens: Vec<usize> = jobs.iter().map(Vec::len).collect();
-                let all: Vec<usize> = jobs.into_iter().flatten().collect();
-                match engine::encode_rows(&snapshot, &t, &all) {
-                    Ok(vecs) => {
-                        let mut it = vecs.into_iter();
-                        lens.iter()
-                            .map(|&l| Ok(it.by_ref().take(l).collect()))
-                            .collect()
-                    }
-                    Err(e) => lens.iter().map(|_| Err(e.clone())).collect(),
+        let encode_batcher = MicroBatcher::new(cfg.batch_max, move |jobs: Vec<Vec<usize>>| {
+            let snapshot = read(&m).clone();
+            let lens: Vec<usize> = jobs.iter().map(Vec::len).collect();
+            let all: Vec<usize> = jobs.into_iter().flatten().collect();
+            match engine::encode_rows(&snapshot, &t, &all) {
+                Ok(vecs) => {
+                    let mut it = vecs.into_iter();
+                    lens.iter()
+                        .map(|&l| Ok(it.by_ref().take(l).collect()))
+                        .collect()
                 }
-            });
+                Err(e) => lens.iter().map(|_| Err(e.clone())).collect(),
+            }
+        });
 
         let refs: Vec<&Table> = self.search_tables.iter().collect();
         let bm25 = Bm25Lite::index(&refs, 10);
@@ -198,7 +195,7 @@ impl Tenant {
     /// A snapshot of the live model — stable for as long as the caller
     /// holds the `Arc`, even across reloads.
     pub fn model(&self) -> Arc<DeepEr> {
-        self.model.read().expect("model lock").clone()
+        read(&self.model).clone()
     }
 
     /// The tenant's record table.
@@ -260,34 +257,42 @@ impl Tenant {
         engine::search_neural(neural, query, k, shortlist)
     }
 
+    /// The blocking index. An insert, delete or compaction that panicked
+    /// may have left it half-updated, so a poisoned lock is a 500 for
+    /// every later caller rather than a guess at its contents.
+    fn index(&self) -> DcResult<MutexGuard<'_, LshIndex>> {
+        self.index
+            .lock()
+            .map_err(|_| DcError::internal("blocking index poisoned by an earlier panic"))
+    }
+
     /// Insert a signature-score row into the incremental blocking
     /// index; returns the new item id.
     pub fn index_insert(&self, scores: &[f32]) -> DcResult<usize> {
-        self.index.lock().expect("index lock").insert_scores(scores)
+        self.index()?.insert_scores(scores)
     }
 
     /// Tombstone an item of the blocking index.
     pub fn index_delete(&self, id: usize) -> DcResult<()> {
-        self.index.lock().expect("index lock").delete(id)
+        self.index()?.delete(id)
     }
 
     /// Current candidate pairs plus the overflow-tier length.
-    pub fn index_pairs(&self) -> (Vec<(usize, usize)>, usize) {
-        let idx = self.index.lock().expect("index lock");
-        (idx.candidate_pairs(), idx.overflow_len())
+    pub fn index_pairs(&self) -> DcResult<(Vec<(usize, usize)>, usize)> {
+        let idx = self.index()?;
+        Ok((idx.candidate_pairs(), idx.overflow_len()))
     }
 
     /// Compact the blocking index if its overflow tier reached
     /// `threshold`; the background maintenance thread calls this.
-    pub fn maybe_compact(&self, threshold: usize) -> bool {
-        let mut idx = self.index.lock().expect("index lock");
-        if idx.overflow_len() >= threshold {
+    pub fn maybe_compact(&self, threshold: usize) -> DcResult<bool> {
+        let mut idx = self.index()?;
+        let due = idx.overflow_len() >= threshold;
+        if due {
             idx.compact();
             COMPACTIONS.incr();
-            true
-        } else {
-            false
         }
+        Ok(due)
     }
 
     /// Write the live model as a JSON checkpoint.
@@ -305,11 +310,23 @@ impl Tenant {
             .map_err(|e| DcError::not_found(format!("checkpoint {path}: {e}")))?;
         let fresh: DeepEr = serde_json::from_str(&json)
             .map_err(|e| DcError::invalid(format!("checkpoint {path}: {e}")))?;
-        *self.model.write().expect("model lock") = Arc::new(fresh);
+        *write(&self.model) = Arc::new(fresh);
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         RELOADS.incr();
         Ok(generation)
     }
+}
+
+/// Every write to the model and registry locks is one `Arc` swap or one
+/// map insert, so a panic cannot leave them half-updated: a poisoned lock
+/// is recovered, not passed on to every later request.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// See [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn count_nulls(table: &Table) -> usize {
@@ -339,7 +356,7 @@ impl Registry {
     /// Add (or replace, same name) a tenant. New names beyond the
     /// capacity limit are refused with a 429-shaped error.
     pub fn insert(&self, tenant: Tenant) -> DcResult<Arc<Tenant>> {
-        let mut map = self.tenants.write().expect("registry lock");
+        let mut map = write(&self.tenants);
         if !map.contains_key(tenant.name()) && map.len() >= self.max {
             return Err(DcError::limit(format!(
                 "registry is full ({} tenants)",
@@ -354,9 +371,7 @@ impl Registry {
 
     /// Look a tenant up by name.
     pub fn get(&self, name: &str) -> DcResult<Arc<Tenant>> {
-        self.tenants
-            .read()
-            .expect("registry lock")
+        read(&self.tenants)
             .get(name)
             .cloned()
             .ok_or_else(|| DcError::not_found(format!("tenant {name:?}")))
@@ -364,7 +379,7 @@ impl Registry {
 
     /// All tenants, name-sorted (listing endpoint, maintenance sweep).
     pub fn all(&self) -> Vec<Arc<Tenant>> {
-        let map = self.tenants.read().expect("registry lock");
+        let map = read(&self.tenants);
         let mut out: Vec<Arc<Tenant>> = map.values().cloned().collect();
         out.sort_by(|a, b| a.name().cmp(b.name()));
         out
@@ -375,10 +390,11 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::testutil::tiny_tenant_spec;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn registry_enforces_capacity_and_lookup() {
-        let cfg = ServeConfig::default().with_batch_window_us(50);
+        let cfg = ServeConfig::default();
         let reg = Registry::new(2);
         reg.insert(tiny_tenant_spec("a", 11).build(&cfg).unwrap())
             .unwrap();
@@ -400,7 +416,7 @@ mod tests {
 
     #[test]
     fn match_validates_before_enqueue_and_scores_solo() {
-        let cfg = ServeConfig::default().with_batch_window_us(50);
+        let cfg = ServeConfig::default();
         let tenant = tiny_tenant_spec("t", 21).build(&cfg).unwrap();
         let n = tenant.rows();
         assert_eq!(
@@ -420,7 +436,7 @@ mod tests {
 
     #[test]
     fn reload_round_trips_and_bumps_generation() {
-        let cfg = ServeConfig::default().with_batch_window_us(50);
+        let cfg = ServeConfig::default();
         let tenant = tiny_tenant_spec("t", 31).build(&cfg).unwrap();
         let before = tenant.match_pairs(vec![(0, 1), (2, 3)]).unwrap();
         assert_eq!(tenant.generation(), 1);
@@ -443,7 +459,7 @@ mod tests {
 
     #[test]
     fn incremental_index_endpoints_work() {
-        let cfg = ServeConfig::default().with_batch_window_us(50);
+        let cfg = ServeConfig::default();
         let tenant = tiny_tenant_spec("t", 41)
             .with_lsh(LshConfig {
                 bands: 2,
@@ -458,12 +474,75 @@ mod tests {
             tenant.index_insert(&[1.0; 3]).unwrap_err().kind(),
             "invalid_input"
         );
-        let (pairs, overflow) = tenant.index_pairs();
+        let (pairs, overflow) = tenant.index_pairs().unwrap();
         assert_eq!(pairs, vec![(a, b)]);
         assert_eq!(overflow, 2);
-        assert!(tenant.maybe_compact(1));
-        assert_eq!(tenant.index_pairs().1, 0, "compaction drains the overflow");
+        assert!(tenant.maybe_compact(1).unwrap());
+        assert_eq!(
+            tenant.index_pairs().unwrap().1,
+            0,
+            "compaction drains the overflow"
+        );
         tenant.index_delete(b).unwrap();
-        assert!(tenant.index_pairs().0.is_empty());
+        assert!(tenant.index_pairs().unwrap().0.is_empty());
+    }
+
+    /// Run `f` and swallow the panic it must raise; a lock guard it held
+    /// is dropped while unwinding, which poisons that lock.
+    fn die_in(f: impl FnOnce()) {
+        assert!(catch_unwind(AssertUnwindSafe(f)).is_err());
+    }
+
+    #[test]
+    fn model_and_registry_locks_recover_from_poisoning() {
+        let cfg = ServeConfig::default();
+        let reg = Registry::new(2);
+        let tenant = reg
+            .insert(tiny_tenant_spec("t", 51).build(&cfg).unwrap())
+            .unwrap();
+        let before = tenant.match_pairs(vec![(0, 1)]).unwrap();
+        die_in(|| {
+            let _model = tenant.model.write().unwrap();
+            panic!("reload dies holding the model lock");
+        });
+        die_in(|| {
+            let _map = reg.tenants.write().unwrap();
+            panic!("insert dies holding the registry lock");
+        });
+        assert!(tenant.model.is_poisoned() && reg.tenants.is_poisoned());
+        // The batch closure, `model()`, `reload` and every registry call
+        // still work on the recovered locks.
+        assert_eq!(tenant.match_pairs(vec![(0, 1)]).unwrap(), before);
+        let path = std::env::temp_dir().join("dc_serve_tenant_poison_test.json");
+        let path = path.to_str().unwrap();
+        tenant.save_checkpoint(path).unwrap();
+        assert_eq!(tenant.reload(path).unwrap(), 2);
+        std::fs::remove_file(path).ok();
+        assert_eq!(reg.get("t").unwrap().generation(), 2);
+        reg.insert(tiny_tenant_spec("u", 52).build(&cfg).unwrap())
+            .unwrap();
+        assert_eq!(reg.all().len(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_index_answers_internal_errors() {
+        let tenant = tiny_tenant_spec("t", 61)
+            .build(&ServeConfig::default())
+            .unwrap();
+        die_in(|| {
+            let _idx = tenant.index.lock().unwrap();
+            panic!("insert dies holding the index lock");
+        });
+        let errs = [
+            tenant.index_insert(&[1.0; 32]).unwrap_err(),
+            tenant.index_delete(0).unwrap_err(),
+            tenant.index_pairs().unwrap_err(),
+            tenant.maybe_compact(1).unwrap_err(),
+        ];
+        for e in errs {
+            assert_eq!((e.kind(), e.http_status()), ("internal", 500));
+        }
+        // The rest of the tenant is unaffected.
+        assert_eq!(tenant.match_pairs(vec![(0, 1)]).unwrap().len(), 1);
     }
 }

@@ -8,21 +8,58 @@
 //! inference paths, where every request's rows land on full kernel
 //! tiles — each row's output is a pure function of that row's inputs,
 //! independent of what else shares the GEMM.
+//!
+//! There is no batch window to widen, so coalescing comes from load
+//! alone: each test releases its clients together from a `Barrier`, and
+//! whatever arrives while one batch runs rides in the next.
 
 use dc_serve::testutil::tiny_tenant_spec;
 use dc_serve::{engine, ServeConfig, Tenant};
-use std::sync::Arc;
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// A wide window and cap so concurrent submissions genuinely coalesce.
-fn tenant() -> Arc<Tenant> {
-    let cfg = ServeConfig::default()
-        .with_batch_window_us(20_000)
-        .with_batch_max(16);
-    Arc::new(tiny_tenant_spec("t", 0xbeef).build(&cfg).unwrap())
+/// Bursts the match test may spend before it must have seen one batch
+/// carrying two or more requests.
+const BURSTS: usize = 20;
+
+/// The tests share dc-obs's process-wide counters: one at a time, so the
+/// counts a test reads are its own.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A cap above every burst below, so a batch closes only when the batch
+/// before it finishes.
+fn tenant() -> Tenant {
+    let cfg = ServeConfig::default().with_batch_max(16);
+    tiny_tenant_spec("t", 0xbeef).build(&cfg).unwrap()
+}
+
+/// Run `call(i)` for every `i < n`, each on its own thread, all released
+/// at once from a barrier; results in index order.
+fn burst<R: Send>(n: usize, call: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let barrier = Barrier::new(n);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let (barrier, call) = (&barrier, &call);
+                s.spawn(move || {
+                    barrier.wait();
+                    call(i)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|s| s.to_bits()).collect()
 }
 
 #[test]
 fn batched_match_is_bitwise_equal_to_solo() {
+    let _serial = serial();
     dc_obs::set_enabled(true);
     let tenant = tenant();
     let n = tenant.rows();
@@ -37,72 +74,50 @@ fn batched_match_is_bitwise_equal_to_solo() {
     // Solo baseline: each workload alone, straight through the engine.
     let solo: Vec<Vec<u32>> = workloads
         .iter()
-        .map(|w| {
-            engine::match_pairs(&tenant.model(), tenant.table(), w)
-                .unwrap()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
-        })
+        .map(|w| bits(&engine::match_pairs(&tenant.model(), tenant.table(), w).unwrap()))
         .collect();
-    // Batched: all workloads concurrently, coalescing in the batcher.
-    let flushes_before = batch_flushes();
-    let handles: Vec<_> = workloads
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, w)| {
-            let t = tenant.clone();
-            std::thread::spawn(move || (i, t.match_pairs(w).unwrap()))
-        })
-        .collect();
-    let mut batched: Vec<Vec<u32>> = vec![Vec::new(); workloads.len()];
-    for h in handles {
-        let (i, scores) = h.join().unwrap();
-        batched[i] = scores.iter().map(|s| s.to_bits()).collect();
+    // Batched: all workloads at once, coalescing in the batcher, until
+    // some batch has mixed two or more requests.
+    let (surplus_before, waits_before) = (surplus(), batch_waits());
+    let mut submitted = 0;
+    for _ in 0..BURSTS {
+        let batched = burst(workloads.len(), |i| {
+            bits(&tenant.match_pairs(workloads[i].clone()).unwrap())
+        });
+        assert_eq!(batched, solo, "micro-batched scores must be bitwise solo");
+        submitted += workloads.len() as u64;
+        if surplus() > surplus_before {
+            break;
+        }
     }
-    assert_eq!(batched, solo, "micro-batched scores must be bitwise solo");
-    let flushed = batch_flushes() - flushes_before;
     assert!(
-        flushed < workloads.len() as u64,
-        "12 concurrent requests must coalesce into fewer batches (got {flushed})"
+        surplus() > surplus_before,
+        "{BURSTS} bursts of 12 concurrent requests never put two in one batch"
+    );
+    assert_eq!(
+        batch_waits() - waits_before,
+        submitted,
+        "serve.batch.wait times every request's submit → batch start"
     );
 }
 
 #[test]
 fn batched_encode_is_bitwise_equal_to_solo() {
+    let _serial = serial();
     let tenant = tenant();
     let n = tenant.rows();
     let workloads: Vec<Vec<usize>> = (0..10)
         .map(|c| (0..=(c % 3)).map(|j| (c * 5 + j) % n).collect())
         .collect();
+    let embed_bits =
+        |vecs: Vec<Vec<f32>>| -> Vec<Vec<u32>> { vecs.iter().map(|v| bits(v)).collect() };
     let solo: Vec<Vec<Vec<u32>>> = workloads
         .iter()
-        .map(|w| {
-            engine::encode_rows(&tenant.model(), tenant.table(), w)
-                .unwrap()
-                .iter()
-                .map(|v| v.iter().map(|s| s.to_bits()).collect())
-                .collect()
-        })
+        .map(|w| embed_bits(engine::encode_rows(&tenant.model(), tenant.table(), w).unwrap()))
         .collect();
-    let handles: Vec<_> = workloads
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, w)| {
-            let t = tenant.clone();
-            std::thread::spawn(move || (i, t.encode_rows(w).unwrap()))
-        })
-        .collect();
-    let mut batched: Vec<Vec<Vec<u32>>> = vec![Vec::new(); workloads.len()];
-    for h in handles {
-        let (i, vecs) = h.join().unwrap();
-        batched[i] = vecs
-            .iter()
-            .map(|v| v.iter().map(|s| s.to_bits()).collect())
-            .collect();
-    }
+    let batched = burst(workloads.len(), |i| {
+        embed_bits(tenant.encode_rows(workloads[i].clone()).unwrap())
+    });
     assert_eq!(
         batched, solo,
         "micro-batched embeddings must be bitwise solo"
@@ -111,49 +126,50 @@ fn batched_encode_is_bitwise_equal_to_solo() {
 
 #[test]
 fn a_malformed_request_cannot_poison_a_batch() {
+    let _serial = serial();
     let tenant = tenant();
     let n = tenant.rows();
     // One bad client among good ones: the bad one fails alone (it is
     // rejected before enqueue), every good one still gets solo-exact
     // scores.
     let good: Vec<(usize, usize)> = vec![(0, 1), (1, 2)];
-    let solo: Vec<u32> = engine::match_pairs(&tenant.model(), tenant.table(), &good)
-        .unwrap()
-        .iter()
-        .map(|s| s.to_bits())
-        .collect();
-    let handles: Vec<_> = (0..8)
-        .map(|c| {
-            let t = tenant.clone();
-            let good = good.clone();
-            std::thread::spawn(move || {
-                if c == 3 {
-                    Err(t.match_pairs(vec![(0, n + 10)]).unwrap_err())
-                } else {
-                    Ok(t.match_pairs(good).unwrap())
-                }
-            })
-        })
-        .collect();
-    for (c, h) in handles.into_iter().enumerate() {
-        match h.join().unwrap() {
+    let solo = bits(&engine::match_pairs(&tenant.model(), tenant.table(), &good).unwrap());
+    let replies = burst(8, |c| {
+        if c == 3 {
+            Err(tenant.match_pairs(vec![(0, n + 10)]).unwrap_err())
+        } else {
+            Ok(bits(&tenant.match_pairs(good.clone()).unwrap()))
+        }
+    });
+    for (c, reply) in replies.into_iter().enumerate() {
+        match reply {
             Err(e) => {
                 assert_eq!(c, 3);
                 assert_eq!(e.kind(), "invalid_input");
             }
-            Ok(scores) => {
-                let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
-                assert_eq!(bits, solo);
-            }
+            Ok(scores) => assert_eq!(scores, solo),
         }
     }
 }
 
-fn batch_flushes() -> u64 {
+/// `serve.batch.requests` − `serve.batch.flushes`: positive once some
+/// batch has carried two or more requests.
+fn surplus() -> u64 {
+    let report = dc_obs::report();
+    let counter = |name: &str| {
+        report
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    counter("serve.batch.requests") - counter("serve.batch.flushes")
+}
+
+fn batch_waits() -> u64 {
     dc_obs::report()
-        .counters
+        .timers
         .iter()
-        .find(|(name, _)| name == "serve.batch.flushes")
-        .map(|&(_, v)| v)
-        .unwrap_or(0)
+        .find(|t| t.name == "serve.batch.wait")
+        .map_or(0, |t| t.hist.count)
 }

@@ -16,8 +16,7 @@ use std::sync::Arc;
 fn concurrent_clients_get_solo_exact_answers_and_errors_dont_kill_it() {
     let cfg = ServeConfig::default()
         .with_addr("127.0.0.1:0")
-        .with_workers(4)
-        .with_batch_window_us(2_000);
+        .with_workers(4);
     let registry = Arc::new(Registry::new(cfg.max_tenants));
     let tenant = registry
         .insert(tiny_tenant_spec("acme", 99).build(&cfg).unwrap())
@@ -117,8 +116,7 @@ fn served_bits(body: &str) -> Vec<u32> {
 fn impute_search_index_and_hot_reload_answer_over_http() {
     let cfg = ServeConfig::default()
         .with_addr("127.0.0.1:0")
-        .with_workers(2)
-        .with_batch_window_us(200);
+        .with_workers(2);
     let registry = Arc::new(Registry::new(cfg.max_tenants));
     let tenant = registry
         .insert(demo_tenant_spec("demo", 7).build(&cfg).unwrap())
@@ -193,8 +191,7 @@ fn impute_search_index_and_hot_reload_answer_over_http() {
 fn fifty_mixed_requests_on_one_connection_never_stall() {
     let cfg = ServeConfig::default()
         .with_addr("127.0.0.1:0")
-        .with_workers(1)
-        .with_batch_window_us(200);
+        .with_workers(1);
     let registry = Arc::new(Registry::new(cfg.max_tenants));
     let tenant = registry
         .insert(tiny_tenant_spec("acme", 11).build(&cfg).unwrap())

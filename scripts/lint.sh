@@ -100,8 +100,14 @@ gates=(
     "== mutated LSH index (bulk-built or empty, then insert/delete/compact) vs full rebuild (proptest pair-set equality)"
     "once dc-index:inc_equiv"
 
+    "== dc-serve unit tests (batch-while-busy batcher, poisoned locks, connection loop)"
+    "run cargo test -q -p dc-serve --lib"
+
     "== micro-batch bitwise equivalence"
     "pool dc-serve:microbatch_equiv"
+
+    "== dc-serve batches while busy, not on a timer (no window knob, no timed wait)"
+    "run if git grep -nE 'wait_timeout|batch_window' -- crates/serve/src; then exit 1; fi"
 
     "== serve smoke (concurrent clients, malformed traffic stays non-fatal, every endpoint + hot reload over a live socket, 50 keep-alive requests on one connection in < 1 s)"
     "once dc-serve:server_smoke"
