@@ -1,37 +1,22 @@
-//! Record the ISSUE 3/8 retrieval-speedup snapshot into
-//! `BENCH_index.json`.
+//! Record the LSH blocking speedup snapshot into `BENCH_index.json`.
 //!
 //! ```sh
 //! cargo run --release -p dc-bench --bin bench_index            # full
 //! cargo run --release -p dc-bench --bin bench_index -- --smoke # gate
 //! ```
 //!
-//! `--smoke` shrinks every size so the equality assertions (funnel vs
-//! exact, indexed blocker vs seed bucketer) still run in CI without the
-//! wall-clock cost, and skips the JSON write.
+//! `--smoke` shrinks every size so the equality assertion (indexed
+//! blocker vs seed bucketer) still runs in CI without the wall-clock
+//! cost, and skips the JSON write.
 //!
-//! Three comparisons, seeded so reruns time the same work:
-//!
-//! * **LSH blocking** at n ∈ {1k, 10k}: the seed bucketer
-//!   (`dc_er::blocking::reference` — `Vec<bool>` signatures through a
-//!   `HashMap` per band, every pair into a `HashSet`) vs the
-//!   `dc_index`-backed `LshBlocker`, built from identical hyperplanes.
-//!   Pair-set equality is asserted at n=1k before timing.
-//! * **Cosine top-k** (k=10) at 10k items: the seed `knn::nearest`
-//!   shape (a `String` allocation per item, scalar `cosine` per item, a
-//!   full sort for a 10-item answer) vs a prebuilt
-//!   `dc_index::CosineIndex` query (one blocked mat-vec + bounded
-//!   heap). The one-off index build is recorded separately.
-//! * **Quantized retrieval funnel** (ISSUE 8, k=10) at 10k and 100k
-//!   items: the exact f32 scan vs the three-tier funnel (1-bit Hamming
-//!   prefilter → int8 scoring → exact rescore) on the same
-//!   `CosineIndex`. Bitwise hit equality is asserted for every query
-//!   before timing; per-tier resident bytes are recorded alongside the
-//!   ≥2× acceptance speedup at 100k.
+//! One comparison, seeded so reruns time the same work: **LSH
+//! blocking** at n ∈ {1k, 10k}, the seed bucketer
+//! (`dc_er::blocking::reference` — `Vec<bool>` signatures through a
+//! `HashMap` per band, every pair into a `HashSet`) vs the
+//! `dc_index`-backed `LshBlocker`, built from identical hyperplanes.
+//! Pair-set equality is asserted at n=1k before timing.
 
 use dc_er::blocking::{reference, LshBlocker};
-use dc_index::{CosineIndex, FunnelConfig};
-use dc_tensor::tensor::cosine;
 use dc_tensor::{kernel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,50 +39,10 @@ struct BlockingRecord {
 }
 
 #[derive(Serialize)]
-struct TopkRecord {
-    n: usize,
-    dim: usize,
-    k: usize,
-    queries: usize,
-    reps: usize,
-    brute_ms: f64,
-    indexed_query_ms: f64,
-    /// One-off cost of normalizing the item matrix.
-    index_build_ms: f64,
-    /// brute / indexed query — the ≥3× acceptance ratio.
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct FunnelRecord {
-    n: usize,
-    dim: usize,
-    k: usize,
-    queries: usize,
-    reps: usize,
-    prefilter_bits: usize,
-    hamming_keep: usize,
-    rescore_k: usize,
-    exact_ms: f64,
-    funnel_ms: f64,
-    /// One-off cost of building signatures + i8 codes.
-    funnel_build_ms: f64,
-    /// exact / funnel — the ≥2× acceptance ratio at n=100k.
-    speedup: f64,
-    /// Resident bytes per funnel tier (1-bit signatures, i8 codes +
-    /// scales, f32 rows). quant ≈ exact/4 is the memory acceptance.
-    sig_bytes: usize,
-    quant_bytes: usize,
-    exact_bytes: usize,
-}
-
-#[derive(Serialize)]
 struct Snapshot {
     description: &'static str,
     threads: usize,
     blocking: Vec<BlockingRecord>,
-    topk: TopkRecord,
-    funnel: Vec<FunnelRecord>,
     /// The full dc-obs report (tape per-op timings, pool occupancy,
     /// LSH candidate counters) when `DC_OBS` is set; `null` otherwise.
     obs: Option<serde::Value>,
@@ -121,17 +66,6 @@ fn random_vectors(n: usize, dim: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
     (0..n)
         .map(|_| Tensor::randn(1, dim, 1.0, rng).data)
         .collect()
-}
-
-/// The seed `knn::nearest` shape, verbatim: label allocation per item,
-/// scalar cosine, full descending sort, truncate to k.
-fn brute_topk(query: &[f32], labels: &[String], items: &Tensor, k: usize) -> Vec<(String, f32)> {
-    let mut scored: Vec<(String, f32)> = (0..items.rows)
-        .map(|i| (labels[i].to_string(), cosine(query, items.row_slice(i))))
-        .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
-    scored.truncate(k);
-    scored
 }
 
 fn main() {
@@ -189,148 +123,6 @@ fn main() {
         blocking.push(rec);
     }
 
-    let (n, dim, k, queries) = if smoke {
-        (2000usize, 64usize, 10usize, 4usize)
-    } else {
-        (10_000usize, 64usize, 10usize, 16usize)
-    };
-    let mut rng = StdRng::seed_from_u64(7);
-    let items = Tensor::randn(n, dim, 1.0, &mut rng);
-    let labels: Vec<String> = (0..n).map(|i| format!("item-{i}")).collect();
-    let query_vecs: Vec<Vec<f32>> = (0..queries)
-        .map(|_| Tensor::randn(1, dim, 1.0, &mut rng).data)
-        .collect();
-
-    let t0 = Instant::now();
-    let index = CosineIndex::build(&items);
-    let index_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Same winners before timing (brute keeps NaN-unsafe seed sort; the
-    // data is finite, so orders agree up to cosine rounding — compare
-    // the index sets).
-    for q in &query_vecs {
-        let brute: Vec<String> = brute_topk(q, &labels, &items, k)
-            .into_iter()
-            .map(|(l, _)| l)
-            .collect();
-        let indexed: Vec<&str> = index
-            .nearest(q, k)
-            .iter()
-            .map(|h| labels[h.index].as_str())
-            .collect();
-        let same = brute
-            .iter()
-            .filter(|l| indexed.contains(&l.as_str()))
-            .count();
-        assert!(
-            same + 1 >= k,
-            "top-{k} sets diverged beyond rounding: {brute:?} vs {indexed:?}"
-        );
-    }
-
-    let reps = if smoke { 3 } else { 9 };
-    let brute_ms = time_ms(reps, || {
-        for q in &query_vecs {
-            black_box(brute_topk(q, &labels, &items, k));
-        }
-    });
-    let indexed_query_ms = time_ms(reps, || {
-        for q in &query_vecs {
-            black_box(index.nearest(q, k));
-        }
-    });
-    let topk = TopkRecord {
-        n,
-        dim,
-        k,
-        queries,
-        reps,
-        brute_ms,
-        indexed_query_ms,
-        index_build_ms,
-        speedup: brute_ms / indexed_query_ms,
-    };
-    eprintln!(
-        "topk n={n} k={k}: brute {brute_ms:.2}ms  indexed {indexed_query_ms:.2}ms ({:.2}x; build {index_build_ms:.2}ms)",
-        topk.speedup
-    );
-
-    // Quantized funnel vs exact scan on the same CosineIndex. Hit
-    // equality is bitwise (index AND score): the funnel's tier-3
-    // rescore shares the exact scan's dot kernel and top-k order, so
-    // any divergence is a recall bug, not rounding.
-    let funnel_ns: &[usize] = if smoke { &[2000] } else { &[10_000, 100_000] };
-    let (k, queries) = (10usize, if smoke { 4usize } else { 16 });
-    let mut funnel_records = Vec::new();
-    for &n in funnel_ns {
-        let mut rng = StdRng::seed_from_u64(99);
-        let items = Tensor::randn(n, dim, 1.0, &mut rng);
-        let query_vecs: Vec<Vec<f32>> = (0..queries)
-            .map(|_| Tensor::randn(1, dim, 1.0, &mut rng).data)
-            .collect();
-        // Default budgets; in smoke the set is small enough that the
-        // defaults would fall through, so tighten them to keep every
-        // tier engaged in the CI gate.
-        let cfg = if smoke {
-            FunnelConfig::default()
-                .with_hamming_keep(n / 4)
-                .with_rescore_k(64)
-        } else {
-            FunnelConfig::default()
-        };
-        let exact = CosineIndex::build(&items);
-        let t0 = Instant::now();
-        let funnel = CosineIndex::build_funnel(&items, cfg);
-        let funnel_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-        for (qi, q) in query_vecs.iter().enumerate() {
-            let want = exact.nearest_exact(q, k);
-            let got = funnel.nearest(q, k);
-            assert_eq!(want.len(), got.len(), "query {qi} at n={n}");
-            for (w, g) in want.iter().zip(&got) {
-                assert!(
-                    w.index == g.index && w.score.to_bits() == g.score.to_bits(),
-                    "query {qi} at n={n}: funnel diverged from exact scan"
-                );
-            }
-        }
-        let reps = if smoke { 3 } else { 9 };
-        let exact_ms = time_ms(reps, || {
-            for q in &query_vecs {
-                black_box(exact.nearest_exact(q, k));
-            }
-        });
-        let funnel_ms = time_ms(reps, || {
-            for q in &query_vecs {
-                black_box(funnel.nearest(q, k));
-            }
-        });
-        let bytes = funnel.resident_bytes();
-        let rec = FunnelRecord {
-            n,
-            dim,
-            k,
-            queries,
-            reps,
-            prefilter_bits: cfg.prefilter_bits,
-            hamming_keep: cfg.hamming_keep,
-            rescore_k: cfg.rescore_k,
-            exact_ms,
-            funnel_ms,
-            funnel_build_ms,
-            speedup: exact_ms / funnel_ms,
-            sig_bytes: bytes.sig,
-            quant_bytes: bytes.quant,
-            exact_bytes: bytes.exact,
-        };
-        eprintln!(
-            "funnel n={n:6} k={k}: exact {exact_ms:.2}ms  funnel {funnel_ms:.2}ms ({:.2}x; quant {:.1}MB vs f32 {:.1}MB)",
-            rec.speedup,
-            bytes.quant as f64 / 1e6,
-            bytes.exact as f64 / 1e6,
-        );
-        funnel_records.push(rec);
-    }
-
     // With DC_OBS set, run a short MLP fit so the report carries tape
     // fwd/bwd timings next to the pool and index counters, then embed
     // the report in the snapshot and echo it to stdout.
@@ -355,15 +147,14 @@ fn main() {
     });
 
     let snapshot = Snapshot {
-        description: "LSH blocking candidates (seed bucketer vs dc-index) at 1k/10k, cosine top-10 at 10k items (seed scan vs CosineIndex), and quantized funnel vs exact scan at 10k/100k; min ms over reps",
+        description:
+            "LSH blocking candidates (seed bucketer vs dc-index) at 1k/10k; min ms over reps",
         threads: kernel::pool().threads(),
         blocking,
-        topk,
-        funnel: funnel_records,
         obs,
     };
     if smoke {
-        eprintln!("smoke mode: all equality assertions passed, skipping BENCH_index.json");
+        eprintln!("smoke mode: the pair-set equality assertion passed, skipping BENCH_index.json");
         return;
     }
     let json = serde_json::to_string(&snapshot).expect("serialize snapshot");

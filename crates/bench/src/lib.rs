@@ -6,8 +6,8 @@
 //! `EXPERIMENTS.md` for recorded results).
 //!
 //! Each module exposes `run(scale) -> Vec<ExperimentTable>`; the
-//! `report` binary prints them as markdown. Criterion benches under
-//! `benches/` time the hot kernels behind the same code paths.
+//! `report` binary prints them as markdown. The `bench_*` binaries
+//! record the per-layer `BENCH_*.json` snapshots.
 
 pub mod autoencoders;
 pub mod cleaning;

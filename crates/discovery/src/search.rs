@@ -8,24 +8,13 @@
 //! expands top results with thematically related tables.
 
 use crate::ekg::Ekg;
+use dc_core::{DcError, DcResult};
 use dc_embed::Embeddings;
-use dc_index::{desc_nan_last, i32_goodness, topk_scores, Order, QuantizedSet, SignatureSet, TopK};
+use dc_index::{desc_nan_last, topk_scores, Order};
 use dc_relational::tokenize::tokenize;
 use dc_relational::Table;
-use dc_tensor::kernel::dot_i8;
 use dc_tensor::tensor::cosine;
-use dc_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
-
-/// Sign bits per table-centroid signature in the [`NeuralSearch`]
-/// prefilter — one `u64` word.
-const PREFILTER_BITS: usize = 64;
-
-/// Fixed seed for the prefilter hyperplanes: the shortlist must not
-/// depend on ambient RNG state, only on the indexed tables.
-const PREFILTER_SEED: u64 = 0xd15c_05e6;
 
 /// Embedding-based table search.
 ///
@@ -36,33 +25,18 @@ const PREFILTER_SEED: u64 = 0xd15c_05e6;
 /// vectors are not — averaging hundreds of one-off value tokens drowns
 /// the few informative ones, while per-token max pooling keeps them.
 ///
-/// [`NeuralSearch::search`] rescopes every table; at lake scale use
-/// [`NeuralSearch::search_topk`], which prefilters to a Hamming-nearest
-/// shortlist over bit-packed table-centroid signatures (built once at
-/// index time through [`dc_index`]) and pays the full interaction score
-/// only for the shortlist.
+/// [`NeuralSearch::search`] ranks every table;
+/// [`NeuralSearch::search_topk`] keeps the best `k` of the same exact
+/// scores through [`dc_index::topk_scores`].
 pub struct NeuralSearch {
     emb: Embeddings,
     table_token_ids: Vec<Vec<usize>>,
-    /// Hyperplanes behind the centroid signatures (`PREFILTER_BITS×dim`).
-    sig_planes: Tensor,
-    /// Mean table centroid; signatures are of centered centroids
-    /// (centroids cluster in one orthant, where raw signs carry no
-    /// information — same trick as `dc_er::blocking`).
-    centroid_mean: Vec<f32>,
-    /// Bit-packed signature per table.
-    table_sigs: SignatureSet,
-    /// Int8-quantized centered centroids (per-column scales) — the
-    /// middle tier of the retrieval funnel in
-    /// [`NeuralSearch::search_topk`].
-    centroid_quant: QuantizedSet,
 }
 
 impl NeuralSearch {
     /// Index tables under the given (word-level) embeddings, keeping
     /// per-table deduplicated token sets (name, column names, sampled
-    /// values) plus a bit-packed centroid signature for the
-    /// [`NeuralSearch::search_topk`] prefilter.
+    /// values).
     pub fn index(emb: Embeddings, tables: &[&Table], values_per_column: usize) -> Self {
         // All-but-the-top: strip the common direction so token cosines
         // discriminate (see dc_embed::Embeddings::postprocessed).
@@ -79,56 +53,9 @@ impl NeuralSearch {
                 ids
             })
             .collect();
-
-        let dim = emb.dim();
-        let n = table_token_ids.len();
-        // Table-token incidence as a unit-value CSR over the vocabulary
-        // (row i flags table i's token ids, already sorted ascending).
-        // centroid sums become one CSR×dense matmul that runs
-        // row-parallel over the shared pool; unit values (`1.0 * x`)
-        // accumulated in ascending id order keep every sum bitwise
-        // equal to the serial per-table `centroid_into` loop.
-        let centroids = table_incidence_csr(&table_token_ids, emb.vectors.rows);
-        let mut centroids = centroids.matmul_dense(&emb.vectors).data;
-        for (i, tids) in table_token_ids.iter().enumerate() {
-            if !tids.is_empty() {
-                let inv = 1.0 / tids.len() as f32;
-                centroids[i * dim..(i + 1) * dim]
-                    .iter_mut()
-                    .for_each(|x| *x *= inv);
-            }
-        }
-        let mut centroid_mean = vec![0.0f32; dim];
-        if n > 0 {
-            for row in centroids.chunks_exact(dim) {
-                for (m, &x) in centroid_mean.iter_mut().zip(row) {
-                    *m += x;
-                }
-            }
-            let inv = 1.0 / n as f32;
-            centroid_mean.iter_mut().for_each(|m| *m *= inv);
-        }
-        for row in centroids.chunks_exact_mut(dim) {
-            for (x, &m) in row.iter_mut().zip(&centroid_mean) {
-                *x -= m;
-            }
-        }
-        let sig_planes = Tensor::randn(
-            PREFILTER_BITS,
-            dim,
-            1.0,
-            &mut StdRng::seed_from_u64(PREFILTER_SEED),
-        );
-        let centroids = Tensor::from_vec(n, dim, centroids);
-        let table_sigs = SignatureSet::compute(&centroids, &sig_planes);
-        let centroid_quant = QuantizedSet::build(&centroids);
         NeuralSearch {
             emb,
             table_token_ids,
-            sig_planes,
-            centroid_mean,
-            table_sigs,
-            centroid_quant,
         }
     }
 
@@ -179,105 +106,26 @@ impl NeuralSearch {
         scored
     }
 
-    /// The top `k` tables for a query, rescoring only a `shortlist` of
-    /// candidates that survive the retrieval funnel: a Hamming-nearest
-    /// prefilter over 1-bit centroid signatures keeps a 4×-widened
-    /// pool, an int8 quantized centroid dot narrows it to the
-    /// shortlist, and only the shortlist pays the full interaction
-    /// score. With `shortlist >= table count` (or an out-of-vocabulary
-    /// query) this is exact: identical tables, scores and order to
-    /// [`NeuralSearch::search`] truncated to `k`.
-    pub fn search_topk(&self, query: &str, k: usize, shortlist: usize) -> Vec<(usize, f32)> {
-        self.try_search_topk(query, k, shortlist)
-            .unwrap_or_else(|e| panic!("NeuralSearch::search_topk: {e}"))
-    }
-
-    /// [`Self::search_topk`] with a structured error instead of a panic
-    /// on degenerate parameters — the service-facing entry (dc-serve
-    /// returns it as a 4xx). An out-of-vocabulary query is *not* an
-    /// error: it ranks everything at −1, same as [`Self::search`].
-    pub fn try_search_topk(
-        &self,
-        query: &str,
-        k: usize,
-        shortlist: usize,
-    ) -> dc_core::DcResult<Vec<(usize, f32)>> {
+    /// The top `k` tables for a query: identical tables, scores and
+    /// order to [`NeuralSearch::search`] truncated to `k`. Degenerate
+    /// parameters are structured errors (dc-serve returns them as a
+    /// 4xx); an out-of-vocabulary query is *not* an error: it ranks
+    /// everything at −1, same as [`Self::search`].
+    pub fn search_topk(&self, query: &str, k: usize) -> DcResult<Vec<(usize, f32)>> {
         if k == 0 {
-            return Err(dc_core::DcError::invalid("search: k must be at least 1"));
+            return Err(DcError::invalid("search: k must be at least 1"));
         }
         if self.table_token_ids.is_empty() {
-            return Err(dc_core::DcError::not_found("search: no tables indexed"));
+            return Err(DcError::not_found("search: no tables indexed"));
         }
         let qids = self.query_ids(query);
         let n = self.table_token_ids.len();
-        if qids.is_empty() || shortlist >= n {
-            return Ok(
-                topk_scores(n, k, Order::Largest, |i| self.interaction_score(i, &qids))
-                    .into_iter()
-                    .map(|h| (h.index, h.score))
-                    .collect(),
-            );
-        }
-        let qc = self.centered_query_centroid(&qids);
-        let keep = shortlist.max(k);
-        let widen = keep.saturating_mul(4).min(n);
-        // Tier 1: 1-bit Hamming prefilter, skipped when it cannot narrow.
-        let cands: Vec<usize> = if widen < n {
-            let qsig = self.query_signature(&qc);
-            let mut pre = TopK::smallest(widen);
-            for i in 0..n {
-                // Hamming ≤ PREFILTER_BITS, exactly representable in f32.
-                pre.push(i, self.table_sigs.hamming_to(i, &qsig) as f32);
-            }
-            pre.into_sorted().into_iter().map(|h| h.index).collect()
-        } else {
-            (0..n).collect()
-        };
-        // Tier 2: int8 centroid dot narrows the pool to the shortlist
-        // (exact integer goodness keys — no f32 tie collapse).
-        let cands: Vec<usize> = if cands.len() > keep {
-            let (t, qq) = self.centroid_quant.quantize_query(&qc);
-            let mut mid = TopK::largest(keep);
-            for &i in &cands {
-                let d = dot_i8(self.centroid_quant.row(i), &qq);
-                mid.push_with_goodness(i, i32_goodness(d), t * d as f32);
-            }
-            mid.into_sorted().into_iter().map(|h| h.index).collect()
-        } else {
-            cands
-        };
-        // Tier 3: exact interaction rescore of the survivors.
-        let mut top = TopK::largest(k);
-        for i in cands {
-            top.push(i, self.interaction_score(i, &qids));
-        }
-        Ok(top
-            .into_sorted()
-            .into_iter()
-            .map(|h| (h.index, h.score))
-            .collect())
-    }
-
-    /// Mean query-token vector, centered like the table centroids — the
-    /// shared query representation of funnel tiers 1 and 2.
-    fn centered_query_centroid(&self, qids: &[usize]) -> Vec<f32> {
-        let dim = self.emb.dim();
-        let mut centroid = vec![0.0f32; dim];
-        centroid_into(&self.emb, qids, &mut centroid);
-        for (x, &m) in centroid.iter_mut().zip(&self.centroid_mean) {
-            *x -= m;
-        }
-        centroid
-    }
-
-    /// Bit-packed signature of a centered query centroid.
-    fn query_signature(&self, centroid: &[f32]) -> Vec<u64> {
-        let dim = self.emb.dim();
-        let sig = SignatureSet::compute(
-            &Tensor::from_vec(1, dim, centroid.to_vec()),
-            &self.sig_planes,
-        );
-        sig.sig(0).to_vec()
+        Ok(
+            topk_scores(n, k, Order::Largest, |i| self.interaction_score(i, &qids))
+                .into_iter()
+                .map(|h| (h.index, h.score))
+                .collect(),
+        )
     }
 
     /// Search, then expand each of the top `k` results with tables the
@@ -318,32 +166,6 @@ pub fn search_documents(tables: &[&Table], values_per_column: usize) -> Vec<Vec<
         }
     }
     docs
-}
-
-/// Unit-value CSR of sorted, deduplicated token-id sets: one row per
-/// table, one `1.0` per token the table contains.
-fn table_incidence_csr(table_token_ids: &[Vec<usize>], vocab: usize) -> dc_data::Csr {
-    let mut b = dc_data::CsrBuilder::new(vocab);
-    for tids in table_token_ids {
-        b.push_row(tids.iter().map(|&t| (t as u32, 1.0)));
-    }
-    b.finish()
-}
-
-/// Mean of the embedding vectors of `ids`, written into `out`
-/// (all-zero when `ids` is empty).
-fn centroid_into(emb: &Embeddings, ids: &[usize], out: &mut [f32]) {
-    out.fill(0.0);
-    if ids.is_empty() {
-        return;
-    }
-    for &id in ids {
-        for (o, &x) in out.iter_mut().zip(emb.vectors.row_slice(id)) {
-            *o += x;
-        }
-    }
-    let inv = 1.0 / ids.len() as f32;
-    out.iter_mut().for_each(|o| *o *= inv);
 }
 
 fn table_tokens(t: &Table, values_per_column: usize) -> Vec<String> {
@@ -447,20 +269,14 @@ impl Bm25Lite {
     /// with zero-scoring docs (ascending id) if fewer than `k` match —
     /// exactly the head of [`Bm25Lite::search`], since BM25 scores of
     /// matching docs are strictly positive and all others are 0.
-    pub fn search_topk(&self, query: &str, k: usize) -> Vec<(usize, f64)> {
-        self.try_search_topk(query, k)
-            .unwrap_or_else(|e| panic!("Bm25Lite::search_topk: {e}"))
-    }
-
-    /// [`Self::search_topk`] with a structured error instead of a panic
-    /// on degenerate parameters — the service-facing entry (dc-serve
-    /// returns it as a 4xx).
-    pub fn try_search_topk(&self, query: &str, k: usize) -> dc_core::DcResult<Vec<(usize, f64)>> {
+    /// Degenerate parameters are structured errors (dc-serve returns
+    /// them as a 4xx).
+    pub fn search_topk(&self, query: &str, k: usize) -> DcResult<Vec<(usize, f64)>> {
         if k == 0 {
-            return Err(dc_core::DcError::invalid("search: k must be at least 1"));
+            return Err(DcError::invalid("search: k must be at least 1"));
         }
         if self.n == 0 {
-            return Err(dc_core::DcError::not_found("search: no tables indexed"));
+            return Err(DcError::not_found("search: no tables indexed"));
         }
         let qtokens = tokenize(query);
         let mut candidates: Vec<u32> = qtokens
@@ -630,40 +446,19 @@ mod tests {
     }
 
     #[test]
-    fn neural_search_topk_exact_path_matches_full_search() {
+    fn neural_search_topk_matches_full_search_head() {
         let (lake, neural, _) = lake_and_search();
         let n = lake.tables.len();
         for (q, _) in lake.search_queries().iter().take(4) {
             let full = neural.search(q);
-            // shortlist >= n → exact: same tables, scores and order.
-            let top = neural.search_topk(q, 5, n);
-            assert_eq!(top.len(), 5.min(n));
-            for (got, want) in top.iter().zip(&full) {
-                assert_eq!(got.0, want.0, "query {q}");
-                assert_eq!(got.1.to_bits(), want.1.to_bits(), "query {q}");
+            for k in [1, 3, 5, n] {
+                let top = neural.search_topk(q, k).unwrap();
+                assert_eq!(top.len(), k.min(n));
+                for (got, want) in top.iter().zip(&full) {
+                    assert_eq!(got.0, want.0, "query {q}, k {k}");
+                    assert_eq!(got.1.to_bits(), want.1.to_bits(), "query {q}, k {k}");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn neural_prefilter_shortlist_is_deterministic_and_bounded() {
-        let (lake, neural, _) = lake_and_search();
-        let n = lake.tables.len();
-        let (q, _) = &lake.search_queries()[0];
-        let a = neural.search_topk(q, 3, n / 2);
-        let b = neural.search_topk(q, 3, n / 2);
-        assert_eq!(a, b, "prefiltered search must be deterministic");
-        assert_eq!(a.len(), 3);
-        let valid: Vec<bool> = a.iter().map(|&(i, _)| i < n).collect();
-        assert!(valid.iter().all(|&v| v));
-        // Scores come from the same interaction scorer as full search.
-        let full: std::collections::HashMap<usize, u32> = neural
-            .search(q)
-            .into_iter()
-            .map(|(i, s)| (i, s.to_bits()))
-            .collect();
-        for (i, s) in &a {
-            assert_eq!(full[i], s.to_bits());
         }
     }
 
@@ -673,7 +468,7 @@ mod tests {
         for (q, _) in lake.search_queries().iter().take(4) {
             let full = bm25.search(q);
             for k in [1, 3, 8, lake.tables.len()] {
-                let top = bm25.search_topk(q, k);
+                let top = bm25.search_topk(q, k).unwrap();
                 assert_eq!(top.len(), k.min(lake.tables.len()));
                 for (got, want) in top.iter().zip(&full) {
                     assert_eq!(got.0, want.0, "query {q}, k {k}");
@@ -687,45 +482,22 @@ mod tests {
     fn degenerate_search_params_are_structured_errors() {
         let (_, neural, bm25) = lake_and_search();
         assert_eq!(
-            neural.try_search_topk("city", 0, 8).unwrap_err().kind(),
+            neural.search_topk("city", 0).unwrap_err().kind(),
             "invalid_input"
         );
         assert_eq!(
-            bm25.try_search_topk("city", 0).unwrap_err().kind(),
+            bm25.search_topk("city", 0).unwrap_err().kind(),
             "invalid_input"
-        );
-        // Valid params round-trip through the fallible path unchanged.
-        assert_eq!(
-            neural.try_search_topk("city", 3, 100).unwrap(),
-            neural.search_topk("city", 3, 100)
         );
         let empty = Bm25Lite::index(&[], 5);
         assert_eq!(
-            empty.try_search_topk("city", 3).unwrap_err().kind(),
+            empty.search_topk("city", 3).unwrap_err().kind(),
             "not_found"
         );
-    }
-
-    #[test]
-    fn csr_centroid_build_matches_serial_centroid_into() {
-        let (_, neural, _) = lake_and_search();
-        let dim = neural.emb.dim();
-        let csr = table_incidence_csr(&neural.table_token_ids, neural.emb.vectors.rows);
-        let mut sparse = csr.matmul_dense(&neural.emb.vectors).data;
-        let mut serial = vec![0.0f32; neural.table_token_ids.len() * dim];
-        for (i, tids) in neural.table_token_ids.iter().enumerate() {
-            centroid_into(&neural.emb, tids, &mut serial[i * dim..(i + 1) * dim]);
-            if !tids.is_empty() {
-                let inv = 1.0 / tids.len() as f32;
-                sparse[i * dim..(i + 1) * dim]
-                    .iter_mut()
-                    .for_each(|x| *x *= inv);
-            }
-        }
+        let empty = NeuralSearch::index(neural.emb.clone(), &[], 5);
         assert_eq!(
-            sparse.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "CSR centroid build must be bitwise-equal to the serial loop"
+            empty.search_topk("city", 3).unwrap_err().kind(),
+            "not_found"
         );
     }
 

@@ -8,7 +8,7 @@
 //! trade-off: reduction ratio vs pair completeness, LSH over embeddings
 //! against token blocking and single-attribute key blocking.
 
-use dc_index::{LshConfig, LshIndex, QuantizedSet};
+use dc_index::{LshConfig, LshIndex};
 use dc_tensor::Tensor;
 use rand::rngs::StdRng;
 use std::collections::{HashMap, HashSet};
@@ -39,11 +39,6 @@ pub struct LshBlocker {
     pub rows_per_band: usize,
     /// Near-boundary bits probed per tuple per band (0 = exact banding).
     pub probes: usize,
-    /// Optional cap on the candidate set size: when the banded pair set
-    /// exceeds it, pairs are ranked by the int8 quantized dot of their
-    /// centered tuple embeddings and only the most similar survive
-    /// (see [`LshBlocker::with_max_candidates`]).
-    pub max_candidates: Option<usize>,
 }
 
 impl LshBlocker {
@@ -66,7 +61,6 @@ impl LshBlocker {
             bands,
             rows_per_band,
             probes: 0,
-            max_candidates: None,
         }
     }
 
@@ -75,20 +69,6 @@ impl LshBlocker {
     /// sign bits. Candidates become a superset of the exact-band set.
     pub fn with_probes(mut self, probes: usize) -> Self {
         self.probes = probes;
-        self
-    }
-
-    /// Cap the candidate set at `cap` pairs. When banding emits more,
-    /// pairs are ranked by the integer dot of the tuples' int8
-    /// quantized centered embeddings — a *uniform* scale quantization
-    /// ([`QuantizedSet::build_uniform`]), since per-column scales
-    /// reweight dimensions and would not order row–row dots faithfully
-    /// — and only the `cap` most similar pairs survive (ties break
-    /// toward the lexicographically smaller pair, so the result is
-    /// deterministic). Matcher cost downstream becomes bounded even on
-    /// skewed inputs where a hot bucket would otherwise emit O(n²).
-    pub fn with_max_candidates(mut self, cap: usize) -> Self {
-        self.max_candidates = Some(cap);
         self
     }
 
@@ -145,20 +125,7 @@ impl LshBlocker {
             },
         )
         .expect("plane count asserted by from_planes");
-        let pairs = index.candidate_pairs();
-        match self.max_candidates {
-            Some(cap) if pairs.len() > cap => {
-                let quant = QuantizedSet::build_uniform(&items);
-                let mut scored: Vec<(usize, usize, i32)> = pairs
-                    .into_iter()
-                    .map(|(i, j)| (i, j, quant.pair_dot(i, j)))
-                    .collect();
-                scored.sort_unstable_by_key(|&(i, j, d)| (std::cmp::Reverse(d), i, j));
-                scored.truncate(cap);
-                scored.into_iter().map(|(i, j, _)| (i, j)).collect()
-            }
-            _ => pairs.into_iter().collect(),
-        }
+        index.candidate_pairs().into_iter().collect()
     }
 }
 
@@ -334,7 +301,7 @@ pub fn blocking_quality(
     truth: &[(usize, usize)],
     n: usize,
 ) -> BlockingQuality {
-    let all_pairs = n * (n - 1) / 2;
+    let all_pairs = n * n.saturating_sub(1) / 2;
     let found = truth
         .iter()
         .filter(|&&(a, b)| candidates.contains(&(a.min(b), a.max(b))))
@@ -461,29 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn max_candidates_caps_deterministically_within_banded_set() {
-        let (_, vectors, mut rng) = setup();
-        let blocker = LshBlocker::new(16, 8, 4, &mut rng);
-        let full = blocker.candidates(&vectors);
-        assert!(full.len() > 4, "need a non-trivial pair set to cap");
-        let cap = full.len() / 2;
-        let capped = blocker
-            .clone()
-            .with_max_candidates(cap)
-            .candidates(&vectors);
-        assert_eq!(capped.len(), cap);
-        assert!(capped.is_subset(&full), "cap must only drop pairs");
-        let again = blocker
-            .clone()
-            .with_max_candidates(cap)
-            .candidates(&vectors);
-        assert_eq!(capped, again, "quantized ranking must be deterministic");
-        // A cap at (or above) the banded size changes nothing.
-        let loose = blocker.with_max_candidates(full.len()).candidates(&vectors);
-        assert_eq!(loose, full);
-    }
-
-    #[test]
     fn empty_and_singleton_inputs_yield_no_pairs() {
         let mut rng = StdRng::seed_from_u64(3);
         let blocker = LshBlocker::new(4, 2, 2, &mut rng);
@@ -499,5 +443,10 @@ mod tests {
         assert_eq!(q.reduction_ratio, 1.0);
         let q2 = blocking_quality(&empty, &[(0, 1)], 10);
         assert_eq!(q2.pair_completeness, 0.0);
+        // Tables too small to hold a pair have nothing to reduce.
+        for n in [0, 1] {
+            let q = blocking_quality(&empty, &[], n);
+            assert_eq!((q.reduction_ratio, q.pair_completeness), (0.0, 1.0));
+        }
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! * [`sig`] — bit-packed random-hyperplane sign signatures: `u64`
 //!   words instead of `Vec<bool>`, computed as one blocked matrix
-//!   product through [`dc_tensor::kernel`] and compared by
-//!   `XOR`/`count_ones` Hamming distance.
+//!   product through [`dc_tensor::kernel`] and sliced into band keys.
 //! * [`lsh`] — banded inverted buckets over those signatures, keyed by
 //!   `u64` band words: one [`LshIndex`] that is bulk-built for batch
 //!   blocking and takes inserts, tombstone deletes and compactions for
@@ -20,16 +19,10 @@
 //!   fewer bands.
 //! * [`topk`] — a binary-heap [`topk::TopK`] selector under a *total*
 //!   score order (NaN sinks last, ties break toward the lower index)
-//!   plus a chunked parallel scan over the shared worker pool and a
-//!   pre-normalized [`topk::CosineIndex`] for exact cosine top-k.
-//! * [`quant`] — symmetric int8 quantized rows ([`quant::QuantizedSet`],
-//!   per-column or uniform scales) scored through the integer
-//!   [`dc_tensor::kernel::dot_i8`] kernel. Together with [`sig`] and the
-//!   exact scan this forms the three-tier retrieval funnel on
-//!   [`topk::CosineIndex`] (1-bit Hamming prefilter → i8 approximate
-//!   scoring → exact f32 rescore): ~4× less resident memory than f32
-//!   rows for the scored tier, with API results bitwise identical to
-//!   the exact scan (DESIGN.md §15).
+//!   plus [`topk::topk_scores`], its chunked parallel scan over the
+//!   shared worker pool. Every top-k in the workspace (SGNS
+//!   `most_similar`, kNN imputation, table search) is this exact scan:
+//!   nothing narrows the candidates first (DESIGN.md §19).
 //!
 //! # Determinism
 //!
@@ -42,13 +35,9 @@
 //! `=2`, and the default to enforce this.
 
 pub mod lsh;
-pub mod quant;
 pub mod sig;
 pub mod topk;
 
 pub use lsh::{LshConfig, LshIndex};
-pub use quant::{i32_goodness, QuantizedSet};
 pub use sig::{sign_scores, SignatureSet};
-pub use topk::{
-    desc_nan_last, topk_scan, topk_scores, CosineIndex, FunnelBytes, FunnelConfig, Hit, Order, TopK,
-};
+pub use topk::{desc_nan_last, topk_scores, Hit, Order, TopK};

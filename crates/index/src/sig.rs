@@ -6,8 +6,8 @@
 //! vectorization; here the whole score matrix is one blocked
 //! [`dc_tensor::kernel::matmul_t`] call (SIMD-dispatched, pool-parallel
 //! above the kernel threshold, bitwise identical for every thread
-//! count) and the signs are packed 64 per `u64` word, so Hamming
-//! distance is `XOR` + `count_ones` over a handful of words.
+//! count) and the signs are packed 64 per `u64` word, so a band key is
+//! a shift and a mask over a handful of words.
 
 use dc_tensor::kernel;
 use dc_tensor::Tensor;
@@ -123,11 +123,6 @@ impl SignatureSet {
         self.nbits
     }
 
-    /// `u64` words per signature.
-    pub fn words_per_sig(&self) -> usize {
-        self.words_per_sig
-    }
-
     /// The packed words of signature `i`.
     #[inline]
     pub fn sig(&self, i: usize) -> &[u64] {
@@ -139,137 +134,6 @@ impl SignatureSet {
     pub fn bit(&self, i: usize, j: usize) -> bool {
         debug_assert!(j < self.nbits);
         self.sig(i)[j / 64] >> (j % 64) & 1 == 1
-    }
-
-    /// Hamming distance between signatures `i` and `j`.
-    #[inline]
-    pub fn hamming(&self, i: usize, j: usize) -> u32 {
-        self.sig(i)
-            .iter()
-            .zip(self.sig(j))
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum()
-    }
-
-    /// Hamming distance between signature `i` and a foreign packed
-    /// signature (e.g. a query from another [`SignatureSet`] with the
-    /// same plane count).
-    #[inline]
-    pub fn hamming_to(&self, i: usize, other: &[u64]) -> u32 {
-        debug_assert_eq!(other.len(), self.words_per_sig);
-        self.sig(i)
-            .iter()
-            .zip(other)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum()
-    }
-
-    /// Hamming distances of signatures `lo..hi` against a foreign
-    /// packed signature, appended to `out` as `u16` (funnel signatures
-    /// stay far below `u16::MAX` bits). Equivalent to calling
-    /// [`Self::hamming_to`] per index; on x86-64 the 256-bit (4-word)
-    /// layout dispatches to an AVX2 vpshufb nibble-LUT popcount — one
-    /// ymm XOR + two table lookups per signature instead of four
-    /// sequential POPCNTs — and other widths get the loop recompiled
-    /// inside a `#[target_feature(enable = "popcnt")]` wrapper so
-    /// `count_ones` lowers to the POPCNT instruction instead of the
-    /// baseline bit-twiddling expansion. Popcount is an integer op, so
-    /// every lane is exactly equal and the funnel's candidate set
-    /// cannot depend on the host CPU.
-    pub fn hamming_range_into(&self, lo: usize, hi: usize, other: &[u64], out: &mut Vec<u16>) {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if self.words_per_sig == 4 && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was verified at runtime on the
-                // line above.
-                unsafe { self.hamming_range_avx2(lo, hi, other, out) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("popcnt") {
-                // SAFETY: POPCNT support was verified at runtime on the
-                // line above; the wrapper body is otherwise safe code.
-                unsafe { self.hamming_range_popcnt(lo, hi, other, out) };
-                return;
-            }
-        }
-        self.hamming_range_body(lo, hi, other, out);
-    }
-
-    /// 256-bit signatures as one ymm row each: XOR against the query,
-    /// count bits per byte via the classic vpshufb nibble lookup, and
-    /// reduce with `psadbw`. Bitwise the same distances as
-    /// [`Self::hamming_to`].
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hamming_range_avx2(&self, lo: usize, hi: usize, other: &[u64], out: &mut Vec<u16>) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(self.words_per_sig, 4);
-        debug_assert_eq!(other.len(), 4);
-        let words = &self.words[lo * 4..hi * 4];
-        out.reserve(hi - lo);
-        // SAFETY: `other` holds exactly 4 u64 = 32 bytes; unaligned load.
-        let q = unsafe { _mm256_loadu_si256(other.as_ptr().cast()) };
-        #[rustfmt::skip]
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_nibbles = _mm256_set1_epi8(0x0f);
-        for row in words.chunks_exact(4) {
-            // SAFETY: `chunks_exact(4)` guarantees 4 u64 = 32 readable
-            // bytes at `row`; unaligned load.
-            let v = unsafe { _mm256_loadu_si256(row.as_ptr().cast()) };
-            let x = _mm256_xor_si256(v, q);
-            let lo4 = _mm256_and_si256(x, low_nibbles);
-            let hi4 = _mm256_and_si256(_mm256_srli_epi16::<4>(x), low_nibbles);
-            // Per-byte bit counts (each ≤ 8, sums ≤ 16: no byte overflow),
-            // then psadbw folds the 32 bytes into four u64 lanes.
-            let cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo4), _mm256_shuffle_epi8(lut, hi4));
-            let sad = _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-            let s = _mm_add_epi64(
-                _mm256_castsi256_si128(sad),
-                _mm256_extracti128_si256::<1>(sad),
-            );
-            let d = _mm_cvtsi128_si64(s) + _mm_extract_epi64::<1>(s);
-            out.push(d as u16);
-        }
-    }
-
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    #[target_feature(enable = "popcnt")]
-    unsafe fn hamming_range_popcnt(&self, lo: usize, hi: usize, other: &[u64], out: &mut Vec<u16>) {
-        self.hamming_range_body(lo, hi, other, out);
-    }
-
-    #[inline(always)]
-    fn hamming_range_body(&self, lo: usize, hi: usize, other: &[u64], out: &mut Vec<u16>) {
-        let w = self.words_per_sig;
-        debug_assert_eq!(other.len(), w);
-        let words = &self.words[lo * w..hi * w];
-        out.reserve(hi - lo);
-        // The default funnel width (256 bits = 4 words) gets a
-        // fixed-width loop: converting `other` to an array up front
-        // lets the compiler drop every per-word bounds check.
-        if let Ok(o) = <[u64; 4]>::try_from(other) {
-            for row in words.chunks_exact(4) {
-                let d = (row[0] ^ o[0]).count_ones()
-                    + (row[1] ^ o[1]).count_ones()
-                    + (row[2] ^ o[2]).count_ones()
-                    + (row[3] ^ o[3]).count_ones();
-                out.push(d as u16);
-            }
-        } else if w == 0 {
-            out.resize(out.len() + (hi - lo), 0);
-        } else {
-            for row in words.chunks_exact(w) {
-                let d: u32 = row
-                    .iter()
-                    .zip(other)
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-                out.push(d as u16);
-            }
-        }
     }
 
     /// Signature `i` unpacked to the seed's `Vec<bool>` layout.
@@ -332,46 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn hamming_counts_differing_bits() {
-        let v = Tensor::from_vec(2, 2, vec![1.0, 0.5, -1.0, -0.5]);
-        let sigs = SignatureSet::compute(&v, &planes_2d());
-        // Opposite vectors differ on every plane.
-        assert_eq!(sigs.hamming(0, 1), 4);
-        assert_eq!(sigs.hamming(0, 0), 0);
-        assert_eq!(sigs.hamming_to(1, sigs.sig(0)), 4);
-    }
-
-    #[test]
-    fn hamming_range_matches_per_index_path() {
-        // Cover both the 256-bit AVX2/popcnt fast lane (4 words) and
-        // the generic width arm (100 bits = 2 words) against the
-        // scalar per-index `hamming_to` on deterministic signatures.
-        for nbits in [256usize, 100] {
-            let n = 73;
-            let scores = Tensor::from_vec(
-                n + 1,
-                nbits,
-                (0..(n + 1) * nbits)
-                    .map(|v| {
-                        let h = (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        if h >> 63 == 0 {
-                            1.0
-                        } else {
-                            -1.0
-                        }
-                    })
-                    .collect(),
-            );
-            let sigs = SignatureSet::from_scores(&scores);
-            let query: Vec<u64> = sigs.sig(n).to_vec();
-            let mut got: Vec<u16> = Vec::new();
-            sigs.hamming_range_into(5, n, &query, &mut got);
-            let want: Vec<u16> = (5..n).map(|i| sigs.hamming_to(i, &query) as u16).collect();
-            assert_eq!(got, want, "nbits={nbits}");
-        }
-    }
-
-    #[test]
     fn band_keys_straddle_word_boundaries() {
         // 100 bits: alternating pattern, extract a band crossing bit 64.
         let scores = Tensor::from_vec(
@@ -402,6 +226,6 @@ mod tests {
         let scores = Tensor::zeros(2, 3);
         let sigs = SignatureSet::from_scores(&scores);
         assert_eq!(sigs.to_bools(0), vec![true; 3]);
-        assert_eq!(sigs.hamming(0, 1), 0);
+        assert_eq!(sigs.sig(0), sigs.sig(1));
     }
 }

@@ -14,25 +14,13 @@
 //! [`topk_scores`] runs the scan in fixed-grain chunks over the shared
 //! worker pool and merges the per-chunk winners in chunk order. Because
 //! the order is total, the top-k set *and* its order are unique —
-//! identical for every `DC_THREADS` setting and every chunking. The
-//! chunked machinery itself is [`topk_scan`], shared by the f32 scoring
-//! path and the quantized i8 funnel tiers.
-//!
-//! [`CosineIndex`] optionally carries a three-tier retrieval funnel
-//! ([`FunnelConfig`]): 1-bit Hamming prefilter → i8 approximate scoring
-//! → exact f32 rescore of the survivors, with results identical to the
-//! exact scan whenever the true top-k survives the approximate tiers
-//! (DESIGN.md §15 sizes the tiers so that holds with huge margin).
+//! identical for every `DC_THREADS` setting and every chunking. It is
+//! the one retrieval scan in the workspace: it never narrows the
+//! candidate set, so every caller gets the exact answer.
 
-use crate::quant::{i32_goodness, QuantizedSet};
-use crate::sig::SignatureSet;
 use dc_tensor::kernel;
-use dc_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::ops::Range;
 
 /// One retrieval result: item index and its score.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -132,26 +120,14 @@ impl TopK {
     /// Offer one scored item.
     #[inline]
     pub fn push(&mut self, index: usize, score: f32) {
-        let good = goodness(self.order, score);
-        self.push_entry(Entry { good, index, score });
-    }
-
-    /// Offer an item under an explicit integer goodness key, carrying
-    /// `score` only as a diagnostic payload. The i8 funnel tier selects
-    /// on exact i32 dots this way instead of routing them through f32
-    /// (which collapses ties above 2²⁴). The key must be monotone in
-    /// the winning direction regardless of [`Order`] (e.g.
-    /// [`crate::quant::i32_goodness`]).
-    #[inline]
-    pub fn push_with_goodness(&mut self, index: usize, good: u64, score: f32) {
-        self.push_entry(Entry { good, index, score });
-    }
-
-    #[inline]
-    fn push_entry(&mut self, entry: Entry) {
         if self.k == 0 {
             return;
         }
+        let entry = Entry {
+            good: goodness(self.order, score),
+            index,
+            score,
+        };
         if self.heap.len() < self.k {
             self.heap.push(Reverse(entry));
         } else if entry > self.heap.peek().expect("non-empty at capacity").0 {
@@ -172,23 +148,15 @@ impl TopK {
 
     /// The survivors, best first.
     pub fn into_sorted(self) -> Vec<Hit> {
-        self.into_entries()
+        let mut entries: Vec<Entry> = self.heap.into_iter().map(|r| r.0).collect();
+        entries.sort_unstable_by(|a, b| b.cmp(a));
+        entries
             .into_iter()
             .map(|e| Hit {
                 index: e.index,
                 score: e.score,
             })
             .collect()
-    }
-
-    /// The survivors as raw entries, best first — keeps the goodness
-    /// key alive across the per-chunk → merge hop of [`topk_scan`]
-    /// (a `Hit` only carries the f32 payload, which for integer-keyed
-    /// pushes cannot reconstruct the key).
-    fn into_entries(self) -> Vec<Entry> {
-        let mut entries: Vec<Entry> = self.heap.into_iter().map(|r| r.0).collect();
-        entries.sort_unstable_by(|a, b| b.cmp(a));
-        entries
     }
 }
 
@@ -197,61 +165,45 @@ impl TopK {
 /// therefore the result — never depends on the thread count.
 const SCAN_GRAIN: usize = 1024;
 
-/// The chunked parallel top-k scan shared by every scoring path (f32
-/// [`topk_scores`], the funnel's Hamming and i8 tiers): `fill` offers
-/// each item of its chunk to the supplied selector, chunks run over the
-/// shared worker pool when it has threads to offer, and the per-chunk
-/// survivors are merged in chunk order under the selector's total
-/// order. The total order makes the answer unique, so serial and
-/// parallel scans agree bit-for-bit for every chunking.
+/// Select the k best of `score(0..n)`, best first.
 ///
-/// Chunks grow from [`SCAN_GRAIN`] to `4k` for large `k` so a chunk can
-/// actually reject items (a chunk narrower than `k` keeps everything
-/// and the merge degenerates into a full rescan).
-pub fn topk_scan(
-    n: usize,
-    k: usize,
-    order: Order,
-    fill: impl Fn(&mut TopK, Range<usize>) + Sync,
-) -> Vec<Hit> {
-    if n == 0 || k == 0 {
-        return Vec::new();
-    }
-    let grain = SCAN_GRAIN.max(k.saturating_mul(4));
-    let chunks = n.div_ceil(grain);
-    if chunks <= 1 || kernel::pool().threads() <= 1 {
-        let mut top = TopK::new(k, order);
-        fill(&mut top, 0..n);
-        return top.into_sorted();
-    }
-    let mut partials: Vec<Vec<Entry>> = Vec::with_capacity(chunks);
-    partials.resize_with(chunks, Vec::new);
-    kernel::parallel_fill(&mut partials, |c| {
-        let lo = c * grain;
-        let hi = ((c + 1) * grain).min(n);
-        let mut top = TopK::new(k, order);
-        fill(&mut top, lo..hi);
-        top.into_entries()
-    });
-    let mut merged = TopK::new(k, order);
-    for entry in partials.iter().flatten() {
-        merged.push_entry(*entry);
-    }
-    merged.into_sorted()
-}
-
-/// Select the k best of `score(0..n)`, best first, via [`topk_scan`].
+/// Chunks run over the shared worker pool when it has threads to offer,
+/// and the per-chunk survivors are re-pushed in chunk order into one
+/// selector (a `Hit`'s score recomputes its key exactly). The total
+/// order makes the answer unique, so serial and parallel scans agree
+/// bit-for-bit for every chunking. Chunks grow from [`SCAN_GRAIN`] to
+/// `4k` for large `k` so a chunk can actually reject items (a chunk
+/// narrower than `k` keeps everything and the merge degenerates into a
+/// full rescan).
 pub fn topk_scores(
     n: usize,
     k: usize,
     order: Order,
     score: impl Fn(usize) -> f32 + Sync,
 ) -> Vec<Hit> {
-    topk_scan(n, k, order, |top, range| {
-        for i in range {
+    if n == 0 || k == 0 {
+        return Vec::new();
+    }
+    let scan = |lo: usize, hi: usize| {
+        let mut top = TopK::new(k, order);
+        for i in lo..hi {
             top.push(i, score(i));
         }
-    })
+        top.into_sorted()
+    };
+    let grain = SCAN_GRAIN.max(k.saturating_mul(4));
+    let chunks = n.div_ceil(grain);
+    if chunks <= 1 || kernel::pool().threads() <= 1 {
+        return scan(0, n);
+    }
+    let mut partials: Vec<Vec<Hit>> = Vec::with_capacity(chunks);
+    partials.resize_with(chunks, Vec::new);
+    kernel::parallel_fill(&mut partials, |c| scan(c * grain, ((c + 1) * grain).min(n)));
+    let mut merged = TopK::new(k, order);
+    for hit in partials.iter().flatten() {
+        merged.push(hit.index, hit.score);
+    }
+    merged.into_sorted()
 }
 
 /// Comparator for descending score sorts with NaN sinking last —
@@ -263,446 +215,6 @@ pub fn desc_nan_last(a: f32, b: f32) -> Ordering {
         (true, false) => Ordering::Greater,
         (false, true) => Ordering::Less,
         (false, false) => b.partial_cmp(&a).expect("both finite"),
-    }
-}
-
-// Funnel telemetry (dc-obs): per-tier candidate counts feed selectivity
-// dashboards; the rescore-hits histogram records, per query, how many
-// of the final top-k the i8 tier had already ranked in ITS top-k
-// (per-mille), i.e. how often the exact rescore actually reorders.
-static FUNNEL_QUERIES: dc_obs::Counter = dc_obs::Counter::new("index.funnel.queries");
-static FUNNEL_T1: dc_obs::Counter = dc_obs::Counter::new("index.funnel.tier1.candidates");
-static FUNNEL_T2: dc_obs::Counter = dc_obs::Counter::new("index.funnel.tier2.candidates");
-static FUNNEL_T3: dc_obs::Counter = dc_obs::Counter::new("index.funnel.tier3.candidates");
-static FUNNEL_RESCORE_HITS: dc_obs::Hist = dc_obs::Hist::new("index.funnel.rescore_hits");
-
-/// Default random-hyperplane seed for funnel prefilter signatures.
-pub const FUNNEL_PLANE_SEED: u64 = 0xf7a4_e1b1;
-
-/// Tier sizing for the three-tier retrieval funnel on [`CosineIndex`].
-///
-/// Each tier only engages when it can actually narrow the candidate
-/// set (`n > 2 * hamming_keep`, survivors `> rescore_k`); otherwise the
-/// query falls through to the next tier, and ultimately to the exact
-/// f32 rescore — so a funnel over a small index degenerates to the
-/// exact scan. Defaults are sized for the adversarial case of
-/// uniformly random vectors at 100k items / 64 dims, where the true
-/// top-10 survives both approximate tiers with ≥ 4σ margin
-/// (DESIGN.md §15); clustered real embeddings are easier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FunnelConfig {
-    /// Sign-signature bits for the tier-1 Hamming prefilter
-    /// (0 disables tier 1).
-    pub prefilter_bits: usize,
-    /// Candidates the Hamming tier keeps (clamped up to `k` at query
-    /// time); tier 1 engages only when the index holds more than twice
-    /// this many items — any less and the signature scan costs more
-    /// than the i8 work it would save.
-    pub hamming_keep: usize,
-    /// Candidates the i8 tier hands to the exact f32 rescore (clamped
-    /// up to `k` at query time).
-    pub rescore_k: usize,
-    /// Seed for the random hyperplanes behind the tier-1 signatures.
-    pub seed: u64,
-}
-
-impl Default for FunnelConfig {
-    fn default() -> Self {
-        FunnelConfig {
-            prefilter_bits: 256,
-            hamming_keep: 8 * 1024,
-            rescore_k: 256,
-            seed: FUNNEL_PLANE_SEED,
-        }
-    }
-}
-
-impl FunnelConfig {
-    /// Override the prefilter signature width (0 disables tier 1).
-    pub fn with_prefilter_bits(mut self, bits: usize) -> Self {
-        self.prefilter_bits = bits;
-        self
-    }
-
-    /// Override how many candidates the Hamming tier keeps.
-    pub fn with_hamming_keep(mut self, keep: usize) -> Self {
-        self.hamming_keep = keep;
-        self
-    }
-
-    /// Override how many candidates reach the exact f32 rescore.
-    pub fn with_rescore_k(mut self, k: usize) -> Self {
-        self.rescore_k = k;
-        self
-    }
-}
-
-/// Resident bytes of a [`CosineIndex`], split by funnel tier.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FunnelBytes {
-    /// Tier 1: packed sign-signature words.
-    pub sig: usize,
-    /// Tier 2: i8 codes + column scales.
-    pub quant: usize,
-    /// Tier 3 / exact scan: the normalized f32 rows.
-    pub exact: usize,
-}
-
-/// The prebuilt approximate tiers riding on a [`CosineIndex`].
-struct Funnel {
-    cfg: FunnelConfig,
-    /// Tier-1 hyperplanes, kept to signature incoming queries.
-    planes: Tensor,
-    /// Tier-1 packed sign signatures of the normalized rows.
-    sigs: SignatureSet,
-    /// Tier-2 per-column symmetric i8 codes of the normalized rows.
-    quant: QuantizedSet,
-}
-
-impl Funnel {
-    /// True when at least one approximate tier can narrow `n`
-    /// candidates enough to pay for itself: the Hamming tier needs the
-    /// index to hold more than twice its keep budget, and without a
-    /// prefilter the i8 tier needs more items than it would hand to
-    /// the rescore anyway. Anything less and the tiers cost more than
-    /// the exact scan they guard — small n keeps the f32 rows cache
-    /// resident, where the blocked mat-vec beats the i8 path — so the
-    /// query routes straight to [`CosineIndex::nearest_exact`].
-    fn engages(&self, n: usize, k: usize) -> bool {
-        if self.cfg.prefilter_bits > 0 {
-            n > 2 * self.cfg.hamming_keep.max(k)
-        } else {
-            n > self.cfg.rescore_k.max(k)
-        }
-    }
-}
-
-/// Exact cosine top-k over a fixed item matrix: rows are normalized
-/// once at build, so each query is a single blocked mat-vec product
-/// (one multiply per element instead of the three the naive
-/// `cosine`-per-item scan pays) followed by a [`topk_scores`] scan.
-///
-/// [`CosineIndex::with_funnel`] attaches a three-tier retrieval funnel
-/// (1-bit Hamming prefilter → i8 approximate scoring → exact f32
-/// rescore). [`CosineIndex::nearest`] then routes through the funnel;
-/// the rescore tier reuses the same dispatched dot product as the full
-/// scan ([`dc_tensor::kernel::dot_f32`]) and the same total order, so
-/// results — scores included — are **bitwise identical** to
-/// [`CosineIndex::nearest_exact`] whenever the true top-k survives the
-/// approximate tiers (tier sizing argument in DESIGN.md §15;
-/// `tests/quant_equiv.rs` pins equality).
-///
-/// Rows (or queries) with non-finite entries or squared norm ≤
-/// `f32::EPSILON` score 0 against everything, matching
-/// `dc_tensor::tensor::cosine`'s zero-vector convention.
-pub struct CosineIndex {
-    rows: Tensor,
-    funnel: Option<Funnel>,
-}
-
-impl CosineIndex {
-    /// Normalize `items` (one row per item) into an index (exact scans
-    /// only; see [`Self::with_funnel`]).
-    pub fn build(items: &Tensor) -> Self {
-        let mut rows = items.clone();
-        for i in 0..rows.rows {
-            let start = i * rows.cols;
-            let row = &mut rows.data[start..start + rows.cols];
-            normalize(row);
-        }
-        CosineIndex { rows, funnel: None }
-    }
-
-    /// Attach the quantized retrieval funnel: build tier-1 sign
-    /// signatures and tier-2 i8 codes from the normalized rows, once.
-    pub fn with_funnel(mut self, cfg: FunnelConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let planes = Tensor::randn(cfg.prefilter_bits, self.rows.cols, 1.0, &mut rng);
-        let sigs = SignatureSet::compute(&self.rows, &planes);
-        let quant = QuantizedSet::build(&self.rows);
-        self.funnel = Some(Funnel {
-            cfg,
-            planes,
-            sigs,
-            quant,
-        });
-        self
-    }
-
-    /// [`Self::build`] + [`Self::with_funnel`] in one step.
-    pub fn build_funnel(items: &Tensor, cfg: FunnelConfig) -> Self {
-        Self::build(items).with_funnel(cfg)
-    }
-
-    /// True when a funnel is attached.
-    pub fn has_funnel(&self) -> bool {
-        self.funnel.is_some()
-    }
-
-    /// Resident bytes per tier (sig/quant are 0 without a funnel).
-    pub fn resident_bytes(&self) -> FunnelBytes {
-        let exact = self.rows.data.len() * std::mem::size_of::<f32>();
-        match &self.funnel {
-            Some(f) => FunnelBytes {
-                sig: f.sigs.len() * f.sigs.words_per_sig() * std::mem::size_of::<u64>(),
-                quant: f.quant.resident_bytes(),
-                exact,
-            },
-            None => FunnelBytes {
-                sig: 0,
-                quant: 0,
-                exact,
-            },
-        }
-    }
-
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.rows.rows
-    }
-
-    /// True when the index holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.rows.rows == 0
-    }
-
-    /// Item dimensionality.
-    pub fn dim(&self) -> usize {
-        self.rows.cols
-    }
-
-    fn normalized_query(&self, query: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            query.len(),
-            self.rows.cols,
-            "CosineIndex: query dim {} vs index dim {}",
-            query.len(),
-            self.rows.cols
-        );
-        let mut q = query.to_vec();
-        normalize(&mut q);
-        q
-    }
-
-    /// Cosine similarity of `query` against every item, via one blocked
-    /// mat-vec through the kernel layer.
-    pub fn scores(&self, query: &[f32]) -> Vec<f32> {
-        let q = Tensor::from_vec(1, self.rows.cols, self.normalized_query(query));
-        kernel::matmul_t(&self.rows, &q).data
-    }
-
-    /// The k most cosine-similar items to `query`, best first — through
-    /// the funnel when one is attached, the exact scan otherwise.
-    pub fn nearest(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        match &self.funnel {
-            Some(f) if f.engages(self.len(), k) => {
-                let qn = self.normalized_query(query);
-                self.nearest_funnel(f, &qn, k)
-            }
-            _ => self.nearest_exact(query, k),
-        }
-    }
-
-    /// The k most cosine-similar items by full f32 scan, ignoring any
-    /// attached funnel (baseline for equivalence tests and benches).
-    pub fn nearest_exact(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let scores = self.scores(query);
-        topk_scores(self.len(), k, Order::Largest, |i| scores[i])
-    }
-
-    /// Three-tier funnel scan. Every tier narrows a candidate list that
-    /// is itself deterministic (unique under a total order), and the
-    /// final rescore pushes real item indices under the same
-    /// `(score, index)` order as the exact scan with bitwise-identical
-    /// per-row scores ([`kernel::dot_f32`] is the `matmul_t`
-    /// microkernel's dot) — so whenever the true top-k survives tiers
-    /// 1–2, the output is bitwise the exact scan's.
-    fn nearest_funnel(&self, f: &Funnel, qn: &[f32], k: usize) -> Vec<Hit> {
-        let n = self.len();
-        if n == 0 || k == 0 {
-            return Vec::new();
-        }
-        FUNNEL_QUERIES.incr();
-        FUNNEL_T1.add(n as u64);
-
-        // Tier 1: Hamming prefilter over packed sign signatures.
-        // Distances live on a bounded integer alphabet (≤ nbits), so
-        // the keep-smallest selection is one counting pass instead of a
-        // heap — at tier-1 keeps (~n/6) a `keep`-sized binary heap
-        // costs several times the distances themselves. The selected
-        // set is exactly `TopK::smallest`'s (ties at the threshold keep
-        // the lower index), and the chunked distance computation is a
-        // pure per-item function, so every thread count and chunking
-        // yields the same candidates.
-        let t1_keep = f.cfg.hamming_keep.max(k);
-        let tier1: Option<Vec<usize>> = if f.cfg.prefilter_bits > 0 && n > 2 * t1_keep {
-            let q = Tensor::from_vec(1, self.rows.cols, qn.to_vec());
-            let qsig = SignatureSet::compute(&q, &f.planes);
-            let qwords: Vec<u64> = qsig.sig(0).to_vec();
-            let nbits = f.sigs.nbits();
-            // Coarser grain than the score scans: the per-item work is
-            // a handful of XOR+popcounts, so 1k-item chunks would spend
-            // a visible share of the tier on Vec/histogram churn.
-            const T1_GRAIN: usize = 4 * SCAN_GRAIN;
-            let chunks = n.div_ceil(T1_GRAIN);
-            // Each chunk carries its own distance histogram, so the
-            // threshold needs only a cheap merge over `chunks * nbits`
-            // counters instead of a second full pass over the distances.
-            let mut parts: Vec<(Vec<u16>, Vec<u32>)> = Vec::with_capacity(chunks);
-            parts.resize_with(chunks, Default::default);
-            kernel::parallel_fill(&mut parts, |c| {
-                let lo = c * T1_GRAIN;
-                let hi = ((c + 1) * T1_GRAIN).min(n);
-                let mut dists = Vec::new();
-                f.sigs.hamming_range_into(lo, hi, &qwords, &mut dists);
-                // Two interleaved histograms: random-plane distances
-                // concentrate in a few bins, and a single histogram
-                // serializes on the repeated same-bin increments.
-                let mut hist = vec![0u32; nbits + 1];
-                let mut odd = vec![0u32; nbits + 1];
-                let mut pairs = dists.chunks_exact(2);
-                for p in &mut pairs {
-                    hist[p[0] as usize] += 1;
-                    odd[p[1] as usize] += 1;
-                }
-                for &d in pairs.remainder() {
-                    hist[d as usize] += 1;
-                }
-                for (a, b) in hist.iter_mut().zip(&odd) {
-                    *a += b;
-                }
-                (dists, hist)
-            });
-            Some(smallest_dists(&parts, nbits, t1_keep))
-        } else {
-            None
-        };
-
-        // Tier 2: i8 approximate scoring keeps the top rescore_k.
-        let t2_input = tier1.as_ref().map_or(n, Vec::len);
-        FUNNEL_T2.add(t2_input as u64);
-        let rescore = f.cfg.rescore_k.max(k);
-        let tier2: Vec<usize> = if t2_input > rescore {
-            let mut qq = Vec::new();
-            let t = f.quant.quantize_query_into(qn, &mut qq);
-            let hits = match &tier1 {
-                Some(cands) => topk_scan(cands.len(), rescore, Order::Largest, |top, range| {
-                    // Tier-1 survivors sit ~1 cache line apart at
-                    // irregular strides; prefetching a few rows ahead
-                    // keeps the gather bandwidth- instead of
-                    // latency-bound. Hint only — results are identical.
-                    const PF_AHEAD: usize = 8;
-                    let end = range.end;
-                    for p in range {
-                        if p + PF_AHEAD < end {
-                            kernel::prefetch_read(f.quant.row(cands[p + PF_AHEAD]).as_ptr());
-                        }
-                        let idx = cands[p];
-                        let d = kernel::dot_i8(f.quant.row(idx), &qq);
-                        top.push_with_goodness(idx, i32_goodness(d), t * d as f32);
-                    }
-                }),
-                None => {
-                    let mut dots = vec![0i32; n];
-                    kernel::i8_dot_rows(f.quant.data(), self.rows.cols, &qq, &mut dots);
-                    topk_scan(n, rescore, Order::Largest, |top, range| {
-                        for i in range {
-                            top.push_with_goodness(i, i32_goodness(dots[i]), t * dots[i] as f32);
-                        }
-                    })
-                }
-            };
-            hits.into_iter().map(|h| h.index).collect()
-        } else {
-            tier1.unwrap_or_else(|| (0..n).collect())
-        };
-
-        // Tier 3: exact f32 rescore of the survivors, pushed under the
-        // item index so tie order matches the exact scan.
-        FUNNEL_T3.add(tier2.len() as u64);
-        let out = topk_scan(tier2.len(), k, Order::Largest, |top, range| {
-            for p in range {
-                let idx = tier2[p];
-                top.push(idx, kernel::dot_f32(self.rows.row_slice(idx), qn));
-            }
-        });
-        if dc_obs::enabled() && t2_input > rescore {
-            // tier2 is best-first under the i8 order; count how many of
-            // the final k its own top-k had already surfaced.
-            let head = &tier2[..k.min(tier2.len())];
-            let hits = out.iter().filter(|h| head.contains(&h.index)).count();
-            let denom = out.len().max(1);
-            FUNNEL_RESCORE_HITS.record_ns((hits * 1000 / denom) as u64);
-        }
-        out
-    }
-}
-
-/// Indices of the `keep` smallest distances across chunked
-/// `(distances, histogram)` parts (ties at the threshold distance keep
-/// the lower index) by counting over the bounded alphabet
-/// `0..=max_dist`: the pre-binned chunk histograms merge into the
-/// threshold, then one collection pass over the chunks emits the
-/// survivors in ascending index order. The selected set is identical
-/// to `TopK::smallest(keep)` over the concatenated distances; when
-/// `keep` covers every distance, every index survives.
-fn smallest_dists(parts: &[(Vec<u16>, Vec<u32>)], max_dist: usize, keep: usize) -> Vec<usize> {
-    if keep == 0 {
-        return Vec::new();
-    }
-    let mut hist = vec![0usize; max_dist + 2];
-    for (_, part_hist) in parts {
-        for (d, &c) in part_hist.iter().enumerate() {
-            hist[d] += c as usize;
-        }
-    }
-    // Smallest distance where the cumulative count reaches `keep`;
-    // everything strictly below survives outright.
-    let mut below = 0usize;
-    let mut threshold = max_dist + 1;
-    for (d, &c) in hist.iter().enumerate() {
-        if below + c >= keep {
-            threshold = d;
-            break;
-        }
-        below += c;
-    }
-    // Branchless collection: always store the index, conditionally
-    // advance the cursor. Survivor count is exactly `below` strict
-    // winners plus `keep - below` threshold ties (the threshold bin
-    // holds at least that many by construction), so `len` never
-    // exceeds `keep` and the one slack slot absorbs the dead stores.
-    let mut out = vec![0usize; keep + 1];
-    let mut len = 0usize;
-    let mut ties = keep - below;
-    let mut base = 0usize;
-    for (dists, _) in parts {
-        for (off, &d) in dists.iter().enumerate() {
-            let d = d as usize;
-            let take_eq = usize::from(d == threshold) & usize::from(ties > 0);
-            out[len] = base + off;
-            len += usize::from(d < threshold) | take_eq;
-            ties -= take_eq;
-        }
-        base += dists.len();
-    }
-    out.truncate(len);
-    out
-}
-
-/// Scale to unit norm in place; degenerate vectors (squared norm ≤
-/// `f32::EPSILON`, or any non-finite entry) become all-zero so their
-/// dot products are 0, like `dc_tensor::tensor::cosine`'s zero-vector
-/// guard.
-fn normalize(v: &mut [f32]) {
-    let norm2: f32 = v.iter().map(|x| x * x).sum();
-    if norm2 > f32::EPSILON && norm2.is_finite() {
-        let inv = 1.0 / norm2.sqrt();
-        for x in v {
-            *x *= inv;
-        }
-    } else {
-        v.fill(0.0);
     }
 }
 
@@ -793,79 +305,5 @@ mod tests {
         assert_eq!(v[1], 0.5);
         assert_eq!(v[2], -1.0);
         assert!(v[3].is_nan());
-    }
-
-    #[test]
-    fn funnel_fallthrough_is_bitwise_exact() {
-        // Index far smaller than every tier: tiers 1–2 disengage and the
-        // funnel is the exact scan computed via dot_f32 — bitwise equal
-        // unconditionally.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let items = Tensor::randn(100, 16, 1.0, &mut rng);
-        let idx = CosineIndex::build_funnel(&items, FunnelConfig::default());
-        let q: Vec<f32> = items.row_slice(3).to_vec();
-        let exact = idx.nearest_exact(&q, 7);
-        let funnel = idx.nearest(&q, 7);
-        assert_eq!(exact.len(), funnel.len());
-        for (e, f) in exact.iter().zip(&funnel) {
-            assert_eq!(e.index, f.index);
-            assert_eq!(e.score.to_bits(), f.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn engaged_funnel_matches_exact_on_planted_winners() {
-        // Tight tiers that actually engage (n=500 > keep=40 > rescore=20
-        // > k=3), with the true winners planted as near-duplicates of
-        // the query so they survive both approximate tiers by a huge
-        // margin; output must then be bitwise the exact scan's.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let mut items = Tensor::randn(500, 16, 1.0, &mut rng);
-        let query: Vec<f32> = items.row_slice(250).to_vec();
-        for (slot, &i) in [7usize, 123, 400].iter().enumerate() {
-            for (j, &q) in query.iter().enumerate() {
-                let v = 2.0 * q + 1e-3 * (slot as f32 + 1.0) * (j as f32).cos();
-                items.set(i, j, v);
-            }
-        }
-        let cfg = FunnelConfig::default()
-            .with_prefilter_bits(64)
-            .with_hamming_keep(40)
-            .with_rescore_k(20);
-        let idx = CosineIndex::build_funnel(&items, cfg);
-        let exact = idx.nearest_exact(&query, 3);
-        let funnel = idx.nearest(&query, 3);
-        let planted: std::collections::HashSet<usize> = [7, 123, 400, 250].into_iter().collect();
-        assert!(exact.iter().all(|h| planted.contains(&h.index)));
-        for (e, f) in exact.iter().zip(&funnel) {
-            assert_eq!(e.index, f.index);
-            assert_eq!(e.score.to_bits(), f.score.to_bits());
-        }
-        let bytes = idx.resident_bytes();
-        assert!(bytes.quant < bytes.exact / 3, "{bytes:?}");
-        assert!(bytes.sig > 0);
-    }
-
-    #[test]
-    fn cosine_index_matches_naive_cosine() {
-        let items = Tensor::from_vec(
-            4,
-            3,
-            vec![
-                1.0, 0.0, 0.0, //
-                0.0, 2.0, 0.0, //
-                1.0, 1.0, 0.0, //
-                0.0, 0.0, 0.0, // zero row scores 0
-            ],
-        );
-        let idx = CosineIndex::build(&items);
-        let query = [1.0f32, 1.0, 0.0];
-        let scores = idx.scores(&query);
-        for (i, &got) in scores.iter().enumerate() {
-            let want = dc_tensor::tensor::cosine(&query, &items.data[i * 3..(i + 1) * 3]);
-            assert!((got - want).abs() < 1e-5, "item {i}: {got} vs {want}");
-        }
-        let hits = idx.nearest(&query, 2);
-        assert_eq!(hits[0].index, 2);
     }
 }

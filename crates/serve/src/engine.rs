@@ -1,8 +1,8 @@
 //! The one execution path behind both the HTTP endpoints and the
 //! `autodc::pipeline` facade.
 //!
-//! Every function here is a thin, stateless delegation to a
-//! `try_`-prefixed fallible entry on the owning crate, chosen so that:
+//! Every function here is a thin, stateless delegation to a fallible
+//! (`DcResult`-returning) entry on the owning crate, chosen so that:
 //!
 //! * malformed inputs come back as [`dc_core::DcError`] (the server
 //!   maps them to 4xx) instead of panicking a worker;
@@ -37,15 +37,17 @@ pub fn impute_knn(table: &Table, encoder: &TableEncoder, k: usize) -> DcResult<T
 
 /// BM25 keyword top-k over the indexed tables.
 pub fn search_bm25(index: &Bm25Lite, query: &str, k: usize) -> DcResult<Vec<(usize, f64)>> {
-    index.try_search_topk(query, k)
+    index.search_topk(query, k)
 }
 
-/// Neural (DRMM-style interaction) top-k over the indexed tables.
+/// Neural (DRMM-style interaction) exact top-k over the indexed tables.
+/// `_shortlist` is ignored: search no longer narrows the candidates
+/// before scoring them. It stays only so existing callers compile.
 pub fn search_neural(
     index: &NeuralSearch,
     query: &str,
     k: usize,
-    shortlist: usize,
+    _shortlist: usize,
 ) -> DcResult<Vec<(usize, f32)>> {
-    index.try_search_topk(query, k, shortlist)
+    index.search_topk(query, k)
 }

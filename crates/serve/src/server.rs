@@ -441,12 +441,9 @@ fn route(req: &Request, registry: &Registry) -> (&'static str, DcResult<String>)
                             "bm25" => to_json(&Bm25Resp {
                                 hits: t.search_bm25(&query, k)?,
                             }),
-                            "neural" => {
-                                let shortlist = opt_usize(&body, "shortlist", 4 * k)?;
-                                to_json(&NeuralResp {
-                                    hits: t.search_neural(&query, k, shortlist)?,
-                                })
-                            }
+                            "neural" => to_json(&NeuralResp {
+                                hits: t.search_neural(&query, k)?,
+                            }),
                             other => Err(DcError::invalid(format!(
                                 "unknown search engine {other:?} (bm25|neural)"
                             ))),

@@ -242,19 +242,14 @@ impl Tenant {
         engine::search_bm25(&self.bm25, query, k)
     }
 
-    /// Neural search over the tenant's lake tables (404 when the tenant
-    /// was provisioned without a neural index).
-    pub fn search_neural(
-        &self,
-        query: &str,
-        k: usize,
-        shortlist: usize,
-    ) -> DcResult<Vec<(usize, f32)>> {
+    /// Exact neural top-k over the tenant's lake tables (404 when the
+    /// tenant was provisioned without a neural index).
+    pub fn search_neural(&self, query: &str, k: usize) -> DcResult<Vec<(usize, f32)>> {
         let neural = self
             .neural
             .as_ref()
             .ok_or_else(|| DcError::not_found("tenant has no neural search index"))?;
-        engine::search_neural(neural, query, k, shortlist)
+        engine::search_neural(neural, query, k, 0)
     }
 
     /// The blocking index. An insert, delete or compaction that panicked

@@ -6,10 +6,16 @@
 //! blocking index, checkpoint / hot reload) on a fully-loaded tenant;
 //! the last holds one persistent connection through 50 mixed requests.
 
+use dc_datagen::{ErBenchmark, ErSuite, Lake};
+use dc_discovery::NeuralSearch;
+use dc_embed::{Embeddings, SgnsConfig};
+use dc_relational::{tokenize_tuple, Table};
 use dc_serve::testutil::{
     demo_tenant_spec, http_request, raw_request, tiny_tenant_spec, KeepAliveClient,
 };
 use dc_serve::{engine, Registry, ServeConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 #[test]
@@ -112,6 +118,23 @@ fn served_bits(body: &str) -> Vec<u32> {
         .collect()
 }
 
+/// A neural search index over a 24-table lake, with word embeddings
+/// trained the way the serve benchmark trains its tenant's.
+fn lake_search_index() -> (NeuralSearch, Vec<Table>) {
+    let mut rng = StdRng::seed_from_u64(0);
+    let bench = ErBenchmark::generate(ErSuite::Clean, 30, 2, &mut rng);
+    let mut docs: Vec<Vec<String>> = bench.table.rows.iter().map(|r| tokenize_tuple(r)).collect();
+    docs.extend(dc_datagen::corpus::domain_corpus(150, &mut rng));
+    let emb = Embeddings::train(
+        &docs,
+        &SgnsConfig::default().with_dim(16).with_epochs(3),
+        &mut rng,
+    );
+    let lake = Lake::generate(24, 24, &mut rng);
+    let refs: Vec<&Table> = lake.tables.iter().collect();
+    (NeuralSearch::index(emb, &refs, 10), lake.tables)
+}
+
 #[test]
 fn impute_search_index_and_hot_reload_answer_over_http() {
     let cfg = ServeConfig::default()
@@ -121,6 +144,18 @@ fn impute_search_index_and_hot_reload_answer_over_http() {
     let tenant = registry
         .insert(demo_tenant_spec("demo", 7).build(&cfg).unwrap())
         .unwrap();
+    // A second tenant searching 24 lake tables, as the serve benchmark's
+    // does, and its full neural ranking for one query.
+    let (neural, lake) = lake_search_index();
+    let want: Vec<(usize, f32)> = neural
+        .search("customer city name")
+        .into_iter()
+        .take(3)
+        .collect();
+    let spec = tiny_tenant_spec("lake", 5)
+        .with_search_tables(lake)
+        .with_neural(neural);
+    registry.insert(spec.build(&cfg).unwrap()).unwrap();
     let server = dc_serve::start(cfg, registry).unwrap();
     let addr = server.addr();
     let post = |path: &str, body: &str| http_request(addr, "POST", path, body);
@@ -136,6 +171,12 @@ fn impute_search_index_and_hot_reload_answer_over_http() {
     assert_eq!(post("/v1/t/demo/search", neural).0, 200);
     let psychic = "{\"query\":\"x\",\"engine\":\"psychic\"}";
     assert_eq!(post("/v1/t/demo/search", psychic).0, 400);
+
+    // Neural search is exact on a serve-sized lake too: the served top-3
+    // is the head of the full ranking, same tables and score bits.
+    let query = "{\"query\":\"customer city name\",\"k\":3,\"engine\":\"neural\"}";
+    let hits = format!("{{\"hits\":{}}}", serde_json::to_string(&want).unwrap());
+    assert_eq!(post("/v1/t/lake/search", query), (200, hits));
 
     // Blocking index: insert the same signature twice, see the pair;
     // delete one, the pair is gone; a wrong-width signature is a 400.

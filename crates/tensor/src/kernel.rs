@@ -897,160 +897,6 @@ pub fn matmul_t_parallel(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized i8 kernels (dc-index retrieval funnel, tier 2)
-// ---------------------------------------------------------------------------
-
-/// i8 row scans with fewer multiply-adds than this stay on the caller
-/// thread. Quantized scoring is memory-bound at 2 bytes per multiply-add,
-/// so the break-even is the same order as the f32 matmuls.
-pub const I8_PAR_THRESHOLD: usize = 1 << 20;
-
-/// Scalar reference lane for [`dot_i8`]: plain widening multiply-add.
-/// Integer addition is associative, so this is the *exact* semantics the
-/// vector lane must reproduce bit-for-bit (no tolerance story as with
-/// the f32 kernels).
-pub fn dot_i8_reference(x: &[i8], y: &[i8]) -> i32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut s = 0i32;
-    for (&a, &b) in x.iter().zip(y.iter()) {
-        s += i32::from(a) * i32::from(b);
-    }
-    s
-}
-
-/// AVX2 lane: sign-extend each 16-byte half to i16 and use the widening
-/// pairwise multiply-add (`vpmaddwd`). Every i16 product of two
-/// sign-extended i8 values is exact (|p| ≤ 16384) and the pair sums land
-/// in i32 lanes, so no step can saturate — unlike the `vpmaddubsw` i8
-/// form, which needs one unsigned operand and can clip.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(x: &[i8], y: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let chunks = n / 32;
-    let mut acc = _mm256_setzero_si256();
-    for c in 0..chunks {
-        // SAFETY: each load reads 32 bytes at offset `c * 32` with
-        // `c * 32 + 32 <= n`, inside the slices (unaligned loads).
-        let (xv, yv) = unsafe {
-            (
-                _mm256_loadu_si256(x.as_ptr().add(c * 32).cast()),
-                _mm256_loadu_si256(y.as_ptr().add(c * 32).cast()),
-            )
-        };
-        let xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-        let xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-        let ylo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(yv));
-        let yhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(yv, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, ylo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, yhi));
-    }
-    // Horizontal reduction of the 8 i32 lanes (register-only).
-    let hi = _mm256_extracti128_si256(acc, 1);
-    let lo = _mm256_castsi256_si128(acc);
-    let sum4 = _mm_add_epi32(lo, hi);
-    let sum2 = _mm_add_epi32(sum4, _mm_shuffle_epi32(sum4, 0b0100_1110));
-    let sum1 = _mm_add_epi32(sum2, _mm_shuffle_epi32(sum2, 0b1011_0001));
-    let mut s = _mm_cvtsi128_si32(sum1);
-    for (&a, &b) in x[chunks * 32..].iter().zip(y[chunks * 32..].iter()) {
-        s += i32::from(a) * i32::from(b);
-    }
-    s
-}
-
-/// i8·i8 → i32 dot product, runtime-dispatched to the AVX2 widening
-/// multiply-add lane when the host has it. Integer addition is
-/// associative, so the scalar lane, the vector lane, and any chunking
-/// of either return the **identical** i32 for vectors shorter than
-/// `i32::MAX / 127²` elements (≈ 133 k — far above any embedding width
-/// here, debug-asserted).
-pub fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
-    assert_eq!(x.len(), y.len(), "dot_i8: {} vs {}", x.len(), y.len());
-    debug_assert!(
-        x.len() <= i32::MAX as usize / (127 * 127),
-        "dot_i8: {} elements can overflow the i32 accumulator",
-        x.len()
-    );
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the required CPU feature was just verified.
-        return unsafe { dot_i8_avx2(x, y) };
-    }
-    dot_i8_reference(x, y)
-}
-
-/// Best-effort read prefetch hint for gather-style scans (e.g. the
-/// funnel's i8 subset scoring, where candidate rows sit one cache line
-/// apart at irregular strides the hardware prefetcher cannot learn).
-/// Purely a performance hint: it never faults and never changes any
-/// result; a no-op off x86-64.
-#[inline(always)]
-pub fn prefetch_read<T>(p: *const T) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    // SAFETY: PREFETCHT0 is an architectural hint that performs no
-    // access and cannot fault, whatever the address.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(p.cast::<i8>(), std::arch::x86_64::_MM_HINT_T0)
-    };
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = p;
-}
-
-/// Score `query` against every `cols`-wide i8 row of `data`, writing
-/// the integer dot to `out[i]`. Rows are distributed over the worker
-/// pool above [`I8_PAR_THRESHOLD`] multiply-adds; each output element
-/// is an independent integer dot, so the result is identical for every
-/// thread count and every chunking.
-pub fn i8_dot_rows(data: &[i8], cols: usize, query: &[i8], out: &mut [i32]) {
-    let rows = out.len();
-    assert_eq!(query.len(), cols, "i8_dot_rows: query width mismatch");
-    assert_eq!(data.len(), rows * cols, "i8_dot_rows: data size mismatch");
-    if cols == 0 {
-        out.fill(0);
-        return;
-    }
-    let threads = pool().threads();
-    if threads <= 1 || rows * cols < I8_PAR_THRESHOLD {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot_i8(&data[i * cols..(i + 1) * cols], query);
-        }
-        return;
-    }
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_for(rows, row_grain(rows, threads), move |rr| {
-        // SAFETY: disjoint row ranges of `out`, which outlives the call.
-        let sub = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(rr.start), rr.len()) };
-        for (t, o) in sub.iter_mut().enumerate() {
-            let i = rr.start + t;
-            *o = dot_i8(&data[i * cols..(i + 1) * cols], query);
-        }
-    });
-}
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_f32_avx2(x: &[f32], y: &[f32]) -> f32 {
-    dot8::<true>(x, y)
-}
-
-/// Single f32 dot product with the same fixed 8-lane association and
-/// AVX2+FMA dispatch as the [`matmul_t`] microkernel: `dot_f32(a_row,
-/// b_row)` is bitwise the corresponding element of `matmul_t(a, b)`.
-/// The dc-index funnel rescore tier leans on this to reproduce the
-/// exact scan's scores bit-for-bit on the surviving candidates.
-pub fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len(), "dot_f32: {} vs {}", x.len(), y.len());
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the required CPU features were just verified.
-        return unsafe { dot_f32_avx2(x, y) };
-    }
-    dot8::<false>(x, y)
-}
-
-// ---------------------------------------------------------------------------
 // Transpose and elementwise kernels
 // ---------------------------------------------------------------------------
 
@@ -1379,48 +1225,6 @@ mod tests {
         let mut out = vec![0usize; 777];
         parallel_fill(&mut out, |i| i * 3);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
-    }
-
-    #[test]
-    fn dot_i8_matches_reference_all_lengths() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let ri8 = |rng: &mut StdRng| rand::Rng::gen_range(rng, -128i32..=127) as i8;
-        for n in [0usize, 1, 7, 31, 32, 33, 64, 100, 257] {
-            let x: Vec<i8> = (0..n).map(|_| ri8(&mut rng)).collect();
-            let y: Vec<i8> = (0..n).map(|_| ri8(&mut rng)).collect();
-            assert_eq!(dot_i8(&x, &y), dot_i8_reference(&x, &y), "n={n}");
-        }
-        // Extremes: the widening multiply-add must survive all-(-128).
-        let x = vec![-128i8; 96];
-        assert_eq!(dot_i8(&x, &x), 96 * 128 * 128);
-    }
-
-    #[test]
-    fn i8_dot_rows_matches_per_row_dots() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let (rows, cols) = (301, 37);
-        let ri8 = |rng: &mut StdRng| rand::Rng::gen_range(rng, -128i32..=127) as i8;
-        let data: Vec<i8> = (0..rows * cols).map(|_| ri8(&mut rng)).collect();
-        let q: Vec<i8> = (0..cols).map(|_| ri8(&mut rng)).collect();
-        let mut out = vec![0i32; rows];
-        i8_dot_rows(&data, cols, &q, &mut out);
-        for (i, &o) in out.iter().enumerate() {
-            assert_eq!(o, dot_i8_reference(&data[i * cols..(i + 1) * cols], &q));
-        }
-    }
-
-    #[test]
-    fn dot_f32_is_bitwise_matmul_t_element() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let a = Tensor::randn(5, 67, 1.0, &mut rng);
-        let b = Tensor::randn(9, 67, 1.0, &mut rng);
-        let full = matmul_t(&a, &b);
-        for i in 0..a.rows {
-            for j in 0..b.rows {
-                let d = dot_f32(a.row_slice(i), b.row_slice(j));
-                assert_eq!(d.to_bits(), full.data[i * b.rows + j].to_bits());
-            }
-        }
     }
 
     #[test]

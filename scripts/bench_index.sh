@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Regenerate BENCH_index.json: seed brute-force retrieval (HashMap LSH
-# bucketer, String-allocating cosine scan) vs the dc-index paths at
-# n ∈ {1k, 10k} blocking / 10k-item top-10 (see ISSUE 3 acceptance
-# criteria). Honors DC_THREADS for the pool-backed paths.
+# Regenerate BENCH_index.json: the seed HashMap LSH bucketer vs the
+# dc-index banded blocker at n ∈ {1k, 10k}, pair sets asserted equal at
+# 1k before timing. Honors DC_THREADS for the pool-backed signatures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

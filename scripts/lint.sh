@@ -54,10 +54,6 @@ gates=(
     "pool autodc:pipeline_match_equiv:release"
     "pool autodc:pipeline_golden:release"
 
-    "== quantized funnel equivalence"
-    "pool dc-tensor:i8_dot_equiv"
-    "pool dc-index:quant_equiv"
-
     "== Trainer migration (unified run_epochs loop)"
     "once dc-nn:trainer_migration"
 
@@ -88,7 +84,7 @@ gates=(
     "== training benchmark smoke (equivalence + pool warmup, no wall-clock gate)"
     "run cargo run -q --release -p dc-bench --bin bench_train -- --smoke"
 
-    "== index benchmark smoke (funnel-vs-exact equality, no wall-clock gate)"
+    "== index benchmark smoke (indexed vs seed blocking pair sets, no wall-clock gate)"
     "run cargo run -q --release -p dc-bench --bin bench_index -- --smoke"
 
     "== data benchmark smoke (streamed-vs-resident bitwise, zero warm allocs, no wall-clock gate)"

@@ -17,7 +17,7 @@
 //! | [`tensor`] | §2 | dense tensors, reverse-mode autograd, the blocked-GEMM worker pool |
 //! | [`data`] | §3.2 | out-of-core chunked columnar store, zero-copy batch assembly, sparse CSR column family |
 //! | [`nn`] | §2.1, Fig 2 | MLPs, LSTMs, AE/k-sparse/DAE/VAE, GANs, optimisers, the unified `Trainer` loop |
-//! | [`index`] | §5.2 | packed LSH signatures, one banded index (bulk-built or incrementally mutated), quantized retrieval funnel |
+//! | [`index`] | §5.2 | packed LSH signatures, one banded index (bulk-built or incrementally mutated), exact top-k |
 //! | [`obs`](dc_obs) | — | counters/gauges/histograms/spans behind `DC_OBS`; the service's SLO surface |
 //! | [`relational`] | §3.1, Fig 4 | tables, FDs/CFDs, denial constraints, table graphs |
 //! | [`embed`] | §2.2, §3.1, Fig 3 | SGNS, cell/tuple/column/table embeddings, coherent groups |

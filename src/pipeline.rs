@@ -187,10 +187,10 @@ impl Pipeline {
         let docs = dc_discovery::search_documents(&refs, 15);
         let emb = Embeddings::train(&docs, &self.config.sgns, rng);
         let search = NeuralSearch::index(emb.clone(), &refs, 15);
-        // The service engine's `/search` path; with shortlist = table
-        // count it is exact — same tables, scores, and order as a full
-        // ranking.
-        let ranked = engine::search_neural(&search, &self.config.query, refs.len(), refs.len())
+        // The service engine's `/search` path (exact top-k; the trailing
+        // shortlist argument is ignored) with k = table count: same
+        // tables, scores, and order as a full ranking.
+        let ranked = engine::search_neural(&search, &self.config.query, refs.len(), 0)
             .expect("lake is non-empty, k >= 1");
         // Keep the top table plus lower-ranked tables with an identical
         // schema (only those can be unioned).
