@@ -7,13 +7,22 @@
 //! Gradients are closed-form, so this module bypasses the autograd tape
 //! for speed — the tape-backed models live in `dc-nn`.
 
-use crate::vocab::Vocabulary;
+use crate::vocab::{NegativeSampler, Vocabulary};
 use dc_index::{topk_scores, Order};
+use dc_tensor::kernel;
 use dc_tensor::tensor::cosine;
 use dc_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+
+/// Time the update stage spends waiting for the next chunk of draws:
+/// blocked on the helper, or filling the chunk itself at `DC_THREADS=1`.
+static DRAW_WAIT: dc_obs::Hist = dc_obs::Hist::new("embed.sgns.draw_wait");
+/// Negative samples drawn.
+static DRAWS: dc_obs::Counter = dc_obs::Counter::new("embed.sgns.draws");
 
 /// Hyper-parameters for SGNS training.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -105,116 +114,42 @@ pub struct Embeddings {
 
 impl Embeddings {
     /// Train SGNS on tokenised documents.
+    ///
+    /// Every rng read is a negative sample or a subsampling decision,
+    /// and none of them reads a vector, so they run as a separate draw
+    /// stage chunks ahead of the updates: on a helper thread when
+    /// `DC_THREADS` (or the host) allows two or more, alternating with
+    /// the updates on the caller otherwise. Both schedules make the
+    /// same draws in the same order and give the same bits, and leave
+    /// `rng` where a single loop would (DESIGN.md §18).
     pub fn train(documents: &[Vec<String>], config: &SgnsConfig, rng: &mut StdRng) -> Self {
+        let schedule = if kernel::configured_threads() >= 2 {
+            Schedule::Helper
+        } else {
+            Schedule::Inline
+        };
+        Self::train_scheduled(documents, config, rng, schedule)
+    }
+
+    fn train_scheduled(
+        documents: &[Vec<String>],
+        config: &SgnsConfig,
+        rng: &mut StdRng,
+        schedule: Schedule,
+    ) -> Self {
         let vocab = Vocabulary::build(documents, config.min_count);
         assert!(!vocab.is_empty(), "empty vocabulary — nothing to train on");
         let v = vocab.len();
         let d = config.dim;
         let mut input = Tensor::rand_uniform(v, d, -0.5 / d as f32, 0.5 / d as f32, rng);
         let mut output = Tensor::zeros(v, d);
-
         let encoded: Vec<Vec<usize>> = documents.iter().map(|doc| vocab.encode(doc)).collect();
-        let total_steps = (config.epochs * encoded.iter().map(Vec::len).sum::<usize>()).max(1);
-        let mut step = 0usize;
-
-        let sampler = vocab.negative_sampler();
         let keep = config.subsample.map(|t| vocab.keep_probabilities(t));
-        let mut grad_in = vec![0.0f32; d];
-        // One (center, context) group's targets — the context, then its
-        // surviving negatives — and their scores, reused across groups.
-        let mut targets: Vec<usize> = Vec::with_capacity(config.negative + 1);
-        let mut scores: Vec<f32> = Vec::with_capacity(config.negative + 1);
-        for _epoch in 0..config.epochs {
-            let _epoch_span = dc_obs::span("embed.sgns");
-            // BCE over every `LOSS_STRIDE`-th (center, target) term of
-            // the epoch, accumulated only when observability is on. The
-            // terms are picked by their count and the extra arithmetic
-            // never touches the rng, so embeddings are bit-identical
-            // with DC_OBS on or off.
-            let observed = dc_obs::enabled();
-            let mut epoch_loss = 0.0f64;
-            let mut epoch_terms = 0u64;
-            for doc in &encoded {
-                // Optional frequent-word subsampling, re-drawn each epoch.
-                let subsampled: Vec<usize>;
-                let kept: &[usize] = match &keep {
-                    Some(keep) => {
-                        subsampled = doc
-                            .iter()
-                            .copied()
-                            .filter(|&id| rng.gen::<f64>() < keep[id])
-                            .collect();
-                        &subsampled
-                    }
-                    None => doc,
-                };
-                for (pos, &center) in kept.iter().enumerate() {
-                    step += 1;
-                    let progress = step as f32 / total_steps as f32;
-                    let lr = config.lr * (1.0 - 0.9 * progress);
-                    let lo = pos.saturating_sub(config.window);
-                    let hi = (pos + config.window + 1).min(kept.len());
-                    for (ctx_pos, &context) in kept.iter().enumerate().take(hi).skip(lo) {
-                        if ctx_pos == pos {
-                            continue;
-                        }
-                        // Only the negatives consume the rng and the
-                        // centre row is written after the group, so the
-                        // draws can all come first — same draws, same
-                        // order, a negative equal to the context skipped.
-                        targets.clear();
-                        targets.push(context);
-                        for _ in 0..config.negative {
-                            let target = sampler.sample(rng);
-                            if target != context {
-                                targets.push(target);
-                            }
-                        }
-                        // `input` and `output` are distinct tensors, so
-                        // the centre row can stay borrowed while target
-                        // rows are written.
-                        let vin = input.row_slice(center);
-                        dots(vin, &output, &targets, &mut scores);
-                        grad_in.iter_mut().for_each(|g| *g = 0.0);
-                        // Positive pair + negatives share the same form:
-                        // dL/du_o = (σ(u_o·v_c) − label) · v_c
-                        for (k, &target) in targets.iter().enumerate() {
-                            let label = if k == 0 { 1.0f32 } else { 0.0 };
-                            let uout = output.row_slice_mut(target);
-                            // A row already updated in this group has a
-                            // stale score: recompute it (DESIGN.md §18).
-                            let score = if targets[..k].contains(&target) {
-                                dot(vin, uout)
-                            } else {
-                                scores[k]
-                            };
-                            let p = sigmoid(score);
-                            if observed {
-                                if epoch_terms.is_multiple_of(LOSS_STRIDE) {
-                                    let t = if k == 0 { p } else { 1.0 - p };
-                                    epoch_loss -= f64::from(t.max(1e-7)).ln();
-                                }
-                                epoch_terms += 1;
-                            }
-                            let g = (p - label) * lr;
-                            // Per element: the gradient reads `u` before
-                            // `u` is updated (DESIGN.md §18).
-                            for ((gi, u), &x) in grad_in.iter_mut().zip(uout).zip(vin) {
-                                *gi += g * *u;
-                                *u -= g * x;
-                            }
-                        }
-                        for (x, &gi) in input.row_slice_mut(center).iter_mut().zip(&grad_in) {
-                            *x -= gi;
-                        }
-                    }
-                }
-            }
-            if epoch_terms > 0 {
-                let sampled = epoch_terms.div_ceil(LOSS_STRIDE);
-                dc_obs::series_push("embed.sgns", "loss", epoch_loss / sampled as f64);
-            }
-        }
+        let draws = DrawStage::new(&encoded, keep.as_deref(), vocab.negative_sampler(), config);
+        let complete = run_stages(draws, rng, schedule, |chunks| {
+            update_stage(&encoded, config, &mut input, &mut output, chunks)
+        });
+        assert!(complete, "SGNS: the draw stage stopped before the updates");
         Embeddings {
             vocab,
             vectors: input,
@@ -374,6 +309,348 @@ fn sigmoid(x: f32) -> f32 {
 /// The observed loss series averages every `LOSS_STRIDE`-th term: the
 /// `ln` per term was a fixed ~65 ms of a traced `curate_lake` run.
 const LOSS_STRIDE: u64 = 8;
+
+/// Words (`u32` vocabulary ids) per chunk of draws: ~3 300 groups at
+/// five negatives, so a hand-off is rare next to the updates it feeds.
+/// A chunk is widened when one item — a group's negatives, or a
+/// subsampled document — would not fit.
+const CHUNK_WORDS: usize = 1 << 14;
+
+/// Chunk buffers per training run: the update stage reads one while the
+/// helper fills the others.
+const CHUNKS: usize = 3;
+
+/// Positions `lo..hi` of the context window around `pos` in a document
+/// of `len` tokens, `pos` itself included. Both stages and the
+/// seed-loop oracle take their bounds from here, so they agree on every
+/// group; the sum saturates, so a `window` past the document's length
+/// means the whole document rather than an overflow.
+fn context_window(pos: usize, window: usize, len: usize) -> Range<usize> {
+    pos.saturating_sub(window)..pos.saturating_add(window).saturating_add(1).min(len)
+}
+
+/// (center, context) groups in a document of `len` kept tokens.
+fn group_count(len: usize, window: usize) -> usize {
+    (0..len)
+        .map(|pos| context_window(pos, window, len).len() - 1)
+        .sum()
+}
+
+/// The update stage: the seed loop's floating-point program, with each
+/// document's subsampled ids and each group's negatives read from the
+/// chunk stream instead of the rng. Returns `false` if the stream ended
+/// early, which only a panicking draw stage does.
+fn update_stage(
+    encoded: &[Vec<usize>],
+    config: &SgnsConfig,
+    input: &mut Tensor,
+    output: &mut Tensor,
+    mut chunks: ChunkReader<'_, '_>,
+) -> bool {
+    let total_steps = (config.epochs * encoded.iter().map(Vec::len).sum::<usize>()).max(1);
+    let mut step = 0usize;
+    let mut grad_in = vec![0.0f32; config.dim];
+    let mut subsampled: Vec<usize> = Vec::new();
+    // One (center, context) group's targets — the context, then its
+    // surviving negatives — and their scores, reused across groups.
+    let mut targets: Vec<usize> = Vec::with_capacity(config.negative + 1);
+    let mut scores: Vec<f32> = Vec::with_capacity(config.negative + 1);
+    for _epoch in 0..config.epochs {
+        let _epoch_span = dc_obs::span("embed.sgns");
+        // BCE over every `LOSS_STRIDE`-th (center, target) term of the
+        // epoch, accumulated only when observability is on. The terms
+        // are picked by their count and the extra arithmetic never
+        // touches the rng, so embeddings are bit-identical with DC_OBS
+        // on or off.
+        let observed = dc_obs::enabled();
+        let mut epoch_loss = 0.0f64;
+        let mut epoch_terms = 0u64;
+        for doc in encoded {
+            // Optional frequent-word subsampling, re-drawn each epoch.
+            let kept: &[usize] = if config.subsample.is_some() {
+                let Some(&[len]) = chunks.take(1) else {
+                    return false;
+                };
+                let Some(ids) = chunks.take(len as usize) else {
+                    return false;
+                };
+                subsampled.clear();
+                subsampled.extend(ids.iter().map(|&id| id as usize));
+                &subsampled
+            } else {
+                doc
+            };
+            for (pos, &center) in kept.iter().enumerate() {
+                step += 1;
+                let progress = step as f32 / total_steps as f32;
+                let lr = config.lr * (1.0 - 0.9 * progress);
+                let window = context_window(pos, config.window, kept.len());
+                for (ctx_pos, &context) in
+                    kept.iter().enumerate().take(window.end).skip(window.start)
+                {
+                    if ctx_pos == pos {
+                        continue;
+                    }
+                    // The centre row is written after the group, so its
+                    // draws can all come first — same draws, same order,
+                    // a negative equal to the context skipped.
+                    let Some(negatives) = chunks.take(config.negative) else {
+                        return false;
+                    };
+                    targets.clear();
+                    targets.push(context);
+                    targets.extend(
+                        negatives
+                            .iter()
+                            .map(|&id| id as usize)
+                            .filter(|&id| id != context),
+                    );
+                    // `input` and `output` are distinct tensors, so the
+                    // centre row can stay borrowed while target rows are
+                    // written.
+                    let vin = input.row_slice(center);
+                    dots(vin, output, &targets, &mut scores);
+                    grad_in.iter_mut().for_each(|g| *g = 0.0);
+                    // Positive pair + negatives share the same form:
+                    // dL/du_o = (σ(u_o·v_c) − label) · v_c
+                    for (k, &target) in targets.iter().enumerate() {
+                        let label = if k == 0 { 1.0f32 } else { 0.0 };
+                        let uout = output.row_slice_mut(target);
+                        // A row already updated in this group has a
+                        // stale score: recompute it (DESIGN.md §18).
+                        let score = if targets[..k].contains(&target) {
+                            dot(vin, uout)
+                        } else {
+                            scores[k]
+                        };
+                        let p = sigmoid(score);
+                        if observed {
+                            if epoch_terms.is_multiple_of(LOSS_STRIDE) {
+                                let t = if k == 0 { p } else { 1.0 - p };
+                                epoch_loss -= f64::from(t.max(1e-7)).ln();
+                            }
+                            epoch_terms += 1;
+                        }
+                        let g = (p - label) * lr;
+                        // Per element: the gradient reads `u` before `u`
+                        // is updated (DESIGN.md §18).
+                        for ((gi, u), &x) in grad_in.iter_mut().zip(uout).zip(vin) {
+                            *gi += g * *u;
+                            *u -= g * x;
+                        }
+                    }
+                    for (x, &gi) in input.row_slice_mut(center).iter_mut().zip(&grad_in) {
+                        *x -= gi;
+                    }
+                }
+            }
+        }
+        if epoch_terms > 0 {
+            let sampled = epoch_terms.div_ceil(LOSS_STRIDE);
+            dc_obs::series_push("embed.sgns", "loss", epoch_loss / sampled as f64);
+        }
+    }
+    true
+}
+
+/// The draw stage: every rng read of training, in the seed loop's order
+/// — per epoch and document the subsample filter, then `negative`
+/// samples per (center, context) group — written as words into chunks.
+/// A subsampled document is its kept length followed by its ids; a
+/// group is its `negative` draws, a negative equal to the context
+/// included (the update stage skips it). An item never straddles two
+/// chunks, and [`DrawStage::fill`] resumes where the last call stopped.
+struct DrawStage<'a> {
+    docs: &'a [Vec<usize>],
+    keep: Option<&'a [f64]>,
+    sampler: NegativeSampler<'a>,
+    window: usize,
+    negative: usize,
+    /// Documents to start over all epochs, and how many have been.
+    total: usize,
+    started: usize,
+    /// Groups of the current document not drawn yet.
+    groups: usize,
+    /// Words per chunk: the largest item always fits.
+    words: usize,
+}
+
+impl<'a> DrawStage<'a> {
+    fn new(
+        docs: &'a [Vec<usize>],
+        keep: Option<&'a [f64]>,
+        sampler: NegativeSampler<'a>,
+        config: &SgnsConfig,
+    ) -> Self {
+        let longest_doc = match keep {
+            Some(_) => 1 + docs.iter().map(Vec::len).max().unwrap_or(0),
+            None => 0,
+        };
+        DrawStage {
+            docs,
+            keep,
+            sampler,
+            window: config.window,
+            negative: config.negative,
+            total: config.epochs * docs.len(),
+            started: 0,
+            groups: 0,
+            words: CHUNK_WORDS.max(config.negative).max(longest_doc),
+        }
+    }
+
+    /// Refill `chunk` with the next items, stopping before one that
+    /// would not fit. `false` when nothing was left to draw.
+    fn fill(&mut self, chunk: &mut Vec<u32>, rng: &mut StdRng) -> bool {
+        chunk.clear();
+        let mut draws = 0;
+        loop {
+            if self.groups > 0 {
+                if chunk.len() + self.negative > self.words {
+                    break;
+                }
+                // Vocabulary ids fit `u32`, as `NegativeSampler`'s guide
+                // table already requires.
+                chunk.extend((0..self.negative).map(|_| self.sampler.sample(rng) as u32));
+                draws += self.negative;
+                self.groups -= 1;
+            } else if self.started < self.total {
+                let doc = &self.docs[self.started % self.docs.len()];
+                let len = match self.keep {
+                    Some(keep) => {
+                        if chunk.len() + 1 + doc.len() > self.words {
+                            break;
+                        }
+                        let at = chunk.len();
+                        chunk.push(0);
+                        chunk.extend(
+                            doc.iter()
+                                .filter(|&&id| rng.gen::<f64>() < keep[id])
+                                .map(|&id| id as u32),
+                        );
+                        let len = chunk.len() - at - 1;
+                        chunk[at] = u32::try_from(len).expect("document length fits u32");
+                        len
+                    }
+                    None => doc.len(),
+                };
+                self.groups = group_count(len, self.window);
+                self.started += 1;
+            } else {
+                break;
+            }
+        }
+        DRAWS.add(draws as u64);
+        !chunk.is_empty()
+    }
+}
+
+/// Where the draw stage runs.
+#[derive(Clone, Copy, Debug)]
+enum Schedule {
+    /// On the caller: it fills a chunk whenever the updates have used
+    /// up the last one (`DC_THREADS=1`; no thread is spawned).
+    Inline,
+    /// On one scoped helper thread, up to `CHUNKS - 1` chunks ahead.
+    Helper,
+}
+
+/// Where the update stage's next chunk comes from.
+enum Source<'a, 'r> {
+    Inline {
+        draws: DrawStage<'a>,
+        rng: &'r mut StdRng,
+    },
+    Helper {
+        full: Receiver<Vec<u32>>,
+        free: SyncSender<Vec<u32>>,
+    },
+}
+
+impl Source<'_, '_> {
+    /// Hand back a used chunk and get the next full one; `None` once
+    /// the draw stage has nothing more or has stopped.
+    fn next(&mut self, mut used: Vec<u32>) -> Option<Vec<u32>> {
+        let _wait = DRAW_WAIT.start();
+        match self {
+            Source::Inline { draws, rng } => draws.fill(&mut used, rng).then_some(used),
+            Source::Helper { full, free } => {
+                // A helper that has stopped needs no more chunks.
+                let _ = free.send(used);
+                full.recv().ok()
+            }
+        }
+    }
+}
+
+/// The update stage's cursor over the chunk stream.
+struct ChunkReader<'a, 'r> {
+    chunk: Vec<u32>,
+    at: usize,
+    source: Source<'a, 'r>,
+}
+
+impl ChunkReader<'_, '_> {
+    /// The next `n` words, moving to the next chunk when this one is
+    /// used up; `None` if the stream ended first.
+    fn take(&mut self, n: usize) -> Option<&[u32]> {
+        if n > 0 && self.at == self.chunk.len() {
+            self.chunk = self.source.next(std::mem::take(&mut self.chunk))?;
+            self.at = 0;
+        }
+        self.at += n;
+        Some(&self.chunk[self.at - n..self.at])
+    }
+}
+
+/// Run `update` over the chunks `draws` fills, on `schedule`, and
+/// return what it returns. The caller's thread runs the updates; the
+/// chunk buffers are allocated here, once, and recycled.
+///
+/// With a helper, each side holds one end of both channels, so a panic
+/// on either side drops its ends and wakes the other: a stopped helper
+/// makes `update` see the stream end, a panicking `update` makes the
+/// helper's next send or receive fail. The helper's panic is re-raised
+/// here; `update`'s unwinds through the scope once the helper is done.
+fn run_stages<'a, 'r>(
+    mut draws: DrawStage<'a>,
+    rng: &'r mut StdRng,
+    schedule: Schedule,
+    update: impl FnOnce(ChunkReader<'a, 'r>) -> bool,
+) -> bool {
+    let words = draws.words;
+    let chunk = || Vec::with_capacity(words);
+    let reader = |source| ChunkReader {
+        chunk: chunk(),
+        at: 0,
+        source,
+    };
+    match schedule {
+        Schedule::Inline => update(reader(Source::Inline { draws, rng })),
+        Schedule::Helper => std::thread::scope(|scope| {
+            let (full_tx, full) = sync_channel(CHUNKS);
+            let (free, free_rx) = sync_channel::<Vec<u32>>(CHUNKS);
+            for _ in 1..CHUNKS {
+                free.send(chunk()).expect("the receiver is alive");
+            }
+            let reader = reader(Source::Helper { full, free });
+            let helper = scope.spawn(move || {
+                while let Ok(mut chunk) = free_rx.recv() {
+                    if !draws.fill(&mut chunk, rng) || full_tx.send(chunk).is_err() {
+                        break;
+                    }
+                }
+            });
+            // `update` owns the reader, so both channel ends are gone
+            // when it returns: a helper waiting for a free chunk wakes.
+            let complete = update(reader);
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+            complete
+        }),
+    }
+}
 
 /// `x · row`, summed left to right from `0.0` — the seed's operation
 /// order. (The seed's `Iterator::sum` starts from `-0.0`, which differs
@@ -554,9 +831,10 @@ mod tests {
                     step += 1;
                     let progress = step as f32 / total_steps as f32;
                     let lr = config.lr * (1.0 - 0.9 * progress);
-                    let lo = pos.saturating_sub(config.window);
-                    let hi = (pos + config.window + 1).min(kept.len());
-                    for (ctx_pos, &context) in kept.iter().enumerate().take(hi).skip(lo) {
+                    let window = context_window(pos, config.window, kept.len());
+                    for (ctx_pos, &context) in
+                        kept.iter().enumerate().take(window.end).skip(window.start)
+                    {
                         if ctx_pos == pos {
                             continue;
                         }
@@ -594,34 +872,36 @@ mod tests {
         input
     }
 
-    /// [`Embeddings::train`] against [`train_seed_loop`] from the same
-    /// rng state, with frequent-word subsampling off and on and with
-    /// observability off and on: same bits, same rng position after.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Training on both schedules against [`train_seed_loop`] from the
+    /// same rng state, with frequent-word subsampling off and on and
+    /// with observability off and on: same bits, same rng position
+    /// after.
     fn assert_bitwise_the_seed_loop(corpus: &[Vec<String>], config: &SgnsConfig) {
-        let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         for subsample in [None, Some(0.01)] {
             let config = config.clone().with_subsample(subsample);
             let what = format!(
-                "dim {}, negative {}, subsample {subsample:?}",
-                config.dim, config.negative
+                "dim {}, window {}, negative {}, subsample {subsample:?}",
+                config.dim, config.window, config.negative
             );
-            let (mut rng_seed, mut rng_off, mut rng_on) = (
-                StdRng::seed_from_u64(12),
-                StdRng::seed_from_u64(12),
-                StdRng::seed_from_u64(12),
-            );
+            let mut rng_seed = StdRng::seed_from_u64(12);
             let want = bits(&train_seed_loop(corpus, &config, &mut rng_seed));
-            dc_obs::set_enabled(false);
-            let off = Embeddings::train(corpus, &config, &mut rng_off);
-            dc_obs::set_enabled(true);
-            let on = Embeddings::train(corpus, &config, &mut rng_on);
-            dc_obs::set_enabled(false);
-            assert_eq!(bits(&off.vectors), want, "{what}, DC_OBS off");
-            assert_eq!(bits(&on.vectors), want, "{what}, DC_OBS on");
             // Same draws consumed, so whatever trains next sees the same stream.
             let next = rng_seed.gen::<u64>();
-            assert_eq!(rng_off.gen::<u64>(), next, "{what}");
-            assert_eq!(rng_on.gen::<u64>(), next, "{what}");
+            for schedule in [Schedule::Inline, Schedule::Helper] {
+                for observed in [false, true] {
+                    let mut rng = StdRng::seed_from_u64(12);
+                    dc_obs::set_enabled(observed);
+                    let got = Embeddings::train_scheduled(corpus, &config, &mut rng, schedule);
+                    dc_obs::set_enabled(false);
+                    let what = format!("{what}, {schedule:?}, DC_OBS {observed}");
+                    assert_eq!(bits(&got.vectors), want, "{what}");
+                    assert_eq!(rng.gen::<u64>(), next, "{what}");
+                }
+            }
         }
     }
 
@@ -657,7 +937,115 @@ mod tests {
 
         // One token: every negative is the context and is skipped.
         let single = vec![vec!["a".to_string(); 6]; 10];
-        assert_bitwise_the_seed_loop(&single, &config.with_dim(4));
+        assert_bitwise_the_seed_loop(&single, &config.clone().with_dim(4));
+
+        // A subsampled document longer than a chunk widens the chunk.
+        let mut long = collisions;
+        long.push(
+            (0..CHUNK_WORDS + 5)
+                .map(|i| ["a", "b", "c", "d"][i % 4].to_string())
+                .collect(),
+        );
+        let config = config.with_window(1).with_negative(1).with_dim(2);
+        assert_bitwise_the_seed_loop(&long, &config);
+    }
+
+    #[test]
+    fn a_window_past_every_document_is_the_whole_document() {
+        // Documents of 1 to 9 tokens.
+        let mut rng = StdRng::seed_from_u64(17);
+        let corpus: Vec<Vec<String>> = (0..60)
+            .map(|i| {
+                (0..1 + i % 9)
+                    .map(|_| format!("w{}", rng.gen_range(0..12)))
+                    .collect()
+            })
+            .collect();
+        let config = SgnsConfig::default().with_epochs(2).with_dim(6);
+        for subsample in [None, Some(0.05)] {
+            let config = config.clone().with_subsample(subsample);
+            let whole = config.clone().with_window(9);
+            let huge = config.with_window(usize::MAX);
+            for schedule in [Schedule::Inline, Schedule::Helper] {
+                let train = |config: &SgnsConfig| {
+                    let mut rng = StdRng::seed_from_u64(5);
+                    Embeddings::train_scheduled(&corpus, config, &mut rng, schedule).vectors
+                };
+                assert_eq!(
+                    bits(&train(&huge)),
+                    bits(&train(&whole)),
+                    "{subsample:?}, {schedule:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_trainings_each_match_their_serial_run() {
+        let corpus = planted_topic_corpus(3, 5, 150, 8, &mut StdRng::seed_from_u64(21));
+        let config = |seed: u64| {
+            SgnsConfig::default()
+                .with_epochs(2)
+                .with_dim(12)
+                .with_subsample((seed % 2 == 1).then_some(0.01))
+        };
+        let train = |seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            bits(&Embeddings::train(&corpus, &config(seed), &mut rng).vectors)
+        };
+        let serial: Vec<Vec<u32>> = (0..4).map(train).collect();
+        let concurrent: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..4)
+                .map(|seed| scope.spawn(move || train(seed)))
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("training thread"))
+                .collect()
+        });
+        assert_eq!(concurrent, serial);
+    }
+
+    /// Runs the two stages over a corpus long enough to fill every chunk
+    /// buffer, and returns the panic message, if any.
+    fn panic_message(keep: Option<&[f64]>, update_panics: bool) -> Option<String> {
+        let docs = vec![vec!["a".to_string(), "b".to_string(), "c".to_string()]; 4000];
+        let vocab = Vocabulary::build(&docs, 1);
+        let encoded: Vec<Vec<usize>> = docs.iter().map(|doc| vocab.encode(doc)).collect();
+        let config = SgnsConfig::default()
+            .with_epochs(2)
+            .with_subsample(keep.map(|_| 0.01));
+        let draws = DrawStage::new(&encoded, keep, vocab.negative_sampler(), &config);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut input = Tensor::zeros(vocab.len(), config.dim);
+        let mut output = Tensor::zeros(vocab.len(), config.dim);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_stages(draws, &mut rng, Schedule::Helper, |chunks| {
+                assert!(!update_panics, "update stage failed");
+                update_stage(&encoded, &config, &mut input, &mut output, chunks)
+            })
+        }));
+        let payload = run.err()?;
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        Some(message.unwrap_or_default())
+    }
+
+    #[test]
+    fn a_panic_on_either_stage_ends_the_other() {
+        assert_eq!(panic_message(Some(&[1.0; 3]), false), None);
+        // The update stage fails before reading a chunk; the helper,
+        // waiting to hand over a full one, wakes and stops.
+        assert_eq!(
+            panic_message(Some(&[1.0; 3]), true).as_deref(),
+            Some("update stage failed")
+        );
+        // A keep table too short for the vocabulary panics in the
+        // helper's subsample filter; the update stage sees the stream
+        // end, and the helper's own panic reaches the caller.
+        let message = panic_message(Some(&[1.0; 2]), false).expect("the helper panicked");
+        assert!(message.contains("index out of bounds"), "{message}");
     }
 
     #[test]

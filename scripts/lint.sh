@@ -21,9 +21,10 @@ done
 # The gate manifest, run top to bottom by the one loop below. Entries:
 #   "== <text>"                         section header
 #   "run <command>"                     a command, as written
-#   "pool <package>:<test>[:release]"   an integration-test suite whose
-#       subject enters the kernel worker pool: run under DC_THREADS=1,
-#       =2 and the default
+#   "pool <package>:<test>[:release]"   an integration-test suite (or, as
+#       <test> = lib, the package's unit tests) whose subject takes a
+#       thread-count-dependent path: run under DC_THREADS=1, =2 and the
+#       default
 #   "once <package>:<test>[:release]"   a suite that never does: one run
 gates=(
     "== cargo fmt --check"
@@ -43,12 +44,16 @@ gates=(
     "pool dc-er:blocking_equiv"
     "once dc-index:lsh_golden"
 
-    "== filter-verify matcher, slice SGNS loop, pipeline vs seed match loop"
-    # RuleMatcher and SGNS never enter the kernel pool: one run each (the
-    # dc-embed unit tests cover the bitwise loop test and the
-    # negative-sampler exactness tests).
+    "== filter-verify matcher, draw-ahead SGNS, pipeline vs seed match loop"
+    # RuleMatcher never enters the kernel pool: one run. SGNS does not
+    # either, but it draws its negatives on a helper thread at
+    # DC_THREADS >= 2 and on the caller at 1, so the dc-embed unit tests
+    # (both schedules against the seed loop, concurrent trainings, the
+    # negative-sampler exactness tests) and the draw counter run under
+    # all three.
     "once dc-er:rule_matcher_equiv"
-    "run cargo test -q -p dc-embed --lib"
+    "pool dc-embed:lib"
+    "pool dc-embed:sgns_obs"
     # Release: each run replays the seed pipeline over three 1000-row lakes
     # and holds Pipeline::run to its recorded counts and curated-table hash.
     "pool autodc:pipeline_match_equiv:release"
@@ -131,7 +136,9 @@ for gate in "${gates[@]}"; do
     run) eval "$spec" ;;
     pool | once)
         IFS=: read -r package suite profile <<<"$spec"
-        cmd=(cargo test -q ${profile:+--release} -p "$package" --test "$suite")
+        target=(--test "$suite")
+        if [ "$suite" = lib ]; then target=(--lib); fi
+        cmd=(cargo test -q ${profile:+--release} -p "$package" "${target[@]}")
         if [ "$kind" = pool ]; then
             DC_THREADS=1 "${cmd[@]}"
             DC_THREADS=2 "${cmd[@]}"

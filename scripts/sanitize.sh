@@ -14,7 +14,9 @@
 # `#[target_feature(enable = "avx2,fma")]` wrappers in kernel.rs are
 # compiled out under `cfg(miri)` and only the scalar `$body::<false>`
 # builds are interpreted. TSan covers the pthread side (mutex/condvar
-# handoff, chunk stealing) at DC_THREADS=2 and the default count.
+# handoff, chunk stealing) at DC_THREADS=2 and the default count, and
+# the SGNS draw-ahead chunk hand-off (caller ↔ helper thread over two
+# bounded channels) at DC_THREADS=2.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,7 +43,7 @@ else
     skip "cargo +nightly miri not installed (rustup +nightly component add miri)"
 fi
 
-echo "== ThreadSanitizer (worker pool under DC_THREADS=2 and default) =="
+echo "== ThreadSanitizer (worker pool under DC_THREADS=2 and default, SGNS chunk hand-off) =="
 host="$(rustc -vV | sed -n 's/^host: //p')"
 if rustc +nightly --version >/dev/null 2>&1 \
     && [ -d "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/src/rust/library" ]; then
@@ -54,6 +56,8 @@ if rustc +nightly --version >/dev/null 2>&1 \
         -q -p dc-tensor --test pool_equiv
     cargo +nightly test -Zbuild-std --target "$host" \
         -q -p dc-tensor --test kernel_equiv
+    DC_THREADS=2 cargo +nightly test -Zbuild-std --target "$host" \
+        -q -p dc-embed --lib
 else
     skip "nightly rust-src not installed (rustup +nightly component add rust-src)"
 fi
