@@ -34,6 +34,10 @@ use dc_serve::engine;
 use dc_synth::consolidate::{consolidate_cluster, PreferenceModel};
 use rand::rngs::StdRng;
 
+/// Match edges handed to the union–find; over `er.match.pairs`, the
+/// matcher's yield.
+static MATCH_MATCHED: dc_obs::Counter = dc_obs::Counter::new("er.match.matched");
+
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -235,11 +239,14 @@ impl Pipeline {
             let matches =
                 RuleMatcher::new(self.config.dedup_threshold).predict(&merged, &candidates);
             let mut uf = UnionFind::new(merged.len());
+            let mut matched = 0u64;
             for (&(a, b), is_match) in candidates.iter().zip(matches) {
                 if is_match {
                     uf.union(a, b);
+                    matched += 1;
                 }
             }
+            MATCH_MATCHED.add(matched);
             uf.clusters()
         };
         let preference = PreferenceModel::default();
