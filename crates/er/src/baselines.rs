@@ -77,26 +77,11 @@ impl RuleMatcher {
     }
 
     /// Predict labels for pairs: `score(a, b) >= threshold` for every
-    /// pair, decided without computing most of the scores.
+    /// pair, in `pairs`' iteration order — [`Self::prepare`] once, then
+    /// [`PreparedMatcher::is_match`] per pair.
     ///
-    /// Filter–verify (DESIGN.md §18): the table's cells are
-    /// canonicalised and interned once; each pair then starts from a
-    /// per-column *upper bound* on its similarity — exact for equal
-    /// values and for low-cardinality columns, whose value×value
-    /// similarities are tabulated up front, and `1 − |la − lb| / max`
-    /// otherwise, since an edit distance is at least the length
-    /// difference. Bounds are summed in column order exactly as
-    /// [`RuleMatcher::score`] sums similarities (a null column's `+ 0.0`
-    /// leaves a non-negative sum bit for bit where `score` adds
-    /// nothing); f64 addition and division are monotone, so a bound mean
-    /// below the threshold proves the score is too. A surviving pair has its inexact columns
-    /// replaced by their true similarity one at a time, re-testing after
-    /// each; once none is left the sum *is* the score's sum, term for
-    /// term.
-    ///
-    /// `pairs` is any borrowed collection of pairs — a slice, or the set
-    /// a blocker returns, which at corpus scale is too big to copy into
-    /// one; labels come back in its iteration order.
+    /// `pairs` is any borrowed collection of pairs: a slice, or the set a
+    /// blocker returns.
     ///
     /// # Panics
     /// Panics when a row's arity differs from the schema's.
@@ -105,6 +90,21 @@ impl RuleMatcher {
         table: &Table,
         pairs: impl IntoIterator<Item = &'a (usize, usize)>,
     ) -> Vec<bool> {
+        let mut matcher = self.prepare(table);
+        pairs
+            .into_iter()
+            .map(|&(a, b)| matcher.is_match(a, b))
+            .collect()
+    }
+
+    /// Bind the matcher to `table` for any number of
+    /// [`PreparedMatcher::is_match`] calls: the table's cells are
+    /// canonicalised and interned once, and columns with few distinct
+    /// values get their value×value similarities tabulated up front.
+    ///
+    /// # Panics
+    /// Panics when a row's arity differs from the schema's.
+    pub fn prepare(&self, table: &Table) -> PreparedMatcher {
         let arity = table.schema.arity();
         for row in &table.rows {
             assert_eq!(
@@ -114,48 +114,16 @@ impl RuleMatcher {
                 row.len()
             );
         }
-        let columns: Vec<MatchColumn> = (0..arity).map(|c| MatchColumn::new(table, c)).collect();
-        let mut scratch = EditScratch::default();
-        // Per column, the pair's similarity term, and the columns whose
-        // term is still only a bound.
-        let mut terms = vec![0.0f64; arity];
-        let mut open: Vec<usize> = Vec::with_capacity(arity);
-        let (mut filtered, mut verified) = (0u64, 0u64);
-        let labels: Vec<bool> = pairs
-            .into_iter()
-            .map(|&(a, b)| {
-                open.clear();
-                for (c, (col, term)) in columns.iter().zip(&mut terms).enumerate() {
-                    let (bound, exact) = col.bound(a, b);
-                    *term = bound;
-                    if !exact {
-                        open.push(c);
-                    }
-                }
-                let mut refined = 0;
-                loop {
-                    let mut total = 0.0;
-                    for t in &terms {
-                        total += t;
-                    }
-                    let mean = mean_similarity(total, arity);
-                    if mean < self.threshold {
-                        filtered += u64::from(refined == 0);
-                        break false;
-                    }
-                    let Some(&c) = open.get(refined) else {
-                        break mean >= self.threshold;
-                    };
-                    terms[c] = columns[c].similarity(a, b, &mut scratch);
-                    refined += 1;
-                    verified += 1;
-                }
-            })
-            .collect();
-        MATCH_PAIRS.add(labels.len() as u64);
-        MATCH_FILTERED.add(filtered);
-        MATCH_VERIFIED.add(verified);
-        labels
+        PreparedMatcher {
+            threshold: self.threshold,
+            columns: (0..arity).map(|c| MatchColumn::new(table, c)).collect(),
+            scratch: EditScratch::default(),
+            terms: vec![0.0; arity],
+            open: Vec::with_capacity(arity),
+            pairs: 0,
+            filtered: 0,
+            verified: 0,
+        }
     }
 
     /// Match scores (for AUC-style evaluation).
@@ -164,6 +132,79 @@ impl RuleMatcher {
             .iter()
             .map(|&(a, b)| self.score(&table.rows[a], &table.rows[b]) as f32)
             .collect()
+    }
+}
+
+/// A [`RuleMatcher`] bound to one table by [`RuleMatcher::prepare`]:
+/// answers `score(a, b) >= threshold` for pairs of its row indices,
+/// reusing the interned columns and the edit-distance scratch across
+/// pairs. Its `er.match.{pairs,filtered,verified}` counts reach dc-obs
+/// when it is dropped.
+pub struct PreparedMatcher {
+    threshold: f64,
+    columns: Vec<MatchColumn>,
+    scratch: EditScratch,
+    /// Per column, the current pair's similarity term, and the columns
+    /// whose term is still only a bound.
+    terms: Vec<f64>,
+    open: Vec<usize>,
+    pairs: u64,
+    filtered: u64,
+    verified: u64,
+}
+
+impl PreparedMatcher {
+    /// `score(a, b) >= threshold` for rows `a` and `b`, decided without
+    /// computing most scores.
+    ///
+    /// Filter–verify (DESIGN.md §18): the pair starts from a per-column
+    /// *upper bound* on its similarity — exact for equal values and for
+    /// low-cardinality columns, whose value×value similarities are
+    /// tabulated, and `1 − |la − lb| / max` otherwise, since an edit
+    /// distance is at least the length difference. Bounds are summed in
+    /// column order exactly as [`RuleMatcher::score`] sums similarities (a
+    /// null column's `+ 0.0` leaves a non-negative sum bit for bit where
+    /// `score` adds nothing); f64 addition and division are monotone, so a
+    /// bound mean below the threshold proves the score is too. A
+    /// surviving pair has its inexact columns replaced by their true
+    /// similarity one at a time, re-testing after each; once none is left
+    /// the sum *is* the score's sum, term for term.
+    pub fn is_match(&mut self, a: usize, b: usize) -> bool {
+        self.pairs += 1;
+        self.open.clear();
+        for (c, (col, term)) in self.columns.iter().zip(&mut self.terms).enumerate() {
+            let (bound, exact) = col.bound(a, b);
+            *term = bound;
+            if !exact {
+                self.open.push(c);
+            }
+        }
+        let mut refined = 0;
+        loop {
+            let mut total = 0.0;
+            for t in &self.terms {
+                total += t;
+            }
+            let mean = mean_similarity(total, self.terms.len());
+            if mean < self.threshold {
+                self.filtered += u64::from(refined == 0);
+                return false;
+            }
+            let Some(&c) = self.open.get(refined) else {
+                return mean >= self.threshold;
+            };
+            self.terms[c] = self.columns[c].similarity(a, b, &mut self.scratch);
+            refined += 1;
+            self.verified += 1;
+        }
+    }
+}
+
+impl Drop for PreparedMatcher {
+    fn drop(&mut self) {
+        MATCH_PAIRS.add(self.pairs);
+        MATCH_FILTERED.add(self.filtered);
+        MATCH_VERIFIED.add(self.verified);
     }
 }
 

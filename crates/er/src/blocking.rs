@@ -80,14 +80,31 @@ impl LshBlocker {
             .collect()
     }
 
-    /// Candidate pairs among `vectors`.
+    /// Candidate pairs among `vectors`: the pairs [`Self::index`]
+    /// streams, collected into a set.
+    pub fn candidates(&self, vectors: &[Vec<f32>]) -> Candidates {
+        let mut out = Candidates::new();
+        self.index(vectors).for_each_pair(|i, j| {
+            out.insert((i, j));
+        });
+        out
+    }
+
+    /// The banded index over `vectors`, whose
+    /// [`LshIndex::for_each_pair`] streams the candidate pairs, each once,
+    /// without holding them.
     ///
     /// Vectors are centred on their mean first: tuple embeddings from a
     /// single domain cluster in one orthant, where raw sign bits carry
     /// no information.
-    pub fn candidates(&self, vectors: &[Vec<f32>]) -> Candidates {
+    pub fn index(&self, vectors: &[Vec<f32>]) -> LshIndex {
+        let cfg = LshConfig {
+            bands: self.bands,
+            rows_per_band: self.rows_per_band,
+            probes: self.probes,
+        };
         if vectors.is_empty() {
-            return Candidates::new();
+            return LshIndex::new(cfg).expect("LshBlocker: at least one band of one row");
         }
         let dim = vectors[0].len();
         let mut mean = vec![0.0f32; dim];
@@ -115,17 +132,7 @@ impl LshBlocker {
             plane_data.resize((r + 1) * dim, 0.0);
         }
         let planes = Tensor::from_vec(self.planes.len(), dim, plane_data);
-        let index = LshIndex::build(
-            &items,
-            &planes,
-            LshConfig {
-                bands: self.bands,
-                rows_per_band: self.rows_per_band,
-                probes: self.probes,
-            },
-        )
-        .expect("plane count asserted by from_planes");
-        index.candidate_pairs().into_iter().collect()
+        LshIndex::build(&items, &planes, cfg).expect("plane count asserted by from_planes")
     }
 }
 

@@ -28,7 +28,7 @@ pub mod deeper;
 pub mod eval;
 pub mod features;
 
-pub use baselines::{ExactMatcher, FeatureLogReg, RuleMatcher};
+pub use baselines::{ExactMatcher, FeatureLogReg, PreparedMatcher, RuleMatcher};
 pub use blocking::{blocking_quality, BlockingQuality, KeyBlocker, LshBlocker, TokenBlocker};
 pub use deeper::{Composition, DeepEr, DeepErConfig};
 pub use eval::{best_threshold, evaluate_at, MatchEval};

@@ -13,8 +13,8 @@
 //! * [`lsh`] — banded inverted buckets over those signatures, keyed by
 //!   `u64` band words: one [`LshIndex`] that is bulk-built for batch
 //!   blocking and takes inserts, tombstone deletes and compactions for
-//!   the online service (sorted tier + overflow tier), emits the exact
-//!   pair set by sort/dedup over packed pair codes, and optionally
+//!   the online service (sorted tier + overflow tier), streams each
+//!   candidate pair once, at its first witness, and optionally
 //!   multi-probes near-boundary bits to recover pair completeness at
 //!   fewer bands.
 //! * [`topk`] — a binary-heap [`topk::TopK`] selector under a *total*

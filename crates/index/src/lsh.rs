@@ -6,8 +6,9 @@
 //! when *any* band matches exactly. The seed materialized a
 //! `HashMap<Vec<bool>, Vec<usize>>` per band and a `HashSet` of every
 //! pair; here each band is a sorted `(key, item)` table of `u64` band
-//! words, and [`LshIndex::candidate_pairs`] dedups packed `u64` pair
-//! codes by sort — far cheaper than hashing every occurrence.
+//! words, and [`LshIndex::for_each_pair`] streams each candidate pair
+//! once, at the first step of its walk that finds it, holding no pair
+//! set at all (the first-witness rule documented there).
 //!
 //! Each band's items live in two tiers:
 //!
@@ -517,11 +518,34 @@ impl LshIndex {
         INC_OVERFLOW.set(0);
     }
 
-    /// The exact deduplicated candidate pair set over live items —
-    /// banding plus multi-probe, sorted ascending `(min, max)`. Same
-    /// pair set as a fresh bulk build over the live score rows (with
-    /// rebuild ids mapped back through the live list).
+    /// The exact candidate pair set over live items — banding plus
+    /// multi-probe, sorted ascending `(min, max)`: [`Self::for_each_pair`]
+    /// collected. Same pair set as a fresh bulk build over the live score
+    /// rows (with rebuild ids mapped back through the live list).
     pub fn candidate_pairs(&self) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        self.for_each_pair(|i, j| pairs.push((i, j)));
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// Call `f(min, max)` once for every candidate pair of live items,
+    /// band by band, holding no pair set: each pair is emitted at its
+    /// **first witness** and skipped at every later one.
+    ///
+    /// The walk visits, per band in ascending order, first the pairs of
+    /// equal keys (within each tier, then overflow × sorted), then the
+    /// multi-probe hits of every live item in ascending id order. A band
+    /// witnesses `(i, j)` exactly when their band keys are equal or one
+    /// bit apart where that bit is among `i`'s or `j`'s probes — a check
+    /// on the two signatures and flip orders alone. So a pair found in
+    /// band `b` is first found there iff no band before `b` witnesses
+    /// it and, for a probe hit by `x` on `y < x`, `y`'s own probes of
+    /// band `b` do not flip the same bit (`y` probes first). Every live
+    /// item sits in exactly one tier of every band, so each earlier
+    /// witness really was an emission: the rule is exact, and it costs
+    /// O(bands · (1 + 2·probes)) per emission and no memory.
+    pub fn for_each_pair(&self, mut f: impl FnMut(usize, usize)) {
         let _query = IDX_QUERY.start();
         let width = self.cfg.rows_per_band;
         let ppb = self.probes_per_band;
@@ -531,19 +555,26 @@ impl LshIndex {
             .copied()
             .filter(|&i| self.alive[i as usize])
             .collect();
-        let mut codes: Vec<u64> = Vec::new();
         let mut live: Vec<u32> = Vec::new();
         let mut key = vec![0u64; width.div_ceil(64)];
-        let mut probe_codes = 0;
+        let (mut exact_hits, mut probe_hits, mut unique) = (0u64, 0u64, 0u64);
         for (b, sorted) in self.tables.iter().enumerate() {
             let lo = b * width;
             let overflow =
                 (!recent.is_empty()).then(|| BandTable::build(&self.sigs, lo, width, &recent));
             let tiers = || std::iter::once(sorted).chain(&overflow);
+            let mut exact = |i: u32, j: u32| {
+                exact_hits += 1;
+                let (i, j) = (i.min(j) as usize, i.max(j) as usize);
+                if self.unwitnessed_before(b, i, j) {
+                    unique += 1;
+                    f(i, j);
+                }
+            };
             // In-bucket pairs within each tier.
             for t in tiers() {
                 for run in t.runs() {
-                    self.push_run(t, run, None, &mut live, &mut codes);
+                    self.each_in_run(t, run, None, &mut live, &mut exact);
                 }
             }
             // Cross-tier: each overflow bucket against the sorted
@@ -552,50 +583,75 @@ impl LshIndex {
             if let Some(ovf) = &overflow {
                 for run in ovf.runs() {
                     let hits = sorted.equal_run(ovf.key(run.start));
-                    self.push_run(sorted, hits, Some(&ovf.items[run]), &mut live, &mut codes);
+                    self.each_in_run(sorted, hits, Some(&ovf.items[run]), &mut live, &mut exact);
                 }
             }
             // Multi-probe: flipped keys of every live item against both
             // tiers (a flipped key never equals the item's own key, so
             // no self pairs here either).
-            let exact = codes.len();
-            for i in (0..self.alive.len()).filter(|&i| self.alive[i]) {
+            for x in (0..self.alive.len()).filter(|&x| self.alive[x]) {
                 for p in 0..ppb {
-                    let rel = self.flips[(i * self.cfg.bands + b) * ppb + p] as usize;
-                    self.sigs.band_key_into(i, lo, width, &mut key);
+                    let rel = self.flips[(x * self.cfg.bands + b) * ppb + p] as usize;
+                    self.sigs.band_key_into(x, lo, width, &mut key);
                     key[rel / 64] ^= 1u64 << (rel % 64);
                     IDX_PROBE_LOOKUPS.incr();
+                    let mut probe = |x: u32, y: u32| {
+                        probe_hits += 1;
+                        let (x, y) = (x as usize, y as usize);
+                        if (x < y || !self.probes_bit(y, b, rel))
+                            && self.unwitnessed_before(b, x.min(y), x.max(y))
+                        {
+                            unique += 1;
+                            f(x.min(y), x.max(y));
+                        }
+                    };
                     for t in tiers() {
                         let hits = t.equal_run(&key);
-                        self.push_run(t, hits, Some(&[i as u32]), &mut live, &mut codes);
+                        self.each_in_run(t, hits, Some(&[x as u32]), &mut live, &mut probe);
                     }
                 }
             }
-            probe_codes += codes.len() - exact;
         }
-        IDX_PROBE_CANDIDATES.add(probe_codes as u64);
-        IDX_CANDIDATES_RAW.add(codes.len() as u64);
-        codes.sort_unstable();
-        codes.dedup();
-        IDX_CANDIDATES_UNIQUE.add(codes.len() as u64);
-        codes
-            .into_iter()
-            .map(|c| ((c >> 32) as usize, (c & 0xffff_ffff) as usize))
-            .collect()
+        IDX_PROBE_CANDIDATES.add(probe_hits);
+        IDX_CANDIDATES_RAW.add(exact_hits + probe_hits);
+        IDX_CANDIDATES_UNIQUE.add(unique);
     }
 
-    /// Emit the pair codes of one bucket — rows `run` of `t`: every
-    /// pair among its live items, or, given `with` (live items of
-    /// another tier, or a probing item), each of those against each
-    /// live item of the bucket. The tombstone filter runs per bucket
-    /// item, not per pair, and not at all while nothing is deleted.
-    fn push_run(
+    /// True when no band before `b` witnesses the pair `(i, j)`.
+    fn unwitnessed_before(&self, b: usize, i: usize, j: usize) -> bool {
+        (0..b).all(|e| !self.witnesses(e, i, j))
+    }
+
+    /// Whether band `b` finds the pair `(i, j)`: equal band keys, or
+    /// keys one bit apart where that bit is one of `i`'s or `j`'s probes.
+    fn witnesses(&self, b: usize, i: usize, j: usize) -> bool {
+        let width = self.cfg.rows_per_band;
+        match self.sigs.band_diff(i, j, b * width, width) {
+            (0, _) => true,
+            (1, bit) => self.probes_bit(i, b, bit) || self.probes_bit(j, b, bit),
+            _ => false,
+        }
+    }
+
+    /// Whether item `x`'s probes of band `b` flip band-relative `bit`.
+    fn probes_bit(&self, x: usize, b: usize, bit: usize) -> bool {
+        let ppb = self.probes_per_band;
+        self.flips[(x * self.cfg.bands + b) * ppb..][..ppb].contains(&(bit as u16))
+    }
+
+    /// Hand `emit` the pairs of one bucket — rows `run` of `t`: every
+    /// pair among its live items as `(lower, higher)`, or, given `with`
+    /// (live items of another tier, or a probing item), each of those
+    /// against each live item of the bucket as `(with item, bucket
+    /// item)`. The tombstone filter runs per bucket item, not per pair,
+    /// and not at all while nothing is deleted.
+    fn each_in_run(
         &self,
         t: &BandTable,
         run: Range<usize>,
         with: Option<&[u32]>,
         live: &mut Vec<u32>,
-        codes: &mut Vec<u64>,
+        emit: &mut impl FnMut(u32, u32),
     ) {
         let mut items = &t.items[run];
         if self.n_alive < self.alive.len() {
@@ -607,17 +663,16 @@ impl LshIndex {
             // Bucket items ascend, so `(i, j)` is already `(min, max)`.
             None => {
                 for (x, &i) in items.iter().enumerate() {
-                    let hi = (i as u64) << 32;
-                    codes.extend(items[x + 1..].iter().map(|&j| hi | j as u64));
+                    for &j in &items[x + 1..] {
+                        emit(i, j);
+                    }
                 }
             }
             Some(others) => {
                 for &j in items {
-                    codes.extend(
-                        others
-                            .iter()
-                            .map(|&i| ((i.min(j) as u64) << 32) | i.max(j) as u64),
-                    );
+                    for &i in others {
+                        emit(i, j);
+                    }
                 }
             }
         }

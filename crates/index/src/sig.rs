@@ -154,6 +154,30 @@ impl SignatureSet {
             *slot = extract_bits(sig, start, len);
         }
     }
+
+    /// How bits `lo..lo+width` of signatures `i` and `j` differ: the
+    /// number of differing bits, counted up to 2, and the band-relative
+    /// position of the lowest one (meaningful when the count is 1).
+    pub(crate) fn band_diff(&self, i: usize, j: usize, lo: usize, width: usize) -> (u32, usize) {
+        debug_assert!(lo + width <= self.nbits, "band beyond signature");
+        let (si, sj) = (self.sig(i), self.sig(j));
+        let (mut count, mut lowest) = (0, 0);
+        for w in 0..width.div_ceil(64) {
+            let start = lo + w * 64;
+            let len = (width - w * 64).min(64);
+            let d = extract_bits(si, start, len) ^ extract_bits(sj, start, len);
+            if d != 0 {
+                if count == 0 {
+                    lowest = w * 64 + d.trailing_zeros() as usize;
+                }
+                count += d.count_ones();
+                if count >= 2 {
+                    return (2, lowest);
+                }
+            }
+        }
+        (count, lowest)
+    }
 }
 
 /// `len <= 64` bits of `words` starting at bit `start`, right-aligned.
@@ -219,6 +243,23 @@ mod tests {
         for (j, &b) in bools.iter().enumerate() {
             assert_eq!(wide[j / 64] >> (j % 64) & 1 == 1, b, "bit {j}");
         }
+    }
+
+    #[test]
+    fn band_diff_counts_differing_bits_across_words() {
+        // Signature 1 differs from signature 0 at bits 3, 70 and 71.
+        let mut rows = [[-1.0f32; 130], [-1.0f32; 130]];
+        for j in [3, 70, 71] {
+            rows[1][j] = 1.0;
+        }
+        let sigs = SignatureSet::from_scores(&Tensor::from_vec(2, 130, rows.concat()));
+        assert_eq!(sigs.band_diff(0, 1, 0, 3), (0, 0));
+        assert_eq!(sigs.band_diff(0, 1, 0, 10), (1, 3));
+        assert_eq!(sigs.band_diff(0, 1, 2, 68), (1, 1));
+        assert_eq!(sigs.band_diff(0, 1, 60, 11), (1, 10));
+        assert_eq!(sigs.band_diff(0, 1, 60, 70).0, 2);
+        assert_eq!(sigs.band_diff(0, 1, 0, 130).0, 2);
+        assert_eq!(sigs.band_diff(1, 1, 0, 130), (0, 0));
     }
 
     #[test]

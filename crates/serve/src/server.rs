@@ -391,7 +391,7 @@ fn route(req: &Request, registry: &Registry) -> (&'static str, DcResult<String>)
                         name: t.name().to_string(),
                         generation: t.generation(),
                         rows: t.rows(),
-                        index_overflow: t.index_pairs()?.1,
+                        index_overflow: t.index_overflow()?,
                     })
                 })
                 .collect();

@@ -278,6 +278,12 @@ impl Tenant {
         Ok((idx.candidate_pairs(), idx.overflow_len()))
     }
 
+    /// Items in the blocking index's overflow tier (the `/v1/tenants`
+    /// listing), read without walking its candidate pairs.
+    pub fn index_overflow(&self) -> DcResult<usize> {
+        Ok(self.index()?.overflow_len())
+    }
+
     /// Compact the blocking index if its overflow tier reached
     /// `threshold`; the background maintenance thread calls this.
     pub fn maybe_compact(&self, threshold: usize) -> DcResult<bool> {
@@ -472,6 +478,7 @@ mod tests {
         let (pairs, overflow) = tenant.index_pairs().unwrap();
         assert_eq!(pairs, vec![(a, b)]);
         assert_eq!(overflow, 2);
+        assert_eq!(tenant.index_overflow().unwrap(), 2);
         assert!(tenant.maybe_compact(1).unwrap());
         assert_eq!(
             tenant.index_pairs().unwrap().1,
@@ -532,6 +539,7 @@ mod tests {
             tenant.index_insert(&[1.0; 32]).unwrap_err(),
             tenant.index_delete(0).unwrap_err(),
             tenant.index_pairs().unwrap_err(),
+            tenant.index_overflow().unwrap_err(),
             tenant.maybe_compact(1).unwrap_err(),
         ];
         for e in errs {

@@ -59,6 +59,14 @@ gates=(
     "pool autodc:pipeline_match_equiv:release"
     "pool autodc:pipeline_golden:release"
 
+    "== exact work profile of Pipeline::run (dc-obs work counters + allocation count, bytes and peak)"
+    # Allocation figures repeat exactly only on one thread; at any other
+    # thread count the suite compares the counters alone.
+    "run DC_THREADS=1 cargo test -q --release -p autodc --test work_profile"
+
+    "== EXPERIMENTS.md is regenerated byte for byte (E13's CPU timings excluded)"
+    "run cargo run -q --release -p dc-bench --bin report -- --check report_full.md"
+
     "== Trainer migration (unified run_epochs loop)"
     "once dc-nn:trainer_migration"
 

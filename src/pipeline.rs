@@ -9,8 +9,9 @@
 //! 1. **discover** — embed the lake, rank tables against the analyst's
 //!    natural-language query, keep the top-k compatible tables;
 //! 2. **integrate** — union compatible tables, block with embedding
-//!    LSH, match with a similarity rule, cluster with union–find, and
-//!    consolidate each duplicate cluster into a golden record;
+//!    LSH, stream each candidate pair through a similarity rule into a
+//!    union–find, and consolidate each duplicate cluster into a golden
+//!    record;
 //! 3. **clean** — discover FDs, repair violations by majority, impute
 //!    remaining nulls.
 //!
@@ -228,26 +229,31 @@ impl Pipeline {
             .collect();
         let tuple_emb = Embeddings::train(&tuple_docs, &self.config.sgns, rng);
         let vectors = tuple_vectors(&tuple_emb, &merged);
-        let candidates = {
+        let index = {
             let _span = dc_obs::span("er.block");
             let blocker =
                 LshBlocker::new(tuple_emb.dim(), self.config.lsh.0, self.config.lsh.1, rng);
-            blocker.candidates(&vectors)
+            blocker.index(&vectors)
         };
-        let clusters = {
+        // Blocking streams into matching: each candidate pair goes
+        // straight through filter–verify into the union–find, so the
+        // pair set is never held. The clusters do not depend on the order
+        // the edges arrive in.
+        let (clusters, candidates) = {
             let _span = dc_obs::span("er.match");
-            let matches =
-                RuleMatcher::new(self.config.dedup_threshold).predict(&merged, &candidates);
+            let mut matcher = RuleMatcher::new(self.config.dedup_threshold).prepare(&merged);
             let mut uf = UnionFind::new(merged.len());
-            let mut matched = 0u64;
-            for (&(a, b), is_match) in candidates.iter().zip(matches) {
-                if is_match {
+            let (mut candidates, mut matched) = (0usize, 0u64);
+            index.for_each_pair(|a, b| {
+                candidates += 1;
+                if matcher.is_match(a, b) {
                     uf.union(a, b);
                     matched += 1;
                 }
-            }
+            });
+            drop(index);
             MATCH_MATCHED.add(matched);
-            uf.clusters()
+            (uf.clusters(), candidates)
         };
         let preference = PreferenceModel::default();
         let mut integrated = Table::new(merged.name.clone(), merged.schema.clone());
@@ -311,12 +317,24 @@ impl Pipeline {
         let repairs =
             dc_clean::repair::repair_fds(&mut cleaned, &fds, self.config.repair_rounds).len();
         // Cleaning can turn near-duplicates into exact duplicates
-        // (imputed nulls, repaired RHS values); collapse them.
-        let mut seen = std::collections::HashSet::new();
-        cleaned.rows.retain(|row| {
-            let key: Vec<String> = row.iter().map(|v| v.canonical()).collect();
-            seen.insert(key)
-        });
+        // (imputed nulls, repaired RHS values); collapse them, keeping
+        // each row's first occurrence. The stable sort keeps equal keys
+        // in row order, so every row after the first of its run goes.
+        let keys: Vec<Vec<String>> = cleaned
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|v| v.canonical()).collect())
+            .collect();
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let mut keep = vec![true; keys.len()];
+        for w in order.windows(2) {
+            if keys[w[0]] == keys[w[1]] {
+                keep[w[1]] = false;
+            }
+        }
+        let mut keep = keep.into_iter();
+        cleaned.rows.retain(|_| keep.next().unwrap_or(true));
         let after = quality_score(&cleaned, &fds);
         drop(stage);
 
@@ -325,7 +343,7 @@ impl Pipeline {
             PipelineReport {
                 discovered,
                 rows_in,
-                candidates: candidates.len(),
+                candidates,
                 clusters_merged,
                 repairs,
                 cells_imputed,
@@ -344,9 +362,8 @@ fn select_repair_fds(
     fds: Vec<dc_relational::FunctionalDependency>,
 ) -> Vec<dc_relational::FunctionalDependency> {
     let mut kept: Vec<dc_relational::FunctionalDependency> = Vec::new();
-    let mut rhs_taken = std::collections::HashSet::new();
     for fd in fds {
-        if rhs_taken.contains(&fd.rhs) {
+        if kept.iter().any(|k| k.rhs == fd.rhs) {
             continue;
         }
         let cycles = kept
@@ -355,7 +372,6 @@ fn select_repair_fds(
         if cycles {
             continue;
         }
-        rhs_taken.insert(fd.rhs);
         kept.push(fd);
     }
     kept
