@@ -3,18 +3,36 @@
 
 use crate::{f3, ExperimentTable, Scale};
 use dc_clean::TableEncoder;
+use dc_data::DenseView;
 use dc_nn::ae::{Autoencoder, DenoisingAutoencoder, KSparseAutoencoder, Noise};
 use dc_nn::gan::Gan;
 use dc_nn::metrics::roc_auc;
 use dc_nn::optim::Adam;
+use dc_nn::train::{
+    run_dataset_epochs, AeTrainer, DaeTrainer, MlpTrainer, TrainOpts, Trainer, VaeTrainer,
+};
 use dc_nn::Vae;
-use dc_tensor::Tensor;
+use dc_tensor::{Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Run E15.
 pub fn run(scale: Scale) -> Vec<ExperimentTable> {
     vec![e15_reconstruction(scale), e15_generation(scale)]
+}
+
+/// `epochs` minibatch passes (batch 32) of `trainer` over `x` (and
+/// `y`), under the model's dc-obs name.
+fn train(
+    name: &'static str,
+    trainer: &mut dyn Trainer,
+    x: &Tensor,
+    y: Option<&Tensor>,
+    epochs: usize,
+    rng: &mut StdRng,
+) {
+    let opts = TrainOpts::default().with_epochs(epochs).with_batch_size(32);
+    run_dataset_epochs(name, trainer, &mut DenseView::new(x, y), &opts, rng);
 }
 
 /// Encoded people-table rows as the common benchmark input.
@@ -32,16 +50,24 @@ fn e15_reconstruction(scale: Scale) -> ExperimentTable {
     let epochs = scale.pick(30, 80);
 
     let mut ae = Autoencoder::new(d, &[d / 2], d / 4, &mut rng);
-    ae.fit(&x, &mut Adam::new(0.005), epochs, 32, &mut rng);
+    let mut t = AeTrainer {
+        model: &mut ae,
+        opt: &mut Adam::new(0.005),
+    };
+    train("nn.ae", &mut t, &x, None, epochs, &mut rng);
 
     let mut ks = KSparseAutoencoder::new(d, d / 2, d / 8, &mut rng);
     for _ in 0..epochs {
-        ks.train_step(&x, &mut Adam::new(0.005));
+        ks.train_step(&Tape::new(), &x, &mut Adam::new(0.005));
     }
 
     let mut dae =
         DenoisingAutoencoder::new(d, &[d / 2], d / 4, Noise::Masking { p: 0.2 }, &mut rng);
-    dae.fit(&x, &mut Adam::new(0.005), epochs, 32, &mut rng);
+    let mut t = DaeTrainer {
+        model: &mut dae,
+        opt: &mut Adam::new(0.005),
+    };
+    train("nn.dae", &mut t, &x, None, epochs, &mut rng);
 
     // Evaluate: reconstruction MSE on clean input and on 20%-masked
     // input (the DAE should degrade least under corruption).
@@ -84,7 +110,11 @@ fn e15_generation(scale: Scale) -> ExperimentTable {
 
     let mut vae = Vae::new(d, d / 2, d / 4, &mut rng);
     vae.beta = 0.1;
-    vae.fit(&x, &mut Adam::new(0.005), scale.pick(30, 80), 32, &mut rng);
+    let mut t = VaeTrainer {
+        model: &mut vae,
+        opt: &mut Adam::new(0.005),
+    };
+    train("nn.vae", &mut t, &x, None, scale.pick(30, 80), &mut rng);
     let vae_samples = vae.sample(n, &mut rng);
 
     let mut gan = Gan::new(d, d / 4, d / 2, &mut rng);
@@ -102,15 +132,12 @@ fn e15_generation(scale: Scale) -> ExperimentTable {
         labels.extend(vec![0.0; samples.rows]);
         let y = Tensor::from_vec(all.rows, 1, labels.clone());
         let mut clf = Mlp::new(&[d, 16, 1], Activation::Relu, Activation::Identity, rng);
-        clf.fit(
-            &all,
-            &y,
-            LossKind::bce(),
-            &mut Adam::new(0.01),
-            scale.pick(10, 25),
-            32,
-            rng,
-        );
+        let mut t = MlpTrainer {
+            model: &mut clf,
+            loss: LossKind::bce(),
+            opt: &mut Adam::new(0.01),
+        };
+        train("nn.mlp", &mut t, &all, Some(&y), scale.pick(10, 25), rng);
         let scores = clf.predict_proba(&all);
         let gold: Vec<bool> = labels.iter().map(|&v| v >= 0.5).collect();
         roc_auc(&scores, &gold)

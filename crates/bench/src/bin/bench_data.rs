@@ -17,7 +17,7 @@
 //!   pooled batch buffers grow only on the first step of a run —
 //!   `dc_data::batch_allocs` must not move after warmup.
 //! * **Larger-than-budget runs reproduce the resident run**: a demo
-//!   dataset with more chunks than `DC_DATA_CHUNKS` completes with a
+//!   dataset with more chunks than its resident budget completes with a
 //!   loss trajectory bitwise-equal to the fully resident run of the
 //!   same chunk shuffle, while actually evicting.
 //!
@@ -30,14 +30,14 @@
 //! skips wall-clock assertions and writes no file — that mode is wired
 //! into `scripts/lint.sh` and CI.
 
-use dc_data::{batch_allocs, ChunkedDataset, ChunkedStore, Csr, Dataset};
+use dc_data::{batch_allocs, ChunkedDataset, ChunkedStore, Csr, Dataset, DenseView};
 use dc_nn::linear::Activation;
 use dc_nn::loss::LossKind;
 use dc_nn::lstm::LstmEncoder;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::{Adam, Optimizer};
 use dc_nn::train::{
-    run_dataset_epochs, run_epochs, Batch, MlpTrainer, StepStats, TrainCtx, TrainOpts, Trainer,
+    run_dataset_epochs, Batch, MlpTrainer, StepStats, TrainCtx, TrainOpts, Trainer,
 };
 use dc_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -242,13 +242,8 @@ impl Trainer for LstmPairStep<'_> {
         self.opt.begin_step();
         self.encoder.apply_grads(&mut self.opt, 0, tape, &lvars);
         let base = self.encoder.slot_count();
-        for (slot, (layer, cv)) in self.classifier.layers.iter_mut().zip(&cvars).enumerate() {
-            tape.with_grad(cv.w, |gw| {
-                tape.with_grad(cv.b, |gb| {
-                    layer.apply_grads(&mut self.opt, base + slot, gw, gb)
-                })
-            });
-        }
+        self.classifier
+            .apply_grads(&mut self.opt, base, tape, &cvars);
         self.last_loss = lv;
         StepStats { loss: lv, aux: 0.0 }
     }
@@ -392,7 +387,7 @@ fn bench_epoch_workload(
 }
 
 /// The in-memory fast path must not allocate batch buffers after the
-/// first step of a run: `run_epochs` owns one pooled batch, so buffer
+/// first step of a run: `run_dataset_epochs` owns one pooled batch, so buffer
 /// growth is bounded by the initial x+y reservation.
 fn bench_fast_path(smoke: bool) -> FastPathSnapshot {
     let mut rng = StdRng::seed_from_u64(5);
@@ -414,7 +409,8 @@ fn bench_fast_path(smoke: bool) -> FastPathSnapshot {
     };
     let opts = TrainOpts::default().with_epochs(epochs).with_batch_size(16);
     let before = batch_allocs();
-    run_epochs("bench.data.fastpath", &mut t, &x, Some(&y), &opts, &mut rng);
+    let mut ds = DenseView::new(&x, Some(&y));
+    run_dataset_epochs("bench.data.fastpath", &mut t, &mut ds, &opts, &mut rng);
     let growths = batch_allocs() - before;
     let steps = epochs * rows.div_ceil(16);
     // One growth for the x buffer, one for y, both on the first step;

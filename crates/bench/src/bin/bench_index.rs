@@ -127,7 +127,7 @@ fn main() {
     // fwd/bwd timings next to the pool and index counters, then embed
     // the report in the snapshot and echo it to stdout.
     if dc_obs::enabled() {
-        use dc_nn::{Activation, Adam, LossKind, Mlp};
+        use dc_nn::{run_dataset_epochs, Activation, Adam, LossKind, Mlp, MlpTrainer, TrainOpts};
         let mut rng = StdRng::seed_from_u64(11);
         let x = Tensor::randn(128, 16, 1.0, &mut rng);
         let y = Tensor::from_vec(128, 1, (0..128).map(|i| (i % 2) as f32).collect());
@@ -137,8 +137,14 @@ fn main() {
             Activation::Identity,
             &mut rng,
         );
-        let mut opt = Adam::new(0.01);
-        mlp.fit(&x, &y, LossKind::bce(), &mut opt, 5, 32, &mut rng);
+        let mut t = MlpTrainer {
+            model: &mut mlp,
+            loss: LossKind::bce(),
+            opt: &mut Adam::new(0.01),
+        };
+        let opts = TrainOpts::default().with_epochs(5).with_batch_size(32);
+        let mut ds = dc_data::DenseView::new(&x, Some(&y));
+        run_dataset_epochs("nn.mlp", &mut t, &mut ds, &opts, &mut rng);
     }
     let obs = dc_obs::enabled().then(|| {
         let report = dc_obs::report().to_json();

@@ -13,7 +13,7 @@
 //!   step, every buffer a heap allocation, no elementwise fusion (the
 //!   pre-pool hot path);
 //! * **pooled** — one tape recycled across steps with pooling and
-//!   fusion on (what `run_epochs` does now).
+//!   fusion on (what `run_dataset_epochs` does now).
 //!
 //! Both configurations must produce bitwise-identical loss traces and
 //! weights (checked here from identically-seeded models), so the
@@ -144,7 +144,7 @@ impl MlpMicro {
 
 impl Workload for MlpMicro {
     fn step(&mut self, tape: &Tape) -> f32 {
-        self.last_loss = self.model.train_batch_on(
+        self.last_loss = self.model.train_batch(
             tape,
             &self.x,
             &self.y,
@@ -226,13 +226,8 @@ impl Workload for DeeperLstmMicro {
         self.opt.begin_step();
         self.encoder.apply_grads(&mut self.opt, 0, tape, &lvars);
         let base = self.encoder.slot_count();
-        for (slot, (layer, cv)) in self.classifier.layers.iter_mut().zip(&cvars).enumerate() {
-            tape.with_grad(cv.w, |gw| {
-                tape.with_grad(cv.b, |gb| {
-                    layer.apply_grads(&mut self.opt, base + slot, gw, gb)
-                })
-            });
-        }
+        self.classifier
+            .apply_grads(&mut self.opt, base, tape, &cvars);
         self.last_loss = lv;
         lv
     }
@@ -418,7 +413,7 @@ fn main() {
     let workloads = vec![
         bench_workload(
             "mlp_micro",
-            "Mlp::train_batch_on, 4x8 batch, deep narrow [8,8x10,1] relu net, MSE",
+            "Mlp::train_batch, 4x8 batch, deep narrow [8,8x10,1] relu net, MSE",
             &|seed| Box::new(MlpMicro::new(seed)) as Box<dyn Workload>,
             warmup,
             timed,

@@ -9,9 +9,10 @@
 
 use crate::encode::TableEncoder;
 use dc_core::{DcError, DcResult};
+use dc_data::DenseView;
 use dc_nn::ae::{DenoisingAutoencoder, Noise};
 use dc_nn::optim::Adam;
-use dc_nn::train::{run_epochs_with_tape, DaeTrainer, TrainOpts};
+use dc_nn::train::{run_dataset_epochs, DaeTrainer, TrainOpts};
 use dc_relational::{Table, Value};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -36,7 +37,14 @@ impl SimpleImputer {
     pub fn fit(table: &Table, strategy: SimpleStrategy) -> Self {
         let fills = (0..table.schema.arity())
             .map(|c| {
-                let nums: Vec<f64> = table.rows.iter().filter_map(|r| r[c].as_f64()).collect();
+                // A NaN cell (`Value::parse("NaN")` round-trips to a
+                // float) is skipped like a null: it carries no statistic.
+                let nums: Vec<f64> = table
+                    .rows
+                    .iter()
+                    .filter_map(|r| r[c].as_f64())
+                    .filter(|v| !v.is_nan())
+                    .collect();
                 let all_numeric = table
                     .rows
                     .iter()
@@ -46,7 +54,7 @@ impl SimpleImputer {
                         SimpleStrategy::MeanMode => nums.iter().sum::<f64>() / nums.len() as f64,
                         SimpleStrategy::MedianMode => {
                             let mut s = nums.clone();
-                            s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                            s.sort_by(f64::total_cmp);
                             s[s.len() / 2]
                         }
                     };
@@ -220,13 +228,10 @@ impl DaeImputer {
         rng: &mut StdRng,
     ) -> Self {
         let (x, _) = encoder.encode(table);
-        // The step tape: the dc-check probe below and every training
-        // step record on it, so the probe's buffer is recycled into the
-        // pool instead of being a throwaway allocation.
-        let tape = dc_tensor::Tape::new();
         if dc_check::enabled() {
             // The DAE hot path validates its own graphs; here we vet the
             // *input* — a non-finite encoding would poison every epoch.
+            let tape = dc_tensor::Tape::new();
             let _ = tape.var_from(&x);
             let poisoned = dc_check::sanitize(&tape);
             assert!(
@@ -234,7 +239,6 @@ impl DaeImputer {
                 "dc-check [DaeImputer::train]: encoded table is not finite\n{}",
                 dc_check::render(&poisoned)
             );
-            tape.recycle();
         }
         let mut dae = DenoisingAutoencoder::new(
             encoder.width(),
@@ -243,16 +247,14 @@ impl DaeImputer {
             Noise::Masking { p: 0.2 },
             rng,
         );
-        let opts = TrainOpts::default()
-            .with_epochs(epochs)
-            .with_lr(0.005)
-            .with_batch_size(32);
-        let mut opt = Adam::new(opts.lr);
+        let opts = TrainOpts::default().with_epochs(epochs).with_batch_size(32);
+        let mut opt = Adam::new(0.005);
         let mut trainer = DaeTrainer {
             model: &mut dae,
             opt: &mut opt,
         };
-        run_epochs_with_tape("clean.impute", &mut trainer, &x, None, &opts, rng, &tape);
+        let mut ds = DenseView::new(&x, None);
+        run_dataset_epochs("clean.impute", &mut trainer, &mut ds, &opts, rng);
         DaeImputer { encoder, dae }
     }
 
@@ -418,6 +420,20 @@ mod tests {
         let imp = SimpleImputer::fit(&dirty, SimpleStrategy::MeanMode);
         let filled = imp.impute(&dirty);
         assert_eq!(filled.null_rate(), 0.0);
+    }
+
+    #[test]
+    fn nan_cells_are_skipped_like_nulls() {
+        use dc_relational::{AttrType, Schema};
+        let mut t = Table::new("n", Schema::new(&[("x", AttrType::Float)]));
+        for raw in ["1", "NaN", "3", ""] {
+            t.push(vec![Value::parse(raw)]);
+        }
+        assert!(t.rows[1][0].as_f64().is_some_and(f64::is_nan));
+        let mean = SimpleImputer::fit(&t, SimpleStrategy::MeanMode).impute(&t);
+        let median = SimpleImputer::fit(&t, SimpleStrategy::MedianMode).impute(&t);
+        assert_eq!(mean.rows[3][0].as_f64(), Some(2.0));
+        assert_eq!(median.rows[3][0].as_f64(), Some(3.0));
     }
 
     #[test]

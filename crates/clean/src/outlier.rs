@@ -6,8 +6,10 @@
 //! reconstruction error (the deep path, reusing `dc_nn::ae`).
 
 use crate::encode::TableEncoder;
+use dc_data::DenseView;
 use dc_nn::ae::Autoencoder;
 use dc_nn::optim::Adam;
+use dc_nn::train::{run_dataset_epochs, AeTrainer, TrainOpts};
 use dc_relational::Table;
 use rand::rngs::StdRng;
 
@@ -49,7 +51,13 @@ pub fn ae_outlier_scores(
     let (x, _) = encoder.encode(table);
     let mut ae = Autoencoder::new(encoder.width(), &[encoder.width() / 2], latent, rng);
     let mut opt = Adam::new(0.005);
-    ae.fit(&x, &mut opt, epochs, 32, rng);
+    let opts = TrainOpts::default().with_epochs(epochs).with_batch_size(32);
+    let mut trainer = AeTrainer {
+        model: &mut ae,
+        opt: &mut opt,
+    };
+    let mut ds = DenseView::new(&x, None);
+    run_dataset_epochs("nn.ae", &mut trainer, &mut ds, &opts, rng);
     ae.reconstruction_errors(&x)
 }
 

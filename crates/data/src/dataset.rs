@@ -1,7 +1,7 @@
 //! The minibatch-source abstraction behind the unified training loop:
 //! epoch shuffles plus pooled zero-copy batch assembly.
 //!
-//! `dc-nn`'s `run_epochs` used to own both policies inline: shuffle one
+//! `dc-nn`'s epoch loop used to own both policies inline: shuffle one
 //! index vector over an in-memory tensor, then `gather_rows` a fresh
 //! batch tensor per step. [`Dataset`] lifts exactly those two decisions
 //! behind a trait so the same loop drives:

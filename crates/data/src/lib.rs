@@ -12,9 +12,9 @@
 //! * [`ChunkedStore`] — a dense row-group store. Rows live in
 //!   fixed-size chunks, either split in memory or persisted in a
 //!   std-only binary file with an indptr chunk directory. File-backed
-//!   stores keep at most `DC_DATA_CHUNKS` chunks resident under an
-//!   LRU policy, so corpora larger than memory stream through a small
-//!   working set. `data.chunk.{hit,miss,evict}` dc-obs counters make
+//!   stores keep at most the budget given to
+//!   [`ChunkedStore::open_with_budget`] resident under an LRU policy,
+//!   so corpora larger than memory stream through a small working set. `data.chunk.{hit,miss,evict}` dc-obs counters make
 //!   chunk thrash observable.
 //! * [`Dataset`] — the minibatch-source abstraction the unified
 //!   `dc-nn` training loop drives: an epoch shuffle plus a pooled
@@ -23,7 +23,7 @@
 //!   the `data.gather` histogram times each gather).
 //! * [`DenseView`] — the in-memory fast path. Its epoch shuffle is the
 //!   seed loop's `order.shuffle(rng)` verbatim, so loss trajectories
-//!   and rng draws through the rewired `run_epochs` stay bitwise
+//!   and rng draws through `dc-nn`'s `run_dataset_epochs` stay bitwise
 //!   identical to the pre-`dc-data` code.
 //! * [`ChunkedDataset`] — two-level shuffle over a [`ChunkedStore`]
 //!   (chunk granularity, then within chunks), giving each minibatch
@@ -46,15 +46,3 @@ pub use dataset::{
     batch_allocs, gather_rows_into, ChunkedDataset, Dataset, DenseView, GATHER_HIST,
 };
 pub use store::{ChunkCacheStats, ChunkedStore, StoreWriter};
-
-/// The `DC_DATA_CHUNKS` resident-chunk budget for file-backed stores:
-/// how many chunks a [`ChunkedStore`] may keep in memory at once.
-/// Unset (or unparsable) means "no budget" — everything stays resident
-/// after first touch. A value of `0` is clamped to 1 (the store always
-/// needs the chunk it is reading).
-pub fn chunk_budget_from_env() -> usize {
-    match std::env::var("DC_DATA_CHUNKS") {
-        Ok(v) => v.trim().parse::<usize>().map_or(usize::MAX, |n| n.max(1)),
-        Err(_) => usize::MAX,
-    }
-}

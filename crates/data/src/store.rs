@@ -8,7 +8,7 @@
 //!   [`ChunkedStore::from_tensor`]); every chunk is always resident.
 //! * **File** — chunks live in a std-only binary file written by
 //!   [`StoreWriter`] and are paged in on demand. At most `budget`
-//!   chunks (default: the `DC_DATA_CHUNKS` environment variable) stay
+//!   chunks (the argument to [`ChunkedStore::open_with_budget`]) stay
 //!   resident; loading past the budget evicts the least-recently-used
 //!   chunk. Evicted buffers are kept on a spare list so steady-state
 //!   streaming reuses allocations instead of touching the heap.
@@ -130,14 +130,9 @@ impl ChunkedStore {
         w.finish()
     }
 
-    /// Open a store file; the resident budget comes from
-    /// `DC_DATA_CHUNKS` (unset = unbounded).
-    pub fn open(path: &Path) -> io::Result<Self> {
-        Self::open_with_budget(path, crate::chunk_budget_from_env())
-    }
-
-    /// Open a store file with an explicit resident-chunk budget
-    /// (clamped to at least 1).
+    /// Open a store file keeping at most `budget` chunks resident
+    /// (clamped to at least 1; `usize::MAX` keeps every chunk resident
+    /// after first touch).
     pub fn open_with_budget(path: &Path, budget: usize) -> io::Result<Self> {
         let mut file = File::open(path)?;
         let mut header = [0u8; HEADER_BYTES as usize];
@@ -197,18 +192,6 @@ impl ChunkedStore {
             misses: 0,
             evicts: 0,
         })
-    }
-
-    /// Replace the resident-chunk budget (builder style).
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.set_budget(budget);
-        self
-    }
-
-    /// Replace the resident-chunk budget; an over-budget resident set
-    /// shrinks lazily as subsequent loads evict.
-    pub fn set_budget(&mut self, budget: usize) {
-        self.budget = budget.max(1);
     }
 
     /// Total row count.

@@ -10,7 +10,7 @@
 //!    bytes match the seed `gather_rows` loop bit for bit.
 //! 2. **Residency budget never changes the data**: the two-level
 //!    shuffle depends only on the chunk layout, so a file-backed store
-//!    streaming under any `DC_DATA_CHUNKS` budget yields the same
+//!    streaming under any resident-chunk budget yields the same
 //!    orders and the same batch bytes as the fully resident run.
 //! 3. **File round trip is bitwise**: rows written through
 //!    [`StoreWriter`] come back with identical f32 bits.
@@ -164,7 +164,7 @@ proptest! {
             w.push_row(x.row_slice(r)).expect("push");
         }
         w.finish().expect("finish");
-        let mut s = ChunkedStore::open(&path).expect("open");
+        let mut s = ChunkedStore::open_with_budget(&path, usize::MAX).expect("open");
         let back = s.to_tensor();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(back.rows, n);

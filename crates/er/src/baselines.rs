@@ -5,11 +5,12 @@
 //! with their associated thresholds", §5.2).
 
 use crate::features::{classical_feature_matrix, classical_pair_features};
+use dc_data::DenseView;
 use dc_nn::linear::Activation;
 use dc_nn::loss::{class_weights, LossKind};
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::Adam;
-use dc_nn::train::{run_epochs, MlpTrainer, TrainOpts};
+use dc_nn::train::{run_dataset_epochs, MlpTrainer, TrainOpts};
 use dc_relational::tokenize::EditScratch;
 use dc_relational::{Table, Value};
 use dc_tensor::Tensor;
@@ -327,17 +328,15 @@ impl FeatureLogReg {
             rng,
         );
         let (w_neg, w_pos) = class_weights(labels);
-        let opts = TrainOpts::default()
-            .with_epochs(epochs)
-            .with_lr(0.05)
-            .with_batch_size(32);
-        let mut opt = Adam::new(opts.lr);
+        let opts = TrainOpts::default().with_epochs(epochs).with_batch_size(32);
+        let mut opt = Adam::new(0.05);
         let mut trainer = MlpTrainer {
             model: &mut model,
             loss: LossKind::Bce { w_neg, w_pos },
             opt: &mut opt,
         };
-        run_epochs("er.logreg", &mut trainer, &x, Some(&y), &opts, rng);
+        let mut ds = DenseView::new(&x, Some(&y));
+        run_dataset_epochs("er.logreg", &mut trainer, &mut ds, &opts, rng);
         FeatureLogReg { model }
     }
 

@@ -16,13 +16,16 @@
 
 use crate::features::{embedding_feature_matrix, tuple_vectors};
 use dc_core::{check_pairs, DcResult};
+use dc_data::DenseView;
 use dc_embed::Embeddings;
 use dc_nn::linear::Activation;
 use dc_nn::loss::{class_weights, LossKind};
 use dc_nn::lstm::LstmEncoder;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::{Adam, Optimizer};
-use dc_nn::train::{run_epochs, Batch, MlpTrainer, StepStats, TrainCtx, TrainOpts, Trainer};
+use dc_nn::train::{
+    run_dataset_epochs, Batch, MlpTrainer, StepStats, TrainCtx, TrainOpts, Trainer,
+};
 use dc_relational::{tokenize_tuple, Table};
 use dc_tensor::{Tape, Tensor, Var};
 use rand::rngs::StdRng;
@@ -175,14 +178,14 @@ impl DeepEr {
         };
         let opts = TrainOpts::default()
             .with_epochs(config.epochs)
-            .with_lr(config.lr)
             .with_batch_size(config.batch);
         let mut trainer = MlpTrainer {
             model: &mut classifier,
             loss,
             opt: &mut opt,
         };
-        run_epochs("er.deeper", &mut trainer, &x, Some(&y), &opts, rng);
+        let mut ds = DenseView::new(&x, Some(&y));
+        run_dataset_epochs("er.deeper", &mut trainer, &mut ds, &opts, rng);
         DeepEr {
             emb,
             composition: CompositionState::Average,
@@ -237,13 +240,12 @@ impl DeepEr {
             })
             .collect();
 
-        // The LSTM path trains pair-by-pair; run_epochs drives it over
-        // a column of pair indices with batch_size 1, which shuffles in
-        // exactly the order the seed's hand-rolled loop did.
+        // The LSTM path trains pair-by-pair; the epoch loop drives it
+        // over a column of pair indices with batch_size 1, which
+        // shuffles in exactly the order the seed's hand-rolled loop did.
         let index = Tensor::from_vec(pairs.len(), 1, (0..pairs.len()).map(|i| i as f32).collect());
         let opts = TrainOpts::default()
             .with_epochs(config.epochs)
-            .with_lr(config.lr)
             .with_batch_size(1);
         let mut trainer = LstmPairTrainer {
             encoder: &mut encoder,
@@ -255,7 +257,8 @@ impl DeepEr {
             w_neg,
             w_pos,
         };
-        run_epochs("er.deeper_lstm", &mut trainer, &index, None, &opts, rng);
+        let mut ds = DenseView::new(&index, None);
+        run_dataset_epochs("er.deeper_lstm", &mut trainer, &mut ds, &opts, rng);
         DeepEr {
             emb,
             composition: CompositionState::Lstm {
@@ -464,11 +467,7 @@ impl Trainer for LstmPairTrainer<'_> {
         self.opt.begin_step();
         self.encoder.apply_grads(self.opt, 0, tape, &lvars);
         let base = self.encoder.slot_count();
-        for (slot, (layer, lv)) in self.classifier.layers.iter_mut().zip(&cvars).enumerate() {
-            tape.with_grad(lv.w, |gw| {
-                tape.with_grad(lv.b, |gb| layer.apply_grads(self.opt, base + slot, gw, gb))
-            });
-        }
+        self.classifier.apply_grads(self.opt, base, tape, &cvars);
         StepStats {
             loss: loss_value,
             aux: 0.0,

@@ -1,6 +1,6 @@
 //! Observability must be *observational*: turning `DC_OBS` recording
 //! on cannot change a single bit of trained weights. The dc-obs hooks
-//! in the tape, the worker pool and `run_epochs` never draw from the
+//! in the tape, the worker pool and `run_dataset_epochs` never draw from the
 //! training rng, so identical seeds must give bitwise-identical
 //! classifiers whether the registry records or not — under any
 //! `DC_THREADS` setting (`scripts/lint.sh` runs this under 1 and 2).

@@ -5,7 +5,7 @@
 //! multiple imputation with denoising autoencoders (§5.3) and
 //! VAE/GAN-based synthetic data generation (§6.2.3).
 
-use crate::linear::Activation;
+use crate::linear::{Activation, LinearVars};
 use crate::mlp::Mlp;
 use crate::optim::Optimizer;
 use dc_tensor::{Tape, Tensor};
@@ -131,18 +131,9 @@ impl Autoencoder {
     }
 
     /// One gradient step reconstructing `target` from `input` (they
-    /// differ for denoising training). Returns the MSE loss.
-    ///
-    /// Records on a throwaway tape; the pooled hot path used by
-    /// [`crate::train::run_epochs`] is [`Autoencoder::train_step_on`].
-    pub fn train_step(&mut self, input: &Tensor, target: &Tensor, opt: &mut dyn Optimizer) -> f32 {
-        let tape = Tape::new();
-        self.train_step_on(&tape, input, target, opt)
-    }
-
-    /// [`Autoencoder::train_step`] recording on a caller-owned
-    /// (typically recycled) tape.
-    pub fn train_step_on(
+    /// differ for denoising training), recorded on `tape`. Returns the
+    /// MSE loss.
+    pub fn train_step(
         &mut self,
         tape: &Tape,
         input: &Tensor,
@@ -159,42 +150,21 @@ impl Autoencoder {
         dc_check::debug_validate("Autoencoder::train_step", tape, loss);
         tape.backward(loss);
         opt.begin_step();
-        for (slot, (layer, lv)) in self
-            .encoder
-            .layers
-            .iter_mut()
-            .chain(&mut self.decoder.layers)
-            .zip(evars.iter().chain(dvars.iter()))
-            .enumerate()
-        {
-            tape.with_grad(lv.w, |gw| {
-                tape.with_grad(lv.b, |gb| layer.apply_grads(opt, slot, gw, gb))
-            });
-        }
+        self.apply_grads(opt, tape, &evars, &dvars);
         loss_value
     }
 
-    /// Train to reconstruct `x` for `epochs` minibatch passes; returns
-    /// the per-epoch mean loss.
-    ///
-    /// Thin wrapper over [`crate::train::run_epochs`] with an
-    /// [`crate::train::AeTrainer`]; new code should prefer that API.
-    pub fn fit(
+    /// Encoder then decoder updates, in one optimiser slot sequence.
+    fn apply_grads(
         &mut self,
-        x: &Tensor,
         opt: &mut dyn Optimizer,
-        epochs: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-    ) -> Vec<f32> {
-        let opts = crate::train::TrainOpts::default()
-            .with_epochs(epochs)
-            .with_batch_size(batch_size);
-        let mut trainer = crate::train::AeTrainer { model: self, opt };
-        crate::train::run_epochs("nn.ae", &mut trainer, x, None, &opts, rng)
-            .iter()
-            .map(|e| e.loss)
-            .collect()
+        tape: &Tape,
+        evars: &[LinearVars],
+        dvars: &[LinearVars],
+    ) {
+        self.encoder.apply_grads(opt, 0, tape, evars);
+        let base = self.encoder.layers.len();
+        self.decoder.apply_grads(opt, base, tape, dvars);
     }
 }
 
@@ -251,21 +221,10 @@ impl KSparseAutoencoder {
         self.ae.decode(&self.encode(x))
     }
 
-    /// One training step; the top-k mask is treated as constant for the
-    /// backward pass (the standard straight-through choice for k-sparse
-    /// autoencoders).
-    ///
-    /// Records on a throwaway tape; the pooled hot path used by
-    /// [`crate::train::run_epochs`] is
-    /// [`KSparseAutoencoder::train_step_on`].
-    pub fn train_step(&mut self, x: &Tensor, opt: &mut dyn Optimizer) -> f32 {
-        let tape = Tape::new();
-        self.train_step_on(&tape, x, opt)
-    }
-
-    /// [`KSparseAutoencoder::train_step`] recording on a caller-owned
-    /// (typically recycled) tape.
-    pub fn train_step_on(&mut self, tape: &Tape, x: &Tensor, opt: &mut dyn Optimizer) -> f32 {
+    /// One training step recorded on `tape`; the top-k mask is treated
+    /// as constant for the backward pass (the standard straight-through
+    /// choice for k-sparse autoencoders).
+    pub fn train_step(&mut self, tape: &Tape, x: &Tensor, opt: &mut dyn Optimizer) -> f32 {
         let vx = tape.var_from(x);
         let evars = self.ae.encoder.bind(tape);
         let dvars = self.ae.decoder.bind(tape);
@@ -278,19 +237,7 @@ impl KSparseAutoencoder {
         dc_check::debug_validate("KSparseAutoencoder::train_step", tape, loss);
         tape.backward(loss);
         opt.begin_step();
-        for (slot, (layer, lv)) in self
-            .ae
-            .encoder
-            .layers
-            .iter_mut()
-            .chain(&mut self.ae.decoder.layers)
-            .zip(evars.iter().chain(dvars.iter()))
-            .enumerate()
-        {
-            tape.with_grad(lv.w, |gw| {
-                tape.with_grad(lv.b, |gb| layer.apply_grads(opt, slot, gw, gb))
-            });
-        }
+        self.ae.apply_grads(opt, tape, &evars, &dvars);
         loss_value
     }
 }
@@ -325,29 +272,6 @@ impl DenoisingAutoencoder {
     /// Reconstruct (denoise) possibly-corrupted rows.
     pub fn denoise(&self, x: &Tensor) -> Tensor {
         self.ae.reconstruct(x)
-    }
-
-    /// Train on clean data `x`, corrupting inputs each step. Returns the
-    /// per-epoch mean loss against the *clean* targets.
-    ///
-    /// Thin wrapper over [`crate::train::run_epochs`] with a
-    /// [`crate::train::DaeTrainer`]; new code should prefer that API.
-    pub fn fit(
-        &mut self,
-        x: &Tensor,
-        opt: &mut dyn Optimizer,
-        epochs: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-    ) -> Vec<f32> {
-        let opts = crate::train::TrainOpts::default()
-            .with_epochs(epochs)
-            .with_batch_size(batch_size);
-        let mut trainer = crate::train::DaeTrainer { model: self, opt };
-        crate::train::run_epochs("nn.dae", &mut trainer, x, None, &opts, rng)
-            .iter()
-            .map(|e| e.loss)
-            .collect()
     }
 }
 
@@ -431,23 +355,9 @@ impl Vae {
         self.decode(&z)
     }
 
-    /// One training step; returns `(reconstruction_mse, kl)`.
-    ///
-    /// Records on a throwaway tape; the pooled hot path used by
-    /// [`crate::train::run_epochs`] is [`Vae::train_step_on`].
+    /// One training step recorded on `tape`; returns
+    /// `(reconstruction_mse, kl)`.
     pub fn train_step(
-        &mut self,
-        x: &Tensor,
-        opt: &mut dyn Optimizer,
-        rng: &mut StdRng,
-    ) -> (f32, f32) {
-        let tape = Tape::new();
-        self.train_step_on(&tape, x, opt, rng)
-    }
-
-    /// [`Vae::train_step`] recording on a caller-owned (typically
-    /// recycled) tape.
-    pub fn train_step_on(
         &mut self,
         tape: &Tape,
         x: &Tensor,
@@ -486,44 +396,12 @@ impl Vae {
         tape.backward(loss);
 
         opt.begin_step();
-        let mut slot = 0;
-        let mut apply = |layer: &mut crate::linear::Linear, lv: &crate::linear::LinearVars| {
-            tape.with_grad(lv.w, |gw| {
-                tape.with_grad(lv.b, |gb| layer.apply_grads(opt, slot, gw, gb))
-            });
-            slot += 1;
-        };
-        for (layer, lv) in self.trunk.layers.iter_mut().zip(&tvars) {
-            apply(layer, lv);
-        }
-        apply(&mut self.mu_head, &muv);
-        apply(&mut self.logvar_head, &lvv);
-        for (layer, lv) in self.decoder.layers.iter_mut().zip(&dvars) {
-            apply(layer, lv);
-        }
+        let t = self.trunk.layers.len();
+        self.trunk.apply_grads(opt, 0, tape, &tvars);
+        self.mu_head.apply_grads(opt, t, tape, &muv);
+        self.logvar_head.apply_grads(opt, t + 1, tape, &lvv);
+        self.decoder.apply_grads(opt, t + 2, tape, &dvars);
         (recon_v, kl_v)
-    }
-
-    /// Train for `epochs` passes; returns per-epoch `(recon, kl)` means.
-    ///
-    /// Thin wrapper over [`crate::train::run_epochs`] with a
-    /// [`crate::train::VaeTrainer`]; new code should prefer that API.
-    pub fn fit(
-        &mut self,
-        x: &Tensor,
-        opt: &mut dyn Optimizer,
-        epochs: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-    ) -> Vec<(f32, f32)> {
-        let opts = crate::train::TrainOpts::default()
-            .with_epochs(epochs)
-            .with_batch_size(batch_size);
-        let mut trainer = crate::train::VaeTrainer { model: self, opt };
-        crate::train::run_epochs("nn.vae", &mut trainer, x, None, &opts, rng)
-            .iter()
-            .map(|e| (e.loss, e.aux))
-            .collect()
     }
 }
 
@@ -531,7 +409,25 @@ impl Vae {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use crate::train::{
+        run_dataset_epochs, AeTrainer, DaeTrainer, EpochStats, TrainOpts, Trainer, VaeTrainer,
+    };
+    use dc_data::DenseView;
     use rand::SeedableRng;
+
+    /// `epochs` shuffled minibatch passes of `trainer` over `x`.
+    fn fit(
+        trainer: &mut dyn Trainer,
+        x: &Tensor,
+        epochs: usize,
+        batch_size: usize,
+        rng: &mut StdRng,
+    ) -> Vec<EpochStats> {
+        let opts = TrainOpts::default()
+            .with_epochs(epochs)
+            .with_batch_size(batch_size);
+        run_dataset_epochs("nn.test", trainer, &mut DenseView::new(x, None), &opts, rng)
+    }
 
     fn two_cluster_data(rng: &mut StdRng, n: usize) -> Tensor {
         // Points near (1,1,1,1) or (-1,-1,-1,-1): intrinsic dim ≈ 1.
@@ -555,12 +451,13 @@ mod tests {
         let x = two_cluster_data(&mut rng, 60);
         let mut ae = Autoencoder::new(4, &[6], 1, &mut rng);
         let mut opt = Adam::new(0.01);
-        let trace = ae.fit(&x, &mut opt, 120, 16, &mut rng);
-        assert!(
-            trace.last().expect("trace") < &0.05,
-            "final loss {:?}",
-            trace.last()
-        );
+        let mut t = AeTrainer {
+            model: &mut ae,
+            opt: &mut opt,
+        };
+        let trace = fit(&mut t, &x, 120, 16, &mut rng);
+        let last = trace.last().expect("trace").loss;
+        assert!(last < 0.05, "final loss {last}");
         // The 1-D code must separate the two clusters.
         let z = ae.encode(&x);
         let (mut pos, mut neg) = (Vec::new(), Vec::new());
@@ -582,7 +479,11 @@ mod tests {
         let x = two_cluster_data(&mut rng, 60);
         let mut ae = Autoencoder::new(4, &[6], 2, &mut rng);
         let mut opt = Adam::new(0.01);
-        ae.fit(&x, &mut opt, 150, 16, &mut rng);
+        let mut t = AeTrainer {
+            model: &mut ae,
+            opt: &mut opt,
+        };
+        fit(&mut t, &x, 150, 16, &mut rng);
         let outlier = Tensor::row(vec![5.0, -5.0, 5.0, -5.0]);
         let inlier_err = ae.reconstruction_errors(&x).iter().sum::<f32>() / x.rows as f32;
         let outlier_err = ae.reconstruction_errors(&outlier)[0];
@@ -613,7 +514,7 @@ mod tests {
         let mut first = 0.0;
         let mut last = 0.0;
         for step in 0..200 {
-            let l = ks.train_step(&x, &mut opt);
+            let l = ks.train_step(&Tape::new(), &x, &mut opt);
             if step == 0 {
                 first = l;
             }
@@ -628,7 +529,11 @@ mod tests {
         let x = two_cluster_data(&mut rng, 80);
         let mut dae = DenoisingAutoencoder::new(4, &[8], 2, Noise::Masking { p: 0.25 }, &mut rng);
         let mut opt = Adam::new(0.01);
-        dae.fit(&x, &mut opt, 200, 16, &mut rng);
+        let mut t = DaeTrainer {
+            model: &mut dae,
+            opt: &mut opt,
+        };
+        fit(&mut t, &x, 200, 16, &mut rng);
         // Corrupt the first coordinate of a fresh positive-cluster point;
         // the DAE should restore it towards +1.
         let corrupted = Tensor::row(vec![0.0, 1.0, 1.0, 1.0]);
@@ -647,8 +552,12 @@ mod tests {
         let mut vae = Vae::new(4, 8, 2, &mut rng);
         vae.beta = 0.1;
         let mut opt = Adam::new(0.01);
-        let trace = vae.fit(&x, &mut opt, 150, 20, &mut rng);
-        let (recon, _) = *trace.last().expect("trace");
+        let mut t = VaeTrainer {
+            model: &mut vae,
+            opt: &mut opt,
+        };
+        let trace = fit(&mut t, &x, 150, 20, &mut rng);
+        let recon = trace.last().expect("trace").loss;
         assert!(recon < 0.2, "reconstruction {recon}");
         // Samples should land near one of the two cluster centres.
         let samples = vae.sample(50, &mut rng);

@@ -70,22 +70,15 @@ impl Gan {
         self.discriminator.predict_proba(x)
     }
 
-    /// One adversarial round on a real minibatch. Returns
-    /// `(disc_loss, gen_loss)`.
+    /// One adversarial round on a real minibatch, recorded on `tape`.
+    /// Returns `(disc_loss, gen_loss)`.
     ///
     /// The discriminator trains on real rows labelled 1 and fresh fakes
     /// labelled 0; the generator then trains to push its fakes towards
     /// the discriminator's "real" verdict ("increase the number of
-    /// mistakes made by the discriminator").
-    pub fn train_round(&mut self, real: &Tensor, rng: &mut StdRng) -> (f32, f32) {
-        let tape = Tape::new();
-        self.train_round_on(&tape, real, rng)
-    }
-
-    /// [`Gan::train_round`] recording on a caller-owned (typically
-    /// recycled) tape. The tape is recycled between the discriminator
-    /// and generator sub-steps, so both record from a warm pool.
-    pub fn train_round_on(&mut self, tape: &Tape, real: &Tensor, rng: &mut StdRng) -> (f32, f32) {
+    /// mistakes made by the discriminator"). The tape is recycled
+    /// between the two sub-steps, so both record from a warm pool.
+    pub fn train_round(&mut self, tape: &Tape, real: &Tensor, rng: &mut StdRng) -> (f32, f32) {
         let n = real.rows;
 
         // --- discriminator step (generator frozen) ---
@@ -103,15 +96,8 @@ impl Gan {
             dc_check::debug_validate("Gan::train_round[disc]", tape, loss);
             tape.backward(loss);
             self.disc_opt.begin_step();
-            for (slot, (layer, lvars)) in
-                self.discriminator.layers.iter_mut().zip(&dvars).enumerate()
-            {
-                tape.with_grad(lvars.w, |gw| {
-                    tape.with_grad(lvars.b, |gb| {
-                        layer.apply_grads(&mut self.disc_opt, slot, gw, gb)
-                    })
-                });
-            }
+            self.discriminator
+                .apply_grads(&mut self.disc_opt, 0, tape, &dvars);
             lv
         };
         tape.recycle();
@@ -129,13 +115,8 @@ impl Gan {
             dc_check::debug_validate("Gan::train_round[gen]", tape, loss);
             tape.backward(loss);
             self.gen_opt.begin_step();
-            for (slot, (layer, lvars)) in self.generator.layers.iter_mut().zip(&gvars).enumerate() {
-                tape.with_grad(lvars.w, |gw| {
-                    tape.with_grad(lvars.b, |gb| {
-                        layer.apply_grads(&mut self.gen_opt, slot, gw, gb)
-                    })
-                });
-            }
+            self.generator
+                .apply_grads(&mut self.gen_opt, 0, tape, &gvars);
             lv
         };
 
@@ -146,8 +127,8 @@ impl Gan {
     ///
     /// Each round samples one fresh minibatch (rather than sweeping
     /// full epochs), so the loop stays local instead of delegating to
-    /// [`crate::train::run_epochs`]; the per-round step itself goes
-    /// through the unified [`Trainer`] impl.
+    /// [`crate::train::run_dataset_epochs`]; the per-round step itself
+    /// goes through the unified [`Trainer`] impl.
     pub fn fit(&mut self, data: &Tensor, rounds: usize, batch: usize, rng: &mut StdRng) {
         use rand::seq::SliceRandom;
         let mut order: Vec<usize> = (0..data.rows).collect();
@@ -183,7 +164,7 @@ impl Trainer for Gan {
     /// One adversarial round; `loss` is the discriminator loss, `aux`
     /// the generator loss.
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats {
-        let (disc, gen) = self.train_round_on(ctx.tape, &batch.x, ctx.rng);
+        let (disc, gen) = self.train_round(ctx.tape, &batch.x, ctx.rng);
         StepStats {
             loss: disc,
             aux: gen,
@@ -225,7 +206,7 @@ mod tests {
         let mut batch = Tensor::zeros(0, real.cols);
         for _ in 0..60 {
             dc_data::gather_rows_into(&real, &take, &mut batch);
-            gan.train_round(&batch, &mut rng);
+            gan.train_round(&Tape::new(), &batch, &mut rng);
         }
         let p_real: f32 = gan.discriminate(&real).iter().sum::<f32>() / 100.0;
         let junk = Tensor::randn(100, 2, 0.3, &mut rng).map(|v| v - 5.0);

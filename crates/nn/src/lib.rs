@@ -14,9 +14,10 @@
 //!   synthetic-data generation (§6.2.3).
 //! * [`gan::Gan`] — generator/discriminator adversarial training
 //!   (Fig 2 i).
-//! * [`train`] — the unified [`train::Trainer`] step trait and the
-//!   shared [`train::run_epochs`] minibatch loop every model trains
-//!   through (with per-epoch dc-obs spans and loss series).
+//! * [`train`] — the [`train::Trainer`] step trait and the one
+//!   [`train::run_dataset_epochs`] minibatch loop every model trains
+//!   through (with per-epoch dc-obs spans and loss series). Each model
+//!   has exactly one training step, and it takes the tape.
 //! * [`optim`] — SGD, momentum, AdaGrad, RMSProp and Adam.
 //! * [`loss`] — cost-sensitive class weighting for the skewed label
 //!   distributions the paper warns about (§6.1).
@@ -44,6 +45,6 @@ pub use metrics::{accuracy, confusion, f1_score, precision_recall_f1, roc_auc, B
 pub use mlp::Mlp;
 pub use optim::{AdaGrad, Adam, Momentum, Optimizer, RmsProp, Sgd};
 pub use train::{
-    run_dataset_epochs, run_epochs, AeTrainer, Batch, DaeTrainer, EpochStats, KSparseTrainer,
-    MlpTrainer, StepStats, TrainCtx, TrainOpts, Trainer, VaeTrainer,
+    run_dataset_epochs, AeTrainer, Batch, DaeTrainer, EpochStats, KSparseTrainer, MlpTrainer,
+    StepStats, TrainCtx, TrainOpts, Trainer, VaeTrainer,
 };

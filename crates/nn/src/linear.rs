@@ -106,16 +106,18 @@ impl Linear {
         self.activation.apply(&out)
     }
 
-    /// Apply an optimiser update given gradients read from the tape.
+    /// Apply an optimiser update with the gradients of `vars` read from
+    /// the tape; uses optimiser slots `2·slot` (weights) and
+    /// `2·slot + 1` (bias).
     pub fn apply_grads(
         &mut self,
         opt: &mut dyn crate::optim::Optimizer,
         slot: usize,
-        gw: &Tensor,
-        gb: &Tensor,
+        tape: &Tape,
+        vars: &LinearVars,
     ) {
-        opt.update(slot * 2, &mut self.w, gw);
-        opt.update(slot * 2 + 1, &mut self.b, gb);
+        tape.with_grad(vars.w, |g| opt.update(slot * 2, &mut self.w, g));
+        tape.with_grad(vars.b, |g| opt.update(slot * 2 + 1, &mut self.b, g));
     }
 }
 

@@ -6,7 +6,7 @@
 //! symmetric". The remedies it lists — cost-sensitive objectives and
 //! class-aware sampling — are implemented here and in `dc-er`'s samplers.
 
-use dc_tensor::Tensor;
+use dc_tensor::{Tape, Tensor, Var};
 
 /// Which training objective a model head uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,6 +31,30 @@ impl LossKind {
         LossKind::Bce {
             w_neg: 1.0,
             w_pos: 1.0,
+        }
+    }
+
+    /// Record this objective on `tape` for outputs `out` against the
+    /// batch targets `y` and return the scalar loss node.
+    ///
+    /// For [`LossKind::Bce`] `out` must hold one logit per row and `y`
+    /// be `n×1` with 0/1 entries; for [`LossKind::SoftmaxCe`], `y`
+    /// holds the class index in column 0.
+    pub fn on_tape(self, tape: &Tape, out: Var, y: &Tensor) -> Var {
+        match self {
+            LossKind::Mse => tape.mse_loss(out, y.clone()),
+            LossKind::Bce { w_neg, w_pos } => {
+                let labels: Vec<bool> = y.data.iter().map(|&v| v >= 0.5).collect();
+                tape.bce_with_logits(
+                    out,
+                    target_tensor(&labels),
+                    weight_tensor(&labels, w_neg, w_pos),
+                )
+            }
+            LossKind::SoftmaxCe => {
+                let labels: Vec<usize> = y.data.iter().map(|&v| v as usize).collect();
+                tape.softmax_ce(out, labels)
+            }
         }
     }
 }

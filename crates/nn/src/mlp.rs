@@ -1,8 +1,9 @@
-//! Multi-layer perceptrons (the paper's Figure 2 a–b) with a complete
-//! train/predict loop.
+//! Multi-layer perceptrons (the paper's Figure 2 a–b): one training
+//! step ([`Mlp::train_batch`]) for the shared epoch loop in
+//! [`crate::train`], plus the inference paths.
 
 use crate::linear::{Activation, Linear, LinearVars};
-use crate::loss::{target_tensor, weight_tensor, LossKind};
+use crate::loss::LossKind;
 use crate::optim::Optimizer;
 use dc_tensor::{Tape, Tensor, Var};
 use rand::rngs::StdRng;
@@ -115,30 +116,11 @@ impl Mlp {
         h
     }
 
-    /// One optimisation step on a batch; returns the loss value.
-    ///
-    /// For [`LossKind::Bce`] the output layer must emit a single logit
-    /// per row and `y` must be `n×1` with 0/1 entries; for
-    /// [`LossKind::SoftmaxCe`], `y` holds the class index in column 0.
-    ///
-    /// Records on a throwaway tape; the pooled hot path used by
-    /// [`crate::train::run_epochs`] is [`Mlp::train_batch_on`].
+    /// One optimisation step on a batch, recorded on `tape` (the
+    /// training loop's recycled tape, so inputs and gradients come from
+    /// its buffer pool); returns the loss value. See
+    /// [`LossKind::on_tape`] for the target layout each loss expects.
     pub fn train_batch(
-        &mut self,
-        x: &Tensor,
-        y: &Tensor,
-        loss: LossKind,
-        opt: &mut dyn Optimizer,
-        rng: &mut StdRng,
-    ) -> f32 {
-        let tape = Tape::new();
-        self.train_batch_on(&tape, x, y, loss, opt, rng)
-    }
-
-    /// [`Mlp::train_batch`] recording on a caller-owned (typically
-    /// recycled) tape, reading inputs and gradients through the tape's
-    /// buffer pool instead of allocating per step.
-    pub fn train_batch_on(
         &mut self,
         tape: &Tape,
         x: &Tensor,
@@ -155,64 +137,30 @@ impl Mlp {
         } else {
             self.forward_tape(tape, vx, &vars, None)
         };
-        let loss_var = match loss {
-            LossKind::Mse => tape.mse_loss(out, y.clone()),
-            LossKind::Bce { w_neg, w_pos } => {
-                let labels: Vec<bool> = y.data.iter().map(|&v| v >= 0.5).collect();
-                tape.bce_with_logits(
-                    out,
-                    target_tensor(&labels),
-                    weight_tensor(&labels, w_neg, w_pos),
-                )
-            }
-            LossKind::SoftmaxCe => {
-                let labels: Vec<usize> = y.data.iter().map(|&v| v as usize).collect();
-                tape.softmax_ce(out, labels)
-            }
-        };
+        let loss_var = loss.on_tape(tape, out, y);
         let loss_value = tape.item(loss_var);
         dc_check::debug_validate("Mlp::train_batch", tape, loss_var);
         tape.backward(loss_var);
         opt.begin_step();
-        for (slot, (layer, lv)) in self.layers.iter_mut().zip(&vars).enumerate() {
-            tape.with_grad(lv.w, |gw| {
-                tape.with_grad(lv.b, |gb| layer.apply_grads(opt, slot, gw, gb))
-            });
-        }
+        self.apply_grads(opt, 0, tape, &vars);
         loss_value
     }
 
-    /// Train for `epochs` full passes over `(x, y)` in minibatches.
-    /// Returns the loss trace (one entry per epoch, averaged over
-    /// batches).
-    ///
-    /// Thin wrapper over [`crate::train::run_epochs`] with an
-    /// [`crate::train::MlpTrainer`]; new code should prefer that API
-    /// (it takes a [`crate::train::TrainOpts`] instead of loose
-    /// arguments).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit(
+    /// Apply an optimiser update to every layer with the gradients of
+    /// `vars` (from [`Mlp::bind`]) read from the tape. Layer `i` uses
+    /// [`Linear::apply_grads`] slot `slot_base + i`, so a model sharing
+    /// one optimiser across several parts passes each part its own
+    /// base. The caller runs `opt.begin_step()` first.
+    pub fn apply_grads(
         &mut self,
-        x: &Tensor,
-        y: &Tensor,
-        loss: LossKind,
         opt: &mut dyn Optimizer,
-        epochs: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-    ) -> Vec<f32> {
-        let opts = crate::train::TrainOpts::default()
-            .with_epochs(epochs)
-            .with_batch_size(batch_size);
-        let mut trainer = crate::train::MlpTrainer {
-            model: self,
-            loss,
-            opt,
-        };
-        crate::train::run_epochs("nn.mlp", &mut trainer, x, Some(y), &opts, rng)
-            .iter()
-            .map(|e| e.loss)
-            .collect()
+        slot_base: usize,
+        tape: &Tape,
+        vars: &[LinearVars],
+    ) {
+        for (i, (layer, lv)) in self.layers.iter_mut().zip(vars).enumerate() {
+            layer.apply_grads(opt, slot_base + i, tape, lv);
+        }
     }
 
     /// Sigmoid probabilities for a single-logit binary head.
@@ -285,7 +233,42 @@ pub use dc_data::gather_rows_into;
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use crate::train::{run_dataset_epochs, MlpTrainer, TrainOpts};
+    use dc_data::DenseView;
     use rand::SeedableRng;
+
+    /// `epochs` shuffled minibatch passes through the training loop;
+    /// returns the per-epoch mean losses.
+    #[allow(clippy::too_many_arguments)]
+    fn fit(
+        mlp: &mut Mlp,
+        x: &Tensor,
+        y: &Tensor,
+        loss: LossKind,
+        opt: &mut dyn Optimizer,
+        epochs: usize,
+        batch_size: usize,
+        rng: &mut StdRng,
+    ) -> Vec<f32> {
+        let opts = TrainOpts::default()
+            .with_epochs(epochs)
+            .with_batch_size(batch_size);
+        let mut trainer = MlpTrainer {
+            model: mlp,
+            loss,
+            opt,
+        };
+        run_dataset_epochs(
+            "nn.mlp",
+            &mut trainer,
+            &mut DenseView::new(x, Some(y)),
+            &opts,
+            rng,
+        )
+        .iter()
+        .map(|e| e.loss)
+        .collect()
+    }
 
     #[test]
     fn learns_xor() {
@@ -294,7 +277,16 @@ mod tests {
         let y = Tensor::from_vec(4, 1, vec![0.0, 1.0, 1.0, 0.0]);
         let mut mlp = Mlp::new(&[2, 8, 1], Activation::Tanh, Activation::Identity, &mut rng);
         let mut opt = Adam::new(0.05);
-        mlp.fit(&x, &y, LossKind::bce(), &mut opt, 300, 4, &mut rng);
+        fit(
+            &mut mlp,
+            &x,
+            &y,
+            LossKind::bce(),
+            &mut opt,
+            300,
+            4,
+            &mut rng,
+        );
         let p = mlp.predict_proba(&x);
         assert!(p[0] < 0.2 && p[3] < 0.2, "negatives {p:?}");
         assert!(p[1] > 0.8 && p[2] > 0.8, "positives {p:?}");
@@ -324,7 +316,16 @@ mod tests {
             &mut rng,
         );
         let mut opt = Adam::new(0.02);
-        mlp.fit(&x, &y, LossKind::SoftmaxCe, &mut opt, 60, 16, &mut rng);
+        fit(
+            &mut mlp,
+            &x,
+            &y,
+            LossKind::SoftmaxCe,
+            &mut opt,
+            60,
+            16,
+            &mut rng,
+        );
         let pred = mlp.predict_class(&x);
         let correct = pred
             .iter()
@@ -348,7 +349,7 @@ mod tests {
             &mut rng,
         );
         let mut opt = Adam::new(0.05);
-        let trace = mlp.fit(&x, &y, LossKind::Mse, &mut opt, 120, 16, &mut rng);
+        let trace = fit(&mut mlp, &x, &y, LossKind::Mse, &mut opt, 120, 16, &mut rng);
         assert!(trace.last().copied().expect("trace") < 1e-3);
         assert!(mlp.layers[0].w.distance(&w) < 0.05);
     }
@@ -366,7 +367,7 @@ mod tests {
         );
         let mut mlp = Mlp::new(&[4, 8, 1], Activation::Relu, Activation::Identity, &mut rng);
         let mut opt = Adam::new(0.01);
-        let trace = mlp.fit(&x, &y, LossKind::bce(), &mut opt, 30, 8, &mut rng);
+        let trace = fit(&mut mlp, &x, &y, LossKind::bce(), &mut opt, 30, 8, &mut rng);
         assert!(trace.last().expect("trace") < trace.first().expect("trace"));
     }
 
@@ -397,7 +398,16 @@ mod tests {
         )
         .with_dropout(0.1);
         let mut opt = Adam::new(0.05);
-        mlp.fit(&x, &y, LossKind::bce(), &mut opt, 400, 4, &mut rng);
+        fit(
+            &mut mlp,
+            &x,
+            &y,
+            LossKind::bce(),
+            &mut opt,
+            400,
+            4,
+            &mut rng,
+        );
         let p = mlp.predict_proba(&x);
         assert!(
             p[1] > 0.6 && p[2] > 0.6 && p[0] < 0.4 && p[3] < 0.4,

@@ -1,52 +1,43 @@
-//! The unified training surface shared by every model crate.
+//! The one training surface shared by every model crate.
 //!
-//! Before this module each model grew its own epoch loop with a
-//! slightly different signature (`Mlp::fit`, `Autoencoder::fit`,
-//! `Gan::fit`, the pair-by-pair DeepER LSTM loop, …). They all shared
-//! one skeleton — shuffle a row order, walk it in minibatches, run one
-//! gradient step per batch — so that skeleton now lives in
-//! [`run_epochs`] and the models only implement the single-step
-//! [`Trainer::fit`]. The loop preserves the seed's `Mlp::fit` shape
+//! Every model in the paper's Figure 2 trains the same way: shuffle a
+//! row order, walk it in minibatches, run one gradient step per batch
+//! (§2.1). That skeleton lives here once, in [`run_dataset_epochs`];
+//! each model contributes only its single tape-taking step
+//! (`Mlp::train_batch`, `Autoencoder::train_step`, …) behind a
+//! [`Trainer`] impl. The loop keeps the seed's `Mlp::fit` shape
 //! (shuffle → `chunks(batch_size.max(1))` → gather → step), so loss
-//! trajectories and rng draws are bit-identical to the pre-refactor
-//! code.
+//! trajectories and rng draws are bit-identical to the seed-era
+//! hand-rolled loops (`tests/trainer_migration.rs` runs them as its
+//! oracle).
 //!
-//! Since the dc-data rewire the loop no longer touches tensors
-//! directly: it drives any [`Dataset`] minibatch source
-//! ([`run_dataset_epochs`]), with in-memory tensors going through
-//! [`dc_data::DenseView`] — whose epoch shuffle is the seed
+//! The loop drives any [`Dataset`] minibatch source: in-memory tensors
+//! go through [`dc_data::DenseView`] — whose epoch shuffle is the seed
 //! `order.shuffle(rng)` verbatim — and larger-than-memory corpora
 //! through [`dc_data::ChunkedDataset`] over a file-backed
-//! [`dc_data::ChunkedStore`]. Batches are **pooled**: one
-//! [`Batch`] is reused across all steps and refilled in place via
-//! `dc_data::gather_rows_into`, so warm steps allocate nothing.
+//! [`dc_data::ChunkedStore`]. Batches are **pooled**: one [`Batch`] is
+//! reused across all steps and refilled in place, so warm steps
+//! allocate nothing.
 //!
-//! [`run_epochs`] is also where training observability hooks in: one
+//! The loop is also where training observability hooks in (one
 //! `dc_obs` span per epoch, one timer per batch, and a per-epoch loss
-//! series — all zero-cost when `DC_OBS` is off.
-//!
-//! The loop is also where the tape [`BufferPool`](dc_tensor::BufferPool)
-//! earns its keep: one pooled [`Tape`] serves every step, recycled
-//! ([`Tape::recycle`]) after each `Trainer::fit`, so steady-state steps
-//! reuse the previous step's buffers instead of allocating fresh ones.
+//! series — all zero-cost when `DC_OBS` is off) and where the tape
+//! [`BufferPool`](dc_tensor::BufferPool) earns its keep: one pooled
+//! [`Tape`] serves every step, recycled ([`Tape::recycle`]) after each
+//! `Trainer::fit`, so steady-state steps reuse the previous step's
+//! buffers instead of allocating fresh ones.
 
 use dc_data::Dataset;
 use dc_tensor::{Tape, Tensor};
 use rand::rngs::StdRng;
 
-/// Hyper-parameters common to every training loop, with the repo's
-/// `with_*` builder convention (DESIGN.md §10) so call sites read as
+/// Hyper-parameters of the epoch loop, with the repo's `with_*`
+/// builder convention (DESIGN.md §10) so call sites read as
 /// `TrainOpts::default().with_epochs(60).with_batch_size(16)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainOpts {
     /// Full passes over the training rows.
     pub epochs: usize,
-    /// Learning rate handed to the optimiser by callers that build one
-    /// from these options (the loop itself never reads it).
-    pub lr: f32,
-    /// Seed for callers that derive their `StdRng` from the options
-    /// (the loop itself uses the rng it is given).
-    pub seed: u64,
     /// Rows per minibatch (clamped to at least 1).
     pub batch_size: usize,
 }
@@ -55,8 +46,6 @@ impl Default for TrainOpts {
     fn default() -> Self {
         TrainOpts {
             epochs: 30,
-            lr: 0.01,
-            seed: 0,
             batch_size: 32,
         }
     }
@@ -66,18 +55,6 @@ impl TrainOpts {
     /// Set the epoch count.
     pub fn with_epochs(mut self, epochs: usize) -> Self {
         self.epochs = epochs;
-        self
-    }
-
-    /// Set the learning rate.
-    pub fn with_lr(mut self, lr: f32) -> Self {
-        self.lr = lr;
-        self
-    }
-
-    /// Set the rng seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -147,57 +124,30 @@ pub struct EpochStats {
 }
 
 /// One gradient step on one minibatch — the single method every model
-/// implements so [`run_epochs`] can drive it.
+/// implements so [`run_dataset_epochs`] can drive it.
 pub trait Trainer {
     /// Run one optimisation step and report its losses.
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats;
 }
 
-/// Drive a [`Trainer`] for `opts.epochs` shuffled minibatch passes
-/// over `x` (and `y` when supervised). Returns one [`EpochStats`] per
-/// epoch.
+/// Drive a [`Trainer`] for `opts.epochs` shuffled minibatch passes over
+/// `ds`. Returns one [`EpochStats`] per epoch.
+///
+/// In-memory tensors train through `&mut DenseView::new(&x, y)`; a
+/// [`dc_data::ChunkedDataset`] over a file-backed
+/// [`dc_data::ChunkedStore`] trains on corpora larger than memory, and
+/// with a single-chunk store it is bitwise-identical to the
+/// `DenseView` run.
 ///
 /// `name` labels the dc-obs epoch span, batch timer and loss series;
 /// it should be the model's dotted identifier (`"nn.mlp"`,
 /// `"er.deeper"`, …).
-pub fn run_epochs<T: Trainer + ?Sized>(
-    name: &'static str,
-    trainer: &mut T,
-    x: &Tensor,
-    y: Option<&Tensor>,
-    opts: &TrainOpts,
-    rng: &mut StdRng,
-) -> Vec<EpochStats> {
-    let tape = Tape::new();
-    run_epochs_with_tape(name, trainer, x, y, opts, rng, &tape)
-}
-
-/// [`run_epochs`] against a caller-owned [`Tape`]. The tape is recycled
-/// after every step, so its buffer pool carries over between steps (and
-/// between separate `run_epochs_with_tape` calls — useful when a probe
-/// graph or a previous training phase already warmed the pool).
-#[allow(clippy::too_many_arguments)]
-pub fn run_epochs_with_tape<T: Trainer + ?Sized>(
-    name: &'static str,
-    trainer: &mut T,
-    x: &Tensor,
-    y: Option<&Tensor>,
-    opts: &TrainOpts,
-    rng: &mut StdRng,
-    tape: &Tape,
-) -> Vec<EpochStats> {
-    if let Some(y) = y {
-        assert_eq!(x.rows, y.rows, "run_epochs: x/y row mismatch");
-    }
-    let mut ds = dc_data::DenseView::new(x, y);
-    epoch_loop(name, trainer, &mut ds, opts, rng, tape)
-}
-
-/// [`run_epochs`] over any [`Dataset`] minibatch source — the
-/// out-of-core entry point. Pass a [`dc_data::ChunkedDataset`] over a
-/// file-backed [`dc_data::ChunkedStore`] to train on corpora larger
-/// than memory; with a [`dc_data::DenseView`] (or a single-chunk
-/// store) this is bitwise-identical to [`run_epochs`].
+///
+/// One persistent order vector (the dataset re-shuffles it in place
+/// each epoch, preserving the seed loop's cumulative-shuffle rng
+/// stream), one pooled [`Batch`] refilled in place per step and one
+/// [`Tape`] recycled after every step — warm steps perform zero batch
+/// allocations and take every tape buffer from the pool.
 pub fn run_dataset_epochs<T: Trainer + ?Sized, D: Dataset + ?Sized>(
     name: &'static str,
     trainer: &mut T,
@@ -205,25 +155,7 @@ pub fn run_dataset_epochs<T: Trainer + ?Sized, D: Dataset + ?Sized>(
     opts: &TrainOpts,
     rng: &mut StdRng,
 ) -> Vec<EpochStats> {
-    let tape = Tape::new();
-    epoch_loop(name, trainer, ds, opts, rng, &tape)
-}
-
-/// The loop body behind [`run_dataset_epochs`] and
-/// [`run_epochs_with_tape`].
-///
-/// One persistent order vector (the dataset re-shuffles it in place
-/// each epoch, preserving the seed loop's cumulative-shuffle rng
-/// stream) and one pooled [`Batch`] refilled in place per step — warm
-/// steps perform zero batch allocations.
-fn epoch_loop<T: Trainer + ?Sized, D: Dataset + ?Sized>(
-    name: &'static str,
-    trainer: &mut T,
-    ds: &mut D,
-    opts: &TrainOpts,
-    rng: &mut StdRng,
-    tape: &Tape,
-) -> Vec<EpochStats> {
+    let tape = &Tape::new();
     let mut order: Vec<usize> = Vec::new();
     let mut batch = Batch {
         x: Tensor::zeros(0, ds.x_cols()),
@@ -287,8 +219,8 @@ fn epoch_loop<T: Trainer + ?Sized, D: Dataset + ?Sized>(
 }
 
 /// [`Trainer`] over an [`Mlp`](crate::mlp::Mlp) with a fixed loss and
-/// optimiser — the supervised workhorse behind `Mlp::fit`,
-/// `FeatureLogReg` and the DeepER average-composition classifier.
+/// optimiser — the supervised workhorse behind `FeatureLogReg` and the
+/// DeepER average-composition classifier.
 pub struct MlpTrainer<'a> {
     /// The network being trained.
     pub model: &'a mut crate::mlp::Mlp,
@@ -300,7 +232,7 @@ pub struct MlpTrainer<'a> {
 
 impl Trainer for MlpTrainer<'_> {
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats {
-        let loss = self.model.train_batch_on(
+        let loss = self.model.train_batch(
             ctx.tape,
             &batch.x,
             batch.targets(),
@@ -325,7 +257,7 @@ impl Trainer for AeTrainer<'_> {
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats {
         let loss = self
             .model
-            .train_step_on(ctx.tape, &batch.x, &batch.x, self.opt);
+            .train_step(ctx.tape, &batch.x, &batch.x, self.opt);
         StepStats { loss, aux: 0.0 }
     }
 }
@@ -346,7 +278,7 @@ impl Trainer for DaeTrainer<'_> {
         let loss = self
             .model
             .ae
-            .train_step_on(ctx.tape, &corrupted, &batch.x, self.opt);
+            .train_step(ctx.tape, &corrupted, &batch.x, self.opt);
         StepStats { loss, aux: 0.0 }
     }
 }
@@ -362,7 +294,7 @@ pub struct KSparseTrainer<'a> {
 
 impl Trainer for KSparseTrainer<'_> {
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats {
-        let loss = self.model.train_step_on(ctx.tape, &batch.x, self.opt);
+        let loss = self.model.train_step(ctx.tape, &batch.x, self.opt);
         StepStats { loss, aux: 0.0 }
     }
 }
@@ -378,9 +310,7 @@ pub struct VaeTrainer<'a> {
 
 impl Trainer for VaeTrainer<'_> {
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats {
-        let (recon, kl) = self
-            .model
-            .train_step_on(ctx.tape, &batch.x, self.opt, ctx.rng);
+        let (recon, kl) = self.model.train_step(ctx.tape, &batch.x, self.opt, ctx.rng);
         StepStats {
             loss: recon,
             aux: kl,
@@ -395,31 +325,26 @@ mod tests {
     use crate::loss::LossKind;
     use crate::mlp::Mlp;
     use crate::optim::Adam;
+    use dc_data::DenseView;
     use rand::SeedableRng;
 
     #[test]
     fn opts_builders_chain() {
-        let o = TrainOpts::default()
-            .with_epochs(7)
-            .with_lr(0.5)
-            .with_seed(9)
-            .with_batch_size(4);
+        let o = TrainOpts::default().with_epochs(7).with_batch_size(4);
         assert_eq!(
             o,
             TrainOpts {
                 epochs: 7,
-                lr: 0.5,
-                seed: 9,
                 batch_size: 4
             }
         );
     }
 
     #[test]
-    fn run_epochs_matches_legacy_fit_loop() {
+    fn run_dataset_epochs_matches_legacy_fit_loop() {
         // Drive the same model twice from identical seeds: once through
         // the seed-era loop shape written out longhand, once through
-        // run_epochs. The traces must agree bitwise.
+        // run_dataset_epochs. The traces must agree bitwise.
         let make =
             |rng: &mut StdRng| Mlp::new(&[3, 6, 1], Activation::Tanh, Activation::Identity, rng);
         let mut rng1 = StdRng::seed_from_u64(42);
@@ -439,7 +364,14 @@ mod tests {
                 for chunk in order.chunks(8) {
                     let bx = crate::mlp::gather_rows(&x, chunk);
                     let by = crate::mlp::gather_rows(&y, chunk);
-                    l += m_a.train_batch(&bx, &by, LossKind::bce(), &mut opt_a, &mut rng_a);
+                    l += m_a.train_batch(
+                        &Tape::new(),
+                        &bx,
+                        &by,
+                        LossKind::bce(),
+                        &mut opt_a,
+                        &mut rng_a,
+                    );
                     b += 1;
                 }
                 trace_a.push(l / b.max(1) as f32);
@@ -455,10 +387,14 @@ mod tests {
             loss: LossKind::bce(),
             opt: &mut opt_b,
         };
-        let trace_b = run_epochs("nn.test", &mut t, &x, Some(&y), &opts, &mut rng_b);
+        let mut ds = DenseView::new(&x, Some(&y));
+        let trace_b = run_dataset_epochs("nn.test", &mut t, &mut ds, &opts, &mut rng_b);
 
         let got: Vec<f32> = trace_b.iter().map(|e| e.loss).collect();
-        assert_eq!(trace_a, got, "run_epochs diverged from the legacy loop");
+        assert_eq!(
+            trace_a, got,
+            "run_dataset_epochs diverged from the legacy loop"
+        );
         for (la, lb) in m_a.layers.iter().zip(&m_b.layers) {
             assert_eq!(la.w, lb.w);
             assert_eq!(la.b, lb.b);
@@ -480,7 +416,8 @@ mod tests {
         let x = dc_tensor::Tensor::randn(6, 2, 1.0, &mut rng);
         let mut p = Probe { saw_targets: false };
         let opts = TrainOpts::default().with_epochs(2).with_batch_size(3);
-        let trace = run_epochs("nn.probe", &mut p, &x, None, &opts, &mut rng);
+        let mut ds = DenseView::new(&x, None);
+        let trace = run_dataset_epochs("nn.probe", &mut p, &mut ds, &opts, &mut rng);
         assert_eq!(trace.len(), 2);
         assert!(!p.saw_targets);
     }

@@ -5,8 +5,8 @@
 //! trajectories and learned weights** through the real `MlpTrainer`
 //! path:
 //!
-//! 1. `run_epochs` over in-memory tensors (the rewired seed path) and
-//!    `run_dataset_epochs` over a single-chunk [`ChunkedDataset`]
+//! 1. `run_dataset_epochs` over in-memory tensors (a [`DenseView`],
+//!    the seed path) and over a single-chunk [`ChunkedDataset`]
 //!    produce bitwise-identical traces and weights.
 //! 2. A file-backed store streaming under a tiny residency budget
 //!    trains bitwise-identically to the fully resident run of the same
@@ -15,12 +15,12 @@
 //!
 //! Run by `scripts/lint.sh` under `DC_THREADS=1`, `=2`, and default.
 
-use dc_data::{ChunkedDataset, ChunkedStore};
+use dc_data::{ChunkedDataset, ChunkedStore, Dataset, DenseView};
 use dc_nn::linear::Activation;
 use dc_nn::loss::LossKind;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::Adam;
-use dc_nn::train::{run_dataset_epochs, run_epochs, MlpTrainer, TrainOpts};
+use dc_nn::train::{run_dataset_epochs, MlpTrainer, TrainOpts};
 use dc_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,20 +31,7 @@ fn data(rng: &mut StdRng) -> (Tensor, Tensor) {
     (x, y)
 }
 
-fn train_dense(x: &Tensor, y: &Tensor, opts: &TrainOpts) -> (Vec<f32>, Mlp) {
-    let mut rng = StdRng::seed_from_u64(77);
-    let mut m = Mlp::new(&[5, 9, 1], Activation::Tanh, Activation::Identity, &mut rng);
-    let mut opt = Adam::new(0.02);
-    let mut t = MlpTrainer {
-        model: &mut m,
-        loss: LossKind::bce(),
-        opt: &mut opt,
-    };
-    let trace = run_epochs("nn.test", &mut t, x, Some(y), opts, &mut rng);
-    (trace.iter().map(|e| e.loss).collect(), m)
-}
-
-fn train_chunked(ds: &mut ChunkedDataset, opts: &TrainOpts) -> (Vec<f32>, Mlp) {
+fn train(ds: &mut dyn Dataset, opts: &TrainOpts) -> (Vec<f32>, Mlp) {
     let mut rng = StdRng::seed_from_u64(77);
     let mut m = Mlp::new(&[5, 9, 1], Activation::Tanh, Activation::Identity, &mut rng);
     let mut opt = Adam::new(0.02);
@@ -70,17 +57,17 @@ fn assert_same(a: &(Vec<f32>, Mlp), b: &(Vec<f32>, Mlp), what: &str) {
 }
 
 #[test]
-fn single_chunk_dataset_trains_bitwise_like_run_epochs() {
+fn single_chunk_dataset_trains_bitwise_like_dense_view() {
     let mut rng = StdRng::seed_from_u64(1);
     let (x, y) = data(&mut rng);
     let opts = TrainOpts::default().with_epochs(4).with_batch_size(8);
-    let dense = train_dense(&x, &y, &opts);
+    let dense = train(&mut DenseView::new(&x, Some(&y)), &opts);
     let mut ds = ChunkedDataset::with_targets(
         ChunkedStore::from_tensor(&x, x.rows),
         ChunkedStore::from_tensor(&y, x.rows),
     );
-    let chunked = train_chunked(&mut ds, &opts);
-    assert_same(&dense, &chunked, "single-chunk vs run_epochs");
+    let chunked = train(&mut ds, &opts);
+    assert_same(&dense, &chunked, "single-chunk vs dense view");
 }
 
 #[test]
@@ -94,7 +81,7 @@ fn streamed_training_is_bitwise_equal_to_resident() {
         ChunkedStore::from_tensor(&x, chunk_rows),
         ChunkedStore::from_tensor(&y, chunk_rows),
     );
-    let want = train_chunked(&mut resident, &opts);
+    let want = train(&mut resident, &opts);
 
     let dir = std::env::temp_dir();
     let (px, py) = (dir.join("dc_nn_equiv_x.dcs"), dir.join("dc_nn_equiv_y.dcs"));
@@ -104,7 +91,7 @@ fn streamed_training_is_bitwise_equal_to_resident() {
         ChunkedStore::open_with_budget(&px, 2).expect("open x"),
         ChunkedStore::open_with_budget(&py, 2).expect("open y"),
     );
-    let got = train_chunked(&mut streamed, &opts);
+    let got = train(&mut streamed, &opts);
     let stats = streamed.x_store().cache_stats();
     std::fs::remove_file(&px).ok();
     std::fs::remove_file(&py).ok();

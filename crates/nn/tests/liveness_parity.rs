@@ -58,14 +58,14 @@ fn forecast_matches_actuals_on_mlp_training_step() {
     let mut opt = Adam::new(0.01);
 
     let tape = Tape::new(); // fresh pool: the forecast's starting state
-    model.train_batch_on(&tape, &x, &y, LossKind::Mse, &mut opt, &mut rng);
+    model.train_batch(&tape, &x, &y, LossKind::Mse, &mut opt, &mut rng);
     check_step(&tape, "mlp");
     let first = tape.pool_stats();
 
     // Steady state: an identically-shaped second step must be served
     // entirely from the freelists — no new misses, no high-water growth.
     tape.recycle();
-    model.train_batch_on(&tape, &x, &y, LossKind::Mse, &mut opt, &mut rng);
+    model.train_batch(&tape, &x, &y, LossKind::Mse, &mut opt, &mut rng);
     let steady = tape.pool_stats();
     assert_eq!(steady.misses, first.misses, "steady-state step missed");
     assert_eq!(steady.high_water_bytes, first.high_water_bytes);
@@ -110,12 +110,7 @@ fn forecast_matches_actuals_on_deeper_lstm_training_step() {
             tape.backward(loss);
             opt.begin_step();
             encoder.apply_grads(opt, 0, tape, &lvars);
-            let base = encoder.slot_count();
-            for (slot, (layer, cv)) in classifier.layers.iter_mut().zip(&cvars).enumerate() {
-                tape.with_grad(cv.w, |gw| {
-                    tape.with_grad(cv.b, |gb| layer.apply_grads(opt, base + slot, gw, gb))
-                });
-            }
+            classifier.apply_grads(opt, encoder.slot_count(), tape, &cvars);
         };
 
     run_step(&tape, &mut encoder, &mut classifier, &mut opt);

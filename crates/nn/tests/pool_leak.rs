@@ -1,25 +1,33 @@
-//! Pool leak guard (ISSUE 5): a tape recycled by the unified training
-//! loop must reach steady state after the first epoch — the high-water
-//! mark stops growing and later epochs take every buffer from the
-//! freelists (zero new misses).
+//! Pool leak guard: the tape the unified training loop recycles must
+//! reach steady state after the first epoch — the high-water mark stops
+//! growing and later epochs take every buffer from the freelists (zero
+//! new misses).
 
+use dc_data::DenseView;
 use dc_nn::linear::Activation;
 use dc_nn::loss::LossKind;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::Adam;
-use dc_nn::train::{run_epochs_with_tape, Batch, StepStats, TrainCtx, TrainOpts, Trainer};
-use dc_tensor::{set_pool_enabled, Tape, Tensor};
+use dc_nn::train::{run_dataset_epochs, Batch, StepStats, TrainCtx, TrainOpts, Trainer};
+use dc_tensor::{set_pool_enabled, PoolStats, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-struct MlpTrainer {
+/// An MLP trainer that samples the loop's tape pool at the first step
+/// of every epoch after the first, i.e. after the previous epoch's
+/// final recycle.
+struct SamplingTrainer {
     model: Mlp,
     opt: Adam,
+    samples: Vec<PoolStats>,
 }
 
-impl Trainer for MlpTrainer {
+impl Trainer for SamplingTrainer {
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats {
-        let loss = self.model.train_batch_on(
+        if ctx.epoch > 0 && self.samples.len() < ctx.epoch {
+            self.samples.push(ctx.tape.pool_stats());
+        }
+        let loss = self.model.train_batch(
             ctx.tape,
             &batch.x,
             batch.targets(),
@@ -31,20 +39,13 @@ impl Trainer for MlpTrainer {
     }
 }
 
-/// One epoch of `run_epochs_with_tape` against a shared tape; returns
-/// the pool stats after the epoch.
-fn epoch(trainer: &mut MlpTrainer, x: &Tensor, y: &Tensor, tape: &Tape, rng: &mut StdRng) {
-    let opts = TrainOpts::default().with_epochs(1).with_batch_size(8);
-    run_epochs_with_tape("test.pool_leak", trainer, x, Some(y), &opts, rng, tape);
-}
-
 #[test]
 fn pool_high_water_stabilises_after_first_epoch() {
     set_pool_enabled(true);
     let mut rng = StdRng::seed_from_u64(42);
     let x = Tensor::randn(32, 6, 1.0, &mut rng);
     let y = Tensor::from_vec(32, 1, (0..32).map(|i| (i % 2) as f32).collect());
-    let mut trainer = MlpTrainer {
+    let mut trainer = SamplingTrainer {
         model: Mlp::new(
             &[6, 12, 12, 1],
             Activation::Relu,
@@ -52,32 +53,34 @@ fn pool_high_water_stabilises_after_first_epoch() {
             &mut rng,
         ),
         opt: Adam::new(0.01),
+        samples: Vec::new(),
     };
 
-    let tape = Tape::new();
-    epoch(&mut trainer, &x, &y, &tape, &mut rng);
-    let warm = tape.pool_stats();
-    assert!(warm.misses > 0, "first epoch must allocate something");
+    let opts = TrainOpts::default().with_epochs(5).with_batch_size(8);
+    let mut ds = DenseView::new(&x, Some(&y));
+    run_dataset_epochs("test.pool_leak", &mut trainer, &mut ds, &opts, &mut rng);
+    assert_eq!(trainer.samples.len(), 4, "one sample per epoch 1..=4");
 
-    for e in 2..=4 {
-        epoch(&mut trainer, &x, &y, &tape, &mut rng);
-        let now = tape.pool_stats();
+    let warm = trainer.samples[0];
+    assert!(warm.misses > 0, "first epoch must allocate something");
+    for (e, now) in trainer.samples.iter().enumerate().skip(1) {
         assert_eq!(
             now.high_water_bytes, warm.high_water_bytes,
-            "epoch {e}: pool high-water grew after warmup — buffers are leaking"
+            "after epoch {e}: pool high-water grew after warmup — buffers are leaking"
         );
         assert_eq!(
             now.misses, warm.misses,
-            "epoch {e}: pool missed after warmup — buffers are not being recycled"
+            "after epoch {e}: pool missed after warmup — buffers are not being recycled"
         );
-        assert!(now.hits > warm.hits, "epoch {e}: pool saw no hits");
+        assert!(now.hits > warm.hits, "after epoch {e}: pool saw no hits");
     }
 
-    // Everything handed out during the last step was returned by the
-    // final recycle: nothing is still outstanding.
-    assert_eq!(
-        tape.pool_stats().outstanding_bytes,
-        0,
-        "buffers left outstanding"
-    );
+    // Everything handed out during an epoch was returned by its final
+    // recycle: nothing is outstanding at any sample.
+    for (e, s) in trainer.samples.iter().enumerate() {
+        assert_eq!(
+            s.outstanding_bytes, 0,
+            "after epoch {e}: buffers left outstanding"
+        );
+    }
 }

@@ -1,22 +1,48 @@
-//! Migration guard for the unified `Trainer` API: every legacy `fit`
-//! entry point now routes through `train::run_epochs`, and these tests
-//! pin that the rewiring changed nothing — identical seeds must give
-//! bitwise-identical loss trajectories and weights versus the seed-era
-//! hand-rolled epoch loops (written out longhand here).
+//! Migration guard for the unified `Trainer` API: every model trains
+//! through `train::run_dataset_epochs` (in-memory tensors via a
+//! `DenseView`), and these tests pin that this changed nothing —
+//! identical seeds must give bitwise-identical loss trajectories and
+//! weights versus the seed-era hand-rolled epoch loops (written out
+//! longhand here, one throwaway tape per step).
 
+use dc_data::DenseView;
 use dc_nn::ae::{Autoencoder, DenoisingAutoencoder, Noise, Vae};
 use dc_nn::linear::Activation;
 use dc_nn::loss::LossKind;
 use dc_nn::mlp::{gather_rows, Mlp};
 use dc_nn::optim::Adam;
-use dc_nn::train::{run_epochs, Batch, StepStats, TrainCtx, TrainOpts, Trainer, VaeTrainer};
-use dc_tensor::Tensor;
+use dc_nn::train::{
+    run_dataset_epochs, AeTrainer, Batch, DaeTrainer, EpochStats, MlpTrainer, StepStats, TrainCtx,
+    TrainOpts, Trainer, VaeTrainer,
+};
+use dc_tensor::{Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn data(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
     Tensor::randn(rows, cols, 1.0, rng)
+}
+
+/// `epochs` passes of `trainer` over `x` (and `y`) through the one
+/// training loop, under the dc-obs name the retired `fit` wrapper used.
+fn run(
+    name: &'static str,
+    trainer: &mut dyn Trainer,
+    x: &Tensor,
+    y: Option<&Tensor>,
+    epochs: usize,
+    batch_size: usize,
+    rng: &mut StdRng,
+) -> Vec<EpochStats> {
+    let opts = TrainOpts::default()
+        .with_epochs(epochs)
+        .with_batch_size(batch_size);
+    run_dataset_epochs(name, trainer, &mut DenseView::new(x, y), &opts, rng)
+}
+
+fn losses(trace: &[EpochStats]) -> Vec<f32> {
+    trace.iter().map(|e| e.loss).collect()
 }
 
 /// The seed's epoch-loop skeleton, reproduced verbatim so each test
@@ -59,7 +85,7 @@ fn mlp_fit_matches_legacy_loop() {
     let trace_a = legacy_loop(24, 6, 8, &mut rng_a, |chunk, r| {
         let bx = gather_rows(&x, chunk);
         let by = gather_rows(&y, chunk);
-        m_a.train_batch(&bx, &by, LossKind::bce(), &mut opt_a, r)
+        m_a.train_batch(&Tape::new(), &bx, &by, LossKind::bce(), &mut opt_a, r)
     });
 
     let mut rng_b = StdRng::seed_from_u64(2);
@@ -70,7 +96,12 @@ fn mlp_fit_matches_legacy_loop() {
         &mut rng_b,
     );
     let mut opt_b = Adam::new(0.02);
-    let trace_b = m_b.fit(&x, &y, LossKind::bce(), &mut opt_b, 6, 8, &mut rng_b);
+    let mut t = MlpTrainer {
+        model: &mut m_b,
+        loss: LossKind::bce(),
+        opt: &mut opt_b,
+    };
+    let trace_b = losses(&run("nn.mlp", &mut t, &x, Some(&y), 6, 8, &mut rng_b));
 
     assert_eq!(trace_a, trace_b);
     for (la, lb) in m_a.layers.iter().zip(&m_b.layers) {
@@ -89,13 +120,17 @@ fn autoencoder_fit_matches_legacy_loop() {
     let mut opt_a = Adam::new(0.01);
     let trace_a = legacy_loop(20, 5, 8, &mut rng_a, |chunk, _| {
         let bx = gather_rows(&x, chunk);
-        ae_a.train_step(&bx, &bx, &mut opt_a)
+        ae_a.train_step(&Tape::new(), &bx, &bx, &mut opt_a)
     });
 
     let mut rng_b = StdRng::seed_from_u64(4);
     let mut ae_b = Autoencoder::new(5, &[4], 2, &mut rng_b);
     let mut opt_b = Adam::new(0.01);
-    let trace_b = ae_b.fit(&x, &mut opt_b, 5, 8, &mut rng_b);
+    let mut t = AeTrainer {
+        model: &mut ae_b,
+        opt: &mut opt_b,
+    };
+    let trace_b = losses(&run("nn.ae", &mut t, &x, None, 5, 8, &mut rng_b));
 
     assert_eq!(trace_a, trace_b);
     for (la, lb) in ae_a
@@ -121,13 +156,19 @@ fn dae_fit_matches_legacy_loop() {
     let trace_a = legacy_loop(20, 4, 8, &mut rng_a, |chunk, r| {
         let clean = gather_rows(&x, chunk);
         let corrupted = dae_a.noise.corrupt(&clean, r);
-        dae_a.ae.train_step(&corrupted, &clean, &mut opt_a)
+        dae_a
+            .ae
+            .train_step(&Tape::new(), &corrupted, &clean, &mut opt_a)
     });
 
     let mut rng_b = StdRng::seed_from_u64(6);
     let mut dae_b = DenoisingAutoencoder::new(4, &[5], 2, noise, &mut rng_b);
     let mut opt_b = Adam::new(0.01);
-    let trace_b = dae_b.fit(&x, &mut opt_b, 4, 8, &mut rng_b);
+    let mut t = DaeTrainer {
+        model: &mut dae_b,
+        opt: &mut opt_b,
+    };
+    let trace_b = losses(&run("nn.dae", &mut t, &x, None, 4, 8, &mut rng_b));
 
     assert_eq!(trace_a, trace_b);
 }
@@ -143,7 +184,7 @@ fn vae_fit_matches_legacy_loop() {
     let mut kl_a = Vec::new();
     let trace_a = legacy_loop(18, 4, 6, &mut rng_a, |chunk, r| {
         let bx = gather_rows(&x, chunk);
-        let (recon, kl) = vae_a.train_step(&bx, &mut opt_a, r);
+        let (recon, kl) = vae_a.train_step(&Tape::new(), &bx, &mut opt_a, r);
         kl_a.push(kl);
         recon
     });
@@ -151,11 +192,14 @@ fn vae_fit_matches_legacy_loop() {
     let mut rng_b = StdRng::seed_from_u64(8);
     let mut vae_b = Vae::new(4, 6, 2, &mut rng_b);
     let mut opt_b = Adam::new(0.01);
-    let trace_b = vae_b.fit(&x, &mut opt_b, 4, 6, &mut rng_b);
+    let mut t = VaeTrainer {
+        model: &mut vae_b,
+        opt: &mut opt_b,
+    };
+    let trace_b = run("nn.vae", &mut t, &x, None, 4, 6, &mut rng_b);
 
-    let recon_b: Vec<f32> = trace_b.iter().map(|&(r, _)| r).collect();
-    assert_eq!(trace_a, recon_b);
-    assert!(trace_b.iter().all(|&(_, kl)| kl.is_finite()));
+    assert_eq!(trace_a, losses(&trace_b));
+    assert!(trace_b.iter().all(|e| e.aux.is_finite()));
 }
 
 #[test]
@@ -164,12 +208,11 @@ fn vae_trainer_reports_kl_in_aux() {
     let x = data(&mut rng, 12, 3);
     let mut vae = Vae::new(3, 5, 2, &mut rng);
     let mut opt = Adam::new(0.01);
-    let opts = TrainOpts::default().with_epochs(3).with_batch_size(6);
     let mut trainer = VaeTrainer {
         model: &mut vae,
         opt: &mut opt,
     };
-    let trace = run_epochs("nn.vae", &mut trainer, &x, None, &opts, &mut rng);
+    let trace = run("nn.vae", &mut trainer, &x, None, 3, 6, &mut rng);
     assert_eq!(trace.len(), 3);
     assert!(trace
         .iter()
@@ -190,8 +233,7 @@ fn ctx_counts_epochs_and_global_steps() {
     let mut rng = StdRng::seed_from_u64(10);
     let x = data(&mut rng, 8, 2);
     let mut rec = Recorder { seen: Vec::new() };
-    let opts = TrainOpts::default().with_epochs(2).with_batch_size(4);
-    run_epochs("nn.rec", &mut rec, &x, None, &opts, &mut rng);
+    run("nn.rec", &mut rec, &x, None, 2, 4, &mut rng);
     assert_eq!(
         rec.seen,
         vec![(0, 0), (0, 1), (1, 2), (1, 3)],

@@ -136,11 +136,7 @@ impl GuidanceModel {
             let loss = tape.mse_loss(probs, y.clone());
             tape.backward(loss);
             opt.begin_step();
-            for (slot, (layer, lv)) in net.layers.iter_mut().zip(&vars).enumerate() {
-                tape.with_grad(lv.w, |gw| {
-                    tape.with_grad(lv.b, |gb| layer.apply_grads(&mut opt, slot, gw, gb))
-                });
-            }
+            net.apply_grads(&mut opt, 0, &tape, &vars);
             tape.recycle();
         }
         GuidanceModel { net }

@@ -7,7 +7,7 @@ use dc_nn::linear::Activation;
 use dc_nn::loss::LossKind;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::Optimizer;
-use dc_nn::train::{run_epochs, Batch, EpochStats, StepStats, TrainCtx, TrainOpts, Trainer};
+use dc_nn::train::{Batch, StepStats, TrainCtx, Trainer};
 use dc_tensor::{Tape, Tensor};
 use rand::rngs::StdRng;
 
@@ -51,25 +51,9 @@ impl FineTuner {
         }
     }
 
-    /// One fine-tuning step; only unfrozen layers receive updates.
-    /// Returns the loss.
-    ///
-    /// Records on a throwaway tape; the pooled hot path used by
-    /// [`run_epochs`] is [`FineTuner::train_batch_on`].
+    /// One fine-tuning step recorded on `tape`; only unfrozen layers
+    /// receive updates. Returns the loss.
     pub fn train_batch(
-        &mut self,
-        x: &Tensor,
-        y: &Tensor,
-        loss: LossKind,
-        opt: &mut dyn Optimizer,
-    ) -> f32 {
-        let tape = Tape::new();
-        self.train_batch_on(&tape, x, y, loss, opt)
-    }
-
-    /// [`FineTuner::train_batch`] recording on a caller-owned
-    /// (typically recycled) tape.
-    pub fn train_batch_on(
         &mut self,
         tape: &Tape,
         x: &Tensor,
@@ -80,56 +64,21 @@ impl FineTuner {
         let vx = tape.var_from(x);
         let vars = self.model.bind(tape);
         let out = self.model.forward_tape(tape, vx, &vars, None);
-        let loss_var = match loss {
-            LossKind::Mse => tape.mse_loss(out, y.clone()),
-            LossKind::Bce { w_neg, w_pos } => {
-                let labels: Vec<bool> = y.data.iter().map(|&v| v >= 0.5).collect();
-                tape.bce_with_logits(
-                    out,
-                    dc_nn::loss::target_tensor(&labels),
-                    dc_nn::loss::weight_tensor(&labels, w_neg, w_pos),
-                )
-            }
-            LossKind::SoftmaxCe => {
-                let labels: Vec<usize> = y.data.iter().map(|&v| v as usize).collect();
-                tape.softmax_ce(out, labels)
-            }
-        };
+        let loss_var = loss.on_tape(tape, out, y);
         let lv = tape.item(loss_var);
         tape.backward(loss_var);
         opt.begin_step();
-        for (slot, (layer, vars)) in self.model.layers.iter_mut().zip(&vars).enumerate() {
-            if slot < self.frozen_layers {
-                continue;
-            }
-            tape.with_grad(vars.w, |gw| {
-                tape.with_grad(vars.b, |gb| layer.apply_grads(opt, slot, gw, gb))
-            });
+        let layers = self.model.layers.iter_mut().zip(&vars).enumerate();
+        for (slot, (layer, lvars)) in layers.skip(self.frozen_layers) {
+            layer.apply_grads(opt, slot, tape, lvars);
         }
         lv
     }
-
-    /// Fine-tune for `opts.epochs` shuffled minibatch passes through
-    /// the unified [`run_epochs`] loop; returns per-epoch mean losses.
-    pub fn fit(
-        &mut self,
-        x: &Tensor,
-        y: &Tensor,
-        loss: LossKind,
-        opt: &mut dyn Optimizer,
-        opts: &TrainOpts,
-        rng: &mut StdRng,
-    ) -> Vec<EpochStats> {
-        let mut trainer = FineTuneTrainer {
-            tuner: self,
-            loss,
-            opt,
-        };
-        run_epochs("weak.finetune", &mut trainer, x, Some(y), opts, rng)
-    }
 }
 
-/// [`Trainer`] over a [`FineTuner`] with a fixed loss and optimiser.
+/// [`Trainer`] over a [`FineTuner`] with a fixed loss and optimiser;
+/// train it with [`dc_nn::train::run_dataset_epochs`] under the dc-obs
+/// name `"weak.finetune"`.
 pub struct FineTuneTrainer<'a> {
     /// The fine-tuner being trained.
     pub tuner: &'a mut FineTuner,
@@ -141,9 +90,9 @@ pub struct FineTuneTrainer<'a> {
 
 impl Trainer for FineTuneTrainer<'_> {
     fn fit(&mut self, batch: &Batch, ctx: &mut TrainCtx<'_>) -> StepStats {
-        let loss =
-            self.tuner
-                .train_batch_on(ctx.tape, &batch.x, batch.targets(), self.loss, self.opt);
+        let loss = self
+            .tuner
+            .train_batch(ctx.tape, &batch.x, batch.targets(), self.loss, self.opt);
         StepStats { loss, aux: 0.0 }
     }
 }
@@ -151,7 +100,9 @@ impl Trainer for FineTuneTrainer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_data::DenseView;
     use dc_nn::optim::Adam;
+    use dc_nn::train::{run_dataset_epochs, MlpTrainer, TrainOpts};
     use rand::SeedableRng;
 
     /// Source task: classify x by sign of (x₀ + x₁). Target task: sign
@@ -175,7 +126,14 @@ mod tests {
             &mut rng,
         );
         let mut opt = Adam::new(0.02);
-        source.fit(&xs, &ys, LossKind::bce(), &mut opt, 60, 32, &mut rng);
+        let mut trainer = MlpTrainer {
+            model: &mut source,
+            loss: LossKind::bce(),
+            opt: &mut opt,
+        };
+        let opts = TrainOpts::default().with_epochs(60).with_batch_size(32);
+        let mut ds = DenseView::new(&xs, Some(&ys));
+        run_dataset_epochs("nn.mlp", &mut trainer, &mut ds, &opts, &mut rng);
 
         // Target task: same decision boundary, inverted labels — the
         // trunk's representation transfers, only the head must flip.
@@ -191,7 +149,7 @@ mod tests {
         let mut tuner = FineTuner::new(source.clone(), 1, 1, &mut rng);
         let mut topt = Adam::new(0.05);
         for _ in 0..40 {
-            tuner.train_batch(&xt, &yt, LossKind::bce(), &mut topt);
+            tuner.train_batch(&Tape::new(), &xt, &yt, LossKind::bce(), &mut topt);
         }
         let tuned_pred: Vec<bool> = tuner
             .model
@@ -214,7 +172,7 @@ mod tests {
         let y = Tensor::from_vec(16, 1, vec![1.0; 16]);
         let mut opt = Adam::new(0.05);
         for _ in 0..10 {
-            tuner.train_batch(&x, &y, LossKind::bce(), &mut opt);
+            tuner.train_batch(&Tape::new(), &x, &y, LossKind::bce(), &mut opt);
         }
         assert_eq!(tuner.model.layers[0].w, before, "frozen trunk moved");
         // The head must have moved.
@@ -234,7 +192,13 @@ mod tests {
         );
         let mut opt = Adam::new(0.05);
         let opts = TrainOpts::default().with_epochs(30).with_batch_size(8);
-        let trace = tuner.fit(&x, &y, LossKind::bce(), &mut opt, &opts, &mut rng);
+        let mut trainer = FineTuneTrainer {
+            tuner: &mut tuner,
+            loss: LossKind::bce(),
+            opt: &mut opt,
+        };
+        let mut ds = DenseView::new(&x, Some(&y));
+        let trace = run_dataset_epochs("weak.finetune", &mut trainer, &mut ds, &opts, &mut rng);
         assert_eq!(trace.len(), 30);
         assert!(trace.last().expect("trace").loss < trace.first().expect("trace").loss);
     }

@@ -44,7 +44,7 @@ gates=(
     "pool dc-er:blocking_equiv"
     "once dc-index:lsh_golden"
 
-    "== filter-verify matcher, draw-ahead SGNS, pipeline vs seed match loop"
+    "== filter-verify matcher, draw-ahead SGNS, pipeline golden run"
     # RuleMatcher never enters the kernel pool: one run. SGNS does not
     # either, but it draws its negatives on a helper thread at
     # DC_THREADS >= 2 and on the caller at 1, so the dc-embed unit tests
@@ -54,12 +54,11 @@ gates=(
     "once dc-er:rule_matcher_equiv"
     "pool dc-embed:lib"
     "pool dc-embed:sgns_obs"
-    # Release: each run replays the seed pipeline over three 1000-row lakes
-    # and holds Pipeline::run to its recorded counts and curated-table hash.
-    "pool autodc:pipeline_match_equiv:release"
+    # Release: holds Pipeline::run over three 1000-row lakes to its
+    # recorded counts, curated-table hash and curated-table name.
     "pool autodc:pipeline_golden:release"
 
-    "== exact work profile of Pipeline::run (dc-obs work counters + allocation count, bytes and peak)"
+    "== exact work profile of Pipeline::run (dc-obs work counters + allocation count, bytes and peak, stage spans)"
     # Allocation figures repeat exactly only on one thread; at any other
     # thread count the suite compares the counters alone.
     "run DC_THREADS=1 cargo test -q --release -p autodc --test work_profile"
@@ -67,8 +66,12 @@ gates=(
     "== EXPERIMENTS.md is regenerated byte for byte (E13's CPU timings excluded)"
     "run cargo run -q --release -p dc-bench --bin report -- --check report_full.md"
 
-    "== Trainer migration (unified run_epochs loop)"
+    "== Trainer migration (one run_dataset_epochs loop vs the seed-era hand loops)"
     "once dc-nn:trainer_migration"
+
+    "== one training surface: no other epoch loop, no throwaway-tape step twins, no chunk-budget env knob"
+    # The bracket keeps the knob's name itself out of this file.
+    "run if git grep -nE 'pub fn run_epochs|fn (train_batch|train_step|train_round)_on|chunk_budget_from_env|DC_DATA_CHUNK[S]' -- 'crates/*/src/*' src; then exit 1; fi"
 
     "== chunked-store + CSR equivalence"
     "pool dc-data:chunk_equiv"

@@ -1,8 +1,8 @@
 //! Cross-PR bit-identity gate: `Pipeline::run` on the benchmark's
 //! `curate_lake` shape must keep returning the report counts and the
-//! curated rows recorded at the commit before ISSUE 16 (4a8b4ac). A
-//! change that is allowed to move them (ROADMAP item 5) re-records the
-//! values below and says so.
+//! curated rows recorded at commit 4a8b4ac, under the curated table's
+//! recorded name. A change that is allowed to move them (ROADMAP item
+//! 5) re-records the values below and says so.
 
 mod common;
 
@@ -28,8 +28,8 @@ fn table_hash(t: &autodc::prelude::Table) -> u64 {
 }
 
 /// `[rows_in, candidates, clusters_merged, repairs, cells_imputed,
-/// rows_out]` and the curated-table hash.
-fn run(seed: u64) -> ([usize; 6], u64) {
+/// rows_out]`, the curated-table hash and the curated table's name.
+fn run(seed: u64) -> ([usize; 6], u64, String) {
     let tables = bench_lake(seed, 500);
     let (curated, r) = Pipeline::new(config()).run(&tables, &mut run_rng(seed));
     (
@@ -42,6 +42,7 @@ fn run(seed: u64) -> ([usize; 6], u64) {
             curated.len(),
         ],
         table_hash(&curated),
+        curated.name,
     )
 }
 
@@ -50,17 +51,26 @@ fn run(seed: u64) -> ([usize; 6], u64) {
 #[test]
 fn pipeline_matches_recorded_run_seed_1400() {
     let want = [1000, 205_062, 397, 23, 134, 600];
-    assert_eq!(run(1400), (want, 17_044_172_058_070_481_369));
+    assert_eq!(
+        run(1400),
+        (want, 17_044_172_058_070_481_369, "people_a_curated".into())
+    );
 }
 
 #[test]
 fn pipeline_matches_recorded_run_seed_1401() {
     let want = [1000, 210_660, 399, 37, 128, 600];
-    assert_eq!(run(1401), (want, 2_440_263_404_913_319_505));
+    assert_eq!(
+        run(1401),
+        (want, 2_440_263_404_913_319_505, "people_a_curated".into())
+    );
 }
 
 #[test]
 fn pipeline_matches_recorded_run_seed_1402() {
     let want = [1000, 202_758, 392, 28, 156, 606];
-    assert_eq!(run(1402), (want, 2_019_352_408_565_082_555));
+    assert_eq!(
+        run(1402),
+        (want, 2_019_352_408_565_082_555, "people_a_curated".into())
+    );
 }

@@ -7,6 +7,8 @@
 //! allocator below, the run's allocation count, bytes allocated and peak
 //! live bytes. A change that does more or less work — or holds more
 //! memory — shows up here as an integer diff, however noisy the host.
+//! The same run must also report the pipeline's stage spans
+//! (`pipeline.{discover,integrate,clean}`, `er.block`, `er.match`).
 //!
 //! Allocation figures repeat only single-threaded: `scripts/lint.sh`
 //! runs this suite under `DC_THREADS=1`, and at any other thread count
@@ -139,6 +141,21 @@ fn curate_lake_work_profile_matches_the_recorded_one() {
     drop(out);
     let obs = dc_obs::report();
     dc_obs::set_enabled(false);
+
+    // The pipeline's stages are readable from the program's own report.
+    for span in [
+        "pipeline.discover",
+        "pipeline.integrate",
+        "pipeline.clean",
+        "er.block",
+        "er.match",
+    ] {
+        assert!(
+            obs.spans.iter().any(|s| s.name == span),
+            "span {span} missing from {:?}",
+            obs.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
+        );
+    }
 
     let mut got = Profile::new();
     got.insert(
