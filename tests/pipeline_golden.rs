@@ -2,12 +2,15 @@
 //! `curate_lake` shape must keep returning the report counts and the
 //! curated rows recorded at commit 4a8b4ac, under the curated table's
 //! recorded name. A change that is allowed to move them (ROADMAP item
-//! 5) re-records the values below and says so.
+//! 5) re-records the values below and says so. A smaller run on the same
+//! shape must report its stage spans and match counters through dc-obs.
 
 mod common;
 
 use autodc::pipeline::Pipeline;
 use common::{bench_lake, config, run_rng};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// `bench/`'s FNV-1a hash over the curated table's canonical cells.
 fn table_hash(t: &autodc::prelude::Table) -> u64 {
@@ -73,4 +76,39 @@ fn pipeline_matches_recorded_run_seed_1402() {
         run(1402),
         (want, 2_019_352_408_565_082_555, "people_a_curated".into())
     );
+}
+
+#[test]
+fn pipeline_reports_stage_spans_and_match_counters() {
+    let tables = bench_lake(1400, 80);
+    dc_obs::set_enabled(true);
+    dc_obs::reset();
+    let (_, report) = Pipeline::new(config()).run(&tables, &mut StdRng::seed_from_u64(7));
+    let obs = dc_obs::report();
+    dc_obs::set_enabled(false);
+
+    let counter = |name: &str| {
+        obs.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("counter {name} missing"))
+    };
+    // >= : the other tests in this binary may be matching concurrently.
+    assert!(counter("er.match.pairs") >= report.candidates as u64);
+    assert!(counter("er.match.filtered") > 0);
+    assert!(counter("er.match.verified") > 0);
+    for span in [
+        "pipeline.discover",
+        "pipeline.integrate",
+        "pipeline.clean",
+        "er.block",
+        "er.match",
+    ] {
+        assert!(
+            obs.spans.iter().any(|s| s.name == span),
+            "span {span} missing from {:?}",
+            obs.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
+        );
+    }
 }
