@@ -561,7 +561,6 @@ fn main() {
     let reps = if smoke { 3 } else { 9 };
 
     dc_tensor::set_pool_enabled(true);
-    dc_tensor::set_fuse_enabled(true);
 
     let (mlp_rows, lstm_pairs, epochs) = if smoke { (128, 24, 2) } else { (1024, 96, 4) };
     let mut rng = StdRng::seed_from_u64(3);

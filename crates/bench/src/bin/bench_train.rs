@@ -9,11 +9,10 @@
 //! DeepER-average, and the pair-by-pair DeepER-LSTM step — each timed
 //! in two configurations:
 //!
-//! * **baseline** — pooling and fusion toggled off: a fresh tape per
-//!   step, every buffer a heap allocation, no elementwise fusion (the
-//!   pre-pool hot path);
-//! * **pooled** — one tape recycled across steps with pooling and
-//!   fusion on (what `run_dataset_epochs` does now).
+//! * **baseline** — a fresh unpooled tape per step, every buffer a
+//!   heap allocation (the pre-pool hot path);
+//! * **pooled** — one tape recycled across steps with pooling on (what
+//!   `run_dataset_epochs` does now).
 //!
 //! Both configurations must produce bitwise-identical loss traces and
 //! weights (checked here from identically-seeded models), so the
@@ -31,7 +30,7 @@ use dc_nn::loss::LossKind;
 use dc_nn::lstm::LstmEncoder;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::{Adam, Optimizer};
-use dc_tensor::{set_fuse_enabled, set_pool_enabled, Tape, Tensor};
+use dc_tensor::{set_pool_enabled, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -245,17 +244,16 @@ impl Workload for DeeperLstmMicro {
     }
 }
 
-/// Run `n` baseline steps (pool + fusion off, fresh tape per step).
+/// Run `n` baseline steps (pool off, fresh tape per step).
 fn run_baseline(w: &mut dyn Workload, n: usize) {
     set_pool_enabled(false);
-    set_fuse_enabled(false);
     for _ in 0..n {
         let tape = Tape::new();
         w.step(&tape);
     }
 }
 
-/// Run `n` pooled steps (pool + fusion on) against `tape`, recycling
+/// Run `n` pooled steps (pool on) against `tape`, recycling
 /// after each.
 fn run_pooled(w: &mut dyn Workload, tape: &Tape, n: usize) {
     for _ in 0..n {
@@ -287,13 +285,12 @@ fn bench_workload(
     run_baseline(wa.as_mut(), equiv_steps);
     let mut wb = make(7);
     set_pool_enabled(true);
-    set_fuse_enabled(true);
     let equiv_tape = Tape::new();
     run_pooled(wb.as_mut(), &equiv_tape, equiv_steps);
     let bitwise_equal = wa.fingerprint() == wb.fingerprint();
     assert!(
         bitwise_equal,
-        "{name}: pooled/fused training diverged from the fresh-unpooled-tape baseline"
+        "{name}: pooled training diverged from the fresh-unpooled-tape baseline"
     );
 
     // Liveness forecast parity (dc-check): one un-recycled step from a
@@ -301,7 +298,6 @@ fn bench_workload(
     // graph clean and predict the pool's PoolStats — including the
     // high-water mark — exactly. Runs in --smoke too, so lint gates it.
     set_pool_enabled(true);
-    set_fuse_enabled(true);
     let forecast_tape = Tape::new();
     make(7).step(&forecast_tape);
     let root = forecast_tape
@@ -330,7 +326,6 @@ fn bench_workload(
     // fits run in (long-converged models drift into denormal moments,
     // which time the FPU, not the allocator).
     set_pool_enabled(true);
-    set_fuse_enabled(true);
     let tape = Tape::new();
     {
         // Warm the pool's size classes once; later reps re-use them.
@@ -349,7 +344,6 @@ fn bench_workload(
 
         let mut wp = make(11);
         set_pool_enabled(true);
-        set_fuse_enabled(true);
         let t0 = Instant::now();
         run_pooled(wp.as_mut(), &tape, timed);
         pooled_samples.push(t0.elapsed().as_secs_f64() * 1e6 / timed as f64);
@@ -440,14 +434,13 @@ fn main() {
     dc_obs::set_enabled(true);
     let mut w = MlpMicro::new(3);
     set_pool_enabled(true);
-    set_fuse_enabled(true);
     let tape = Tape::new();
     run_pooled(&mut w, &tape, 10);
     dc_obs::set_enabled(false);
     let obs_pool = PoolObs::from_report(&dc_obs::report());
 
     let snapshot = Snapshot {
-        description: "training-step time: fresh unpooled tape with fusion off vs one recycled pooled tape with fused elementwise chains; bitwise-identical results enforced",
+        description: "training-step time: fresh unpooled tape vs one recycled pooled tape; bitwise-identical results enforced",
         smoke,
         workloads,
         obs_pool,

@@ -36,12 +36,11 @@ pub enum OpKind {
     MseLoss,
     BceWithLogits,
     SoftmaxCe,
-    FusedEltwise,
 }
 
 impl OpKind {
     /// Every variant, in [`Op`] declaration order.
-    pub const ALL: [OpKind; 26] = [
+    pub const ALL: [OpKind; 25] = [
         OpKind::Leaf,
         OpKind::Add,
         OpKind::Sub,
@@ -67,7 +66,6 @@ impl OpKind {
         OpKind::MseLoss,
         OpKind::BceWithLogits,
         OpKind::SoftmaxCe,
-        OpKind::FusedEltwise,
     ];
 
     /// Classify a recorded op. The match is exhaustive on purpose: a new
@@ -99,7 +97,6 @@ impl OpKind {
             Op::MseLoss(..) => OpKind::MseLoss,
             Op::BceWithLogits { .. } => OpKind::BceWithLogits,
             Op::SoftmaxCe { .. } => OpKind::SoftmaxCe,
-            Op::FusedEltwise { .. } => OpKind::FusedEltwise,
         }
     }
 
@@ -131,7 +128,6 @@ impl OpKind {
             OpKind::MseLoss => "mse_loss",
             OpKind::BceWithLogits => "bce_with_logits",
             OpKind::SoftmaxCe => "softmax_ce",
-            OpKind::FusedEltwise => "fused_eltwise",
         }
     }
 }
@@ -370,25 +366,6 @@ pub fn audit_op(kind: OpKind, eps: f32, tol: f32) -> OpAudit {
             probe(3, 4, 0),
             Box::new(|t, v| t.softmax_ce(v, vec![1, 0, 3])),
         )],
-        OpKind::FusedEltwise => vec![
-            // Unary chain with fusion on (the default): records a plain
-            // scale plus growing FusedEltwise nodes, and backward takes
-            // the single-pass fast path.
-            (
-                probe(2, 3, 0),
-                Box::new(|t, v| t.sum(t.tanh(t.sigmoid(t.scale(v, 1.3))))),
-            ),
-            // The sigmoid's input also feeds a mul outside the chain,
-            // forcing the peel-one-stage slow path.
-            (
-                probe(2, 3, 1),
-                Box::new(|t, v| {
-                    let s = t.scale(v, 1.7);
-                    let y = t.sigmoid(s);
-                    t.sum(t.mul(y, s))
-                }),
-            ),
-        ],
     };
 
     let max_rel_err = probes

@@ -42,11 +42,6 @@ pub enum Defect {
     /// A buffer returned to the pool twice (or a foreign buffer
     /// recycled), detected by the pool's generation-tagged handles.
     DoubleRecycle,
-    /// A `FusedEltwise` node whose static structure contradicts the
-    /// backward fast-path contract (interiors out of order, or a
-    /// consumer-count verdict that disagrees with the explicit
-    /// external-consumer scan).
-    IllegalFusion,
 }
 
 impl Defect {
@@ -94,7 +89,6 @@ impl fmt::Display for GraphError {
                 Defect::NonFiniteGrad => "non-finite gradient",
                 Defect::UseAfterRecycle => "use after recycle",
                 Defect::DoubleRecycle => "double recycle",
-                Defect::IllegalFusion => "illegal fusion",
             },
             self.node,
             self.op,

@@ -20,10 +20,9 @@
 //!   backward rule of every [`dc_tensor::Op`] variant, with coverage
 //!   enforced by an exhaustive match.
 //! * [`liveness`] — static last-use analysis over the recorded graph:
-//!   fusion-legality verdicts, an early-recycle plan (rejected by
-//!   [`liveness::verify_plan`] if it reads past a release), and an
-//!   exact [`liveness::forecast_pool`] prediction of the step's
-//!   `PoolStats` high-water mark.
+//!   an early-recycle plan (rejected by [`liveness::verify_plan`] if it
+//!   reads past a release) and an exact [`liveness::forecast_pool`]
+//!   prediction of the step's `PoolStats` high-water mark.
 //! * [`memsafe`] — use-after-recycle / double-recycle detection from
 //!   the pool's `DC_CHECK=1` generation-tagged handles and the
 //!   `0xFFC0_DEAD` recycle poison.
@@ -56,7 +55,7 @@ pub mod sanitize;
 pub use audit::{audit_all_ops, audit_op, OpAudit, OpKind};
 pub use diag::{render, Defect, GraphError};
 pub use lint::lint_graph;
-pub use liveness::{forecast_pool, FusionVerdict, Liveness, ReleasePoint};
+pub use liveness::{forecast_pool, Liveness, ReleasePoint};
 pub use memsafe::{check_memsafe, scan_poison};
 pub use plan::{check_plan, check_root, check_tape, lower, GraphPlan, SymNode, SymOp};
 pub use sanitize::sanitize;

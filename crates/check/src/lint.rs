@@ -9,42 +9,6 @@
 use crate::diag::{Defect, GraphError};
 use dc_tensor::{op_name, Op, Tape, Var};
 
-/// Collect the operand indices of one op.
-fn operands(op: &Op, out: &mut Vec<usize>) {
-    out.clear();
-    match op {
-        Op::Leaf => {}
-        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) | Op::AddRow(a, b) => {
-            out.push(a.index());
-            out.push(b.index());
-        }
-        Op::Scale(a, _)
-        | Op::AddScalar(a, _)
-        | Op::Sigmoid(a)
-        | Op::Tanh(a)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::Exp(a)
-        | Op::Ln(a)
-        | Op::Abs(a)
-        | Op::Sum(a)
-        | Op::Mean(a)
-        | Op::RowsSelect(a, _)
-        | Op::RowsMean(a, _)
-        | Op::SliceCols(a, _, _)
-        | Op::Dropout(a, _)
-        | Op::MseLoss(a, _) => out.push(a.index()),
-        Op::Concat(parts) => out.extend(parts.iter().map(|p| p.index())),
-        Op::BceWithLogits { logits, .. } | Op::SoftmaxCe { logits, .. } => out.push(logits.index()),
-        Op::FusedEltwise {
-            root, interiors, ..
-        } => {
-            out.push(root.index());
-            out.extend(interiors.iter().map(|p| p.index()));
-        }
-    }
-}
-
 /// Lint a recorded tape against the backward root `root`.
 ///
 /// Reports, in arena order:
@@ -84,10 +48,10 @@ pub fn lint_graph(tape: &Tape, root: Var) -> Vec<GraphError> {
     }
     let mut ops: Vec<(bool, Vec<usize>)> = Vec::with_capacity(n);
     let mut names: Vec<&'static str> = Vec::with_capacity(n);
-    let mut scratch = Vec::new();
     tape.for_each_node(|_, op, _, _| {
-        operands(op, &mut scratch);
-        ops.push((matches!(op, Op::Leaf), scratch.clone()));
+        let mut inputs = Vec::new();
+        op.for_each_input(|v| inputs.push(v.index()));
+        ops.push((matches!(op, Op::Leaf), inputs));
         names.push(op_name(op));
     });
     for i in (0..=root.index().min(n.saturating_sub(1))).rev() {

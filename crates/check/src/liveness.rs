@@ -1,9 +1,8 @@
 //! Static tape liveness analysis.
 //!
 //! [`Tape::backward`] recycles aggressively: gradient buffers move
-//! between slots (`acc_owned`), fused chains defer their root credit
-//! through a `pending` side table, and every buffer ultimately returns
-//! to the tape's [`BufferPool`]. The ROADMAP's next levers — gradient
+//! between slots (`acc_owned`) and every buffer ultimately returns to
+//! the tape's [`BufferPool`]. The ROADMAP's next levers — gradient
 //! checkpointing and out-of-core batches — will start recycling *value*
 //! buffers mid-step too. This module is the safety net for that: it
 //! computes, purely from the recorded graph,
@@ -12,10 +11,8 @@
 //!    ([`Liveness::last_forward_use`]) and the last backward-sweep
 //!    position that reads it ([`Liveness::last_backward_read`]),
 //! 2. an **early-recycle plan** ([`Liveness::release`]): the earliest
-//!    point each pooled value buffer could safely return to the pool,
-//! 3. **fusion-legality verdicts** for every `FusedEltwise` node,
-//!    cross-checked two independent ways ([`verify`]), and
-//! 4. a **pool-traffic forecast** ([`forecast_pool`]): an exact replay
+//!    point each pooled value buffer could safely return to the pool, and
+//! 3. a **pool-traffic forecast** ([`forecast_pool`]): an exact replay
 //!    of the step's take/put sequence predicting `PoolStats` — hits,
 //!    misses and the high-water mark — before the step runs. Tests hold
 //!    this against actuals on the real MLP / DeepER-LSTM training steps.
@@ -28,7 +25,7 @@
 //! as a stats mismatch.
 
 use crate::diag::{Defect, GraphError};
-use dc_tensor::{op_name, EltStage, Op, PoolStats, Tape};
+use dc_tensor::{op_name, Op, PoolStats, Tape};
 
 /// Where a pooled value buffer could earliest be released, per node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,25 +43,13 @@ pub enum ReleasePoint {
     AfterSweep(usize),
 }
 
-/// Static fusion-legality verdict for one `FusedEltwise` node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FusionVerdict {
-    /// Arena index of the fused node.
-    pub node: usize,
-    /// Whether backward will take the single-pass fast path (no
-    /// interior consumed outside the chain) — decided exactly as the
-    /// runtime decides it, from consumer counts over the swept prefix.
-    pub fast: bool,
-}
-
 /// The result of [`analyze`]: liveness facts for one backward root.
 #[derive(Clone, Debug)]
 pub struct Liveness {
     /// The backward root (arena index) this analysis is relative to.
     pub root: usize,
     /// Per node: does its backward arm run during the sweep? False for
-    /// nodes gradient never reaches (including fused interiors on the
-    /// fast path, whose arms are skipped wholesale).
+    /// nodes gradient never reaches.
     pub reachable: Vec<bool>,
     /// Per node: the last arena position whose *forward* computation
     /// reads this node's value (its own position if never consumed).
@@ -78,8 +63,6 @@ pub struct Liveness {
     /// checkpointing consumes this; [`verify_plan`] rejects any plan —
     /// this one or a caller-modified one — that reads past a release.
     pub release: Vec<ReleasePoint>,
-    /// One verdict per `FusedEltwise` node in the swept prefix.
-    pub fused: Vec<FusionVerdict>,
 }
 
 /// Simplified op mirror: operand indices plus exactly the distinctions
@@ -113,26 +96,6 @@ enum MOp {
     /// `BceWithLogits`/`SoftmaxCe`: reads the cached aux `probs`, *not*
     /// the logits value.
     AuxLoss(usize),
-    Fused {
-        root: usize,
-        interiors: Vec<usize>,
-        /// Per stage: what the *slow* (peel-one-stage) path would read.
-        /// The fast path indexes every `xs[j]`/`ys[j]` buffer
-        /// unconditionally, so it reads root + interiors + own value
-        /// whatever the stage kinds are.
-        stages: Vec<FStage>,
-    },
-}
-
-/// Slow-path read behaviour of one fused stage.
-#[derive(Clone, Copy)]
-enum FStage {
-    /// `Scale`/`AddScalar`: reads neither input nor output.
-    Opaque,
-    /// `Sigmoid`/`Tanh`/`Exp`: reads the stage output (`y`).
-    ReadsOwn,
-    /// `Relu`/`LeakyRelu`/`Ln`/`Abs`: reads the stage input (`x`).
-    ReadsIn,
 }
 
 struct Meta {
@@ -192,24 +155,6 @@ fn capture(tape: &Tape) -> Result<Vec<Meta>, Vec<GraphError>> {
             Op::BceWithLogits { logits, .. } | Op::SoftmaxCe { logits, .. } => {
                 MOp::AuxLoss(logits.index())
             }
-            Op::FusedEltwise {
-                root,
-                stages,
-                interiors,
-            } => MOp::Fused {
-                root: root.index(),
-                interiors: interiors.iter().map(|v| v.index()).collect(),
-                stages: stages
-                    .iter()
-                    .map(|s| match s {
-                        EltStage::Scale(_) | EltStage::AddScalar(_) => FStage::Opaque,
-                        EltStage::Sigmoid | EltStage::Tanh | EltStage::Exp => FStage::ReadsOwn,
-                        EltStage::Relu | EltStage::LeakyRelu(_) | EltStage::Ln | EltStage::Abs => {
-                            FStage::ReadsIn
-                        }
-                    })
-                    .collect(),
-            },
         };
         let aux_len = match op {
             Op::BceWithLogits { probs, .. } | Op::SoftmaxCe { probs, .. } => probs.len(),
@@ -248,9 +193,7 @@ fn capture(tape: &Tape) -> Result<Vec<Meta>, Vec<GraphError>> {
     }
 }
 
-/// Enumerate a node's operand indices — the same enumeration the
-/// runtime's `consumer_counts` uses (a fused node references its root
-/// and every interior once each).
+/// Enumerate a node's operand indices.
 fn for_each_operand(op: &MOp, mut f: impl FnMut(usize)) {
     match op {
         MOp::Leaf => {}
@@ -272,66 +215,26 @@ fn for_each_operand(op: &MOp, mut f: impl FnMut(usize)) {
         | MOp::MseLoss(a)
         | MOp::AuxLoss(a) => f(*a),
         MOp::Concat(parts) => parts.iter().for_each(|&p| f(p)),
-        MOp::Fused {
-            root, interiors, ..
-        } => {
-            f(*root);
-            interiors.iter().for_each(|&v| f(v));
-        }
     }
 }
 
-/// The runtime's consumer-count table over `metas[..=root]`.
-fn consumer_counts(metas: &[Meta], root: usize) -> Vec<u32> {
-    let mut counts = vec![0u32; metas.len()];
-    for meta in &metas[..=root] {
-        for_each_operand(&meta.op, |j| counts[j] += 1);
-    }
-    counts
-}
-
-/// The runtime's fast-path predicate for one fused node: every interior
-/// is consumed exactly `chain links above it` times within the prefix.
-fn fast_verdict(counts: &[u32], interiors: &[usize]) -> bool {
-    let k = interiors.len();
-    interiors
-        .iter()
-        .enumerate()
-        .all(|(j, &iv)| counts[iv] as usize == k - j)
-}
-
-/// Everything [`verify`] and [`forecast_pool`] need about one sweep:
-/// which arms run, what each running arm reads, and the fused verdicts.
+/// What [`verify_plan`] and [`analyze`] need about one sweep: which
+/// arms run and what each running arm reads.
 struct Sweep {
     reachable: Vec<bool>,
     /// `reads[i]` = value buffers arm `i` reads, for reachable `i`.
     reads: Vec<Vec<usize>>,
-    fused: Vec<FusionVerdict>,
 }
 
-/// Replay the sweep's *control flow*: gradient occupancy per slot and
-/// the `pending` deferral of fused fast-path root credits, mirroring
-/// `backward()` exactly but without touching any floats.
+/// Replay the sweep's *control flow* — gradient occupancy per slot —
+/// mirroring `backward()` exactly but without touching any floats.
 fn simulate_sweep(metas: &[Meta], root: usize) -> Sweep {
     let n = metas.len();
-    let fused_any = metas.iter().any(|m| matches!(m.op, MOp::Fused { .. }));
-    let counts = if fused_any {
-        consumer_counts(metas, root)
-    } else {
-        Vec::new()
-    };
     let mut grads = vec![false; n];
-    // pending[i] = Some(target) — a fused fast-path chain deferred its
-    // root credit to drain at sweep position i.
-    let mut pending: Vec<Option<usize>> = vec![None; n];
     let mut reachable = vec![false; n];
     let mut reads: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut fused = Vec::new();
     grads[root] = true;
     for i in (0..=root).rev() {
-        if let Some(tgt) = pending[i].take() {
-            grads[tgt] = true;
-        }
         if !grads[i] {
             continue;
         }
@@ -377,38 +280,9 @@ fn simulate_sweep(metas: &[Meta], root: usize) -> Sweep {
                 r.push(*p);
                 grads[*p] = true;
             }
-            MOp::Fused {
-                root: cr,
-                interiors,
-                stages,
-            } => {
-                let fast = fast_verdict(&counts, interiors);
-                fused.push(FusionVerdict { node: i, fast });
-                if fast {
-                    // The single-pass loop indexes every xs/ys slice.
-                    r.push(*cr);
-                    r.extend(interiors.iter().copied());
-                    r.push(i);
-                    // Root credit drains at the first interior's position.
-                    pending[interiors[0]] = Some(*cr);
-                } else {
-                    let prev = interiors.last().copied().unwrap_or(*cr);
-                    match stages.last() {
-                        Some(FStage::ReadsOwn) => r.push(i),
-                        Some(FStage::ReadsIn) => r.push(prev),
-                        Some(FStage::Opaque) | None => {}
-                    }
-                    grads[prev] = true;
-                }
-            }
         }
     }
-    fused.reverse(); // ascending node order reads better in reports
-    Sweep {
-        reachable,
-        reads,
-        fused,
-    }
+    Sweep { reachable, reads }
 }
 
 /// Compute liveness for the graph as recorded, relative to a backward
@@ -469,7 +343,6 @@ pub fn analyze(tape: &Tape, root: usize) -> Result<Liveness, Vec<GraphError>> {
         last_forward_use,
         last_backward_read,
         release,
-        fused: sweep.fused,
     })
 }
 
@@ -522,95 +395,15 @@ pub fn verify_plan(tape: &Tape, root: usize, release: &[ReleasePoint]) -> Vec<Gr
     errors
 }
 
-/// Full static verification for one backward root:
-///
-/// 1. structural legality of every `FusedEltwise` node in the swept
-///    prefix (interiors strictly ascending, one per non-final stage,
-///    recorded before the fused node),
-/// 2. the fusion fast/slow verdict cross-checked two independent ways —
-///    the runtime's consumer-count predicate against an explicit
-///    external-consumer scan ([`Defect::IllegalFusion`] on any
-///    disagreement: the runtime would miscompute or silently
-///    deoptimise), and
-/// 3. the computed early-recycle plan replayed against the sweep
-///    ([`Defect::UseAfterRecycle`] if any arm reads a released buffer —
-///    in-place accumulation must respect liveness).
+/// Full static verification for one backward root: the computed
+/// early-recycle plan replayed against the sweep
+/// ([`Defect::UseAfterRecycle`] if any arm reads a released buffer —
+/// in-place accumulation must respect liveness).
 pub fn verify(tape: &Tape, root: usize) -> Vec<GraphError> {
-    let live = match analyze(tape, root) {
-        Ok(l) => l,
-        Err(e) => return e,
-    };
-    let metas = match capture(tape) {
-        Ok(m) => m,
-        Err(e) => return e,
-    };
-    let mut errors = Vec::new();
-
-    for (i, meta) in metas.iter().enumerate().take(root + 1) {
-        let MOp::Fused {
-            root: cr,
-            interiors,
-            stages,
-        } = &meta.op
-        else {
-            continue;
-        };
-        if interiors.len() + 1 != stages.len() || stages.len() < 2 {
-            errors.push(GraphError {
-                node: i,
-                op: meta.name,
-                defect: Defect::IllegalFusion,
-                expected: "interiors.len() == stages.len() - 1, stages.len() >= 2".into(),
-                got: format!("{} interiors, {} stages", interiors.len(), stages.len()),
-            });
-            continue;
-        }
-        let ascending = interiors.windows(2).all(|w| w[0] < w[1])
-            && *cr < interiors[0]
-            && *interiors.last().unwrap() < i;
-        if !ascending {
-            errors.push(GraphError {
-                node: i,
-                op: meta.name,
-                defect: Defect::IllegalFusion,
-                expected: "root < interiors (strictly ascending) < fused node".into(),
-                got: format!("root {cr}, interiors {interiors:?}"),
-            });
-            continue;
-        }
-        // Independent external-consumer scan: interior j's consumers in
-        // the swept prefix must be exactly the later chain links and
-        // the fused node itself, once each.
-        let counts = consumer_counts(&metas, root);
-        let count_fast = fast_verdict(&counts, interiors);
-        let scan_fast = interiors.iter().enumerate().all(|(j, &iv)| {
-            let mut expected: Vec<usize> = interiors[j + 1..].to_vec();
-            expected.push(i);
-            expected.sort_unstable();
-            let mut actual = Vec::new();
-            for (c, m) in metas.iter().enumerate().take(root + 1) {
-                for_each_operand(&m.op, |o| {
-                    if o == iv {
-                        actual.push(c);
-                    }
-                });
-            }
-            actual.sort_unstable();
-            actual == expected
-        });
-        if count_fast != scan_fast {
-            errors.push(GraphError {
-                node: i,
-                op: meta.name,
-                defect: Defect::IllegalFusion,
-                expected: format!("consumer-count verdict (fast={count_fast}) to match the explicit consumer scan"),
-                got: format!("scan says fast={scan_fast}"),
-            });
-        }
+    match analyze(tape, root) {
+        Ok(live) => verify_plan(tape, root, &live.release),
+        Err(e) => e,
     }
-
-    errors.extend(verify_plan(tape, root, &live.release));
-    errors
 }
 
 // ---------------------------------------------------------------------------
@@ -700,7 +493,7 @@ pub fn forecast_pool(tape: &Tape, root: usize) -> Result<PoolStats, Vec<GraphErr
     let mut pool = SimPool::new();
 
     // Forward: one value buffer per pooled node, preceded by the cached
-    // aux tensor for the fused-loss ops (`probs` is computed before the
+    // aux tensor for the loss ops (`probs` is computed before the
     // 1×1 loss value is allocated).
     for meta in &metas {
         if meta.aux_pooled {
@@ -712,16 +505,8 @@ pub fn forecast_pool(tape: &Tape, root: usize) -> Result<PoolStats, Vec<GraphErr
     }
 
     // Backward: mirror each arm's allocation/return order exactly.
-    let n = metas.len();
-    let fused_any = metas.iter().any(|m| matches!(m.op, MOp::Fused { .. }));
-    let counts = if fused_any {
-        consumer_counts(&metas, root)
-    } else {
-        Vec::new()
-    };
     // grads[j] = a gradient buffer (of node j's size) occupies slot j.
-    let mut grads = vec![false; n];
-    let mut pending: Vec<Option<usize>> = vec![None; n];
+    let mut grads = vec![false; metas.len()];
     // `acc_owned`: in-place axpy returns the contribution when the slot
     // is already occupied, otherwise the buffer moves into the slot.
     macro_rules! acc_owned {
@@ -745,9 +530,6 @@ pub fn forecast_pool(tape: &Tape, root: usize) -> Result<PoolStats, Vec<GraphErr
     pool.take(1); // grads[root] = alloc_scalar(1.0)
     grads[root] = true;
     for i in (0..=root).rev() {
-        if let Some(tgt) = pending[i].take() {
-            acc_owned!(tgt, metas[tgt].len());
-        }
         if !grads[i] {
             continue;
         }
@@ -823,26 +605,6 @@ pub fn forecast_pool(tape: &Tape, root: usize) -> Result<PoolStats, Vec<GraphErr
                 acc_owned!(*logits, gz);
                 pool.put(g);
             }
-            MOp::Fused {
-                root: cr,
-                interiors,
-                ..
-            } => {
-                if fast_verdict(&counts, interiors) {
-                    let ga = metas[*cr].len();
-                    pool.take(ga);
-                    match pending[interiors[0]] {
-                        Some(_) => pool.put(ga), // axpy into the parked buffer
-                        None => pending[interiors[0]] = Some(*cr),
-                    }
-                    pool.put(g);
-                } else {
-                    let prev = interiors.last().copied().unwrap_or(*cr);
-                    pool.take(g); // peeled-stage ga (pmap/pcopy/pzip all allocate)
-                    acc_owned!(prev, g);
-                    pool.put(g);
-                }
-            }
         }
     }
     Ok(pool.stats())
@@ -885,34 +647,6 @@ mod tests {
         // Forward last use: x and w die at the matmul, a at the mul.
         assert_eq!(live.last_forward_use[0], 2);
         assert_eq!(live.last_forward_use[3], 4);
-        assert!(verify(&tape, loss.index()).is_empty());
-    }
-
-    #[test]
-    fn fused_chain_verdicts_match_consumption() {
-        // Chain consumed only by itself → fast.
-        let tape = Tape::new();
-        let x = tape.var(t(1, 4, 0.3));
-        let y = tape.tanh(tape.relu(x));
-        let loss = tape.mean(y);
-        let live = analyze(&tape, loss.index()).expect("clean graph");
-        if !live.fused.is_empty() {
-            // Fusion on: exactly one chain, fast.
-            assert_eq!(live.fused.len(), 1);
-            assert!(live.fused[0].fast);
-        }
-        assert!(verify(&tape, loss.index()).is_empty());
-
-        // Interior consumed outside the chain → slow.
-        let tape = Tape::new();
-        let x = tape.var(t(1, 4, 0.3));
-        let r = tape.relu(x);
-        let y = tape.tanh(r);
-        let loss = tape.mean(tape.add(y, r));
-        let live = analyze(&tape, loss.index()).expect("clean graph");
-        for v in &live.fused {
-            assert!(!v.fast, "externally consumed interior must force slow");
-        }
         assert!(verify(&tape, loss.index()).is_empty());
     }
 

@@ -457,17 +457,6 @@ pub fn lower(tape: &Tape) -> Result<Vec<SymNode>, Vec<GraphError>> {
                 logits: var(*logits),
                 labels: labels.clone(),
             },
-            Op::FusedEltwise {
-                root, interiors, ..
-            } => {
-                // A fused chain is shape-wise a unary op on its root;
-                // still resolve every interior so foreign `Var`s are
-                // flagged like any other operand.
-                for p in interiors {
-                    var(*p);
-                }
-                SymOp::Unary(var(*root))
-            }
         };
         nodes.push(SymNode { op: sym, name });
     });

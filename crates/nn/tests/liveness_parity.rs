@@ -11,12 +11,12 @@ use dc_nn::loss::LossKind;
 use dc_nn::lstm::LstmEncoder;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::{Adam, Optimizer};
-use dc_tensor::{set_fuse_enabled, set_pool_enabled, Tape, Tensor};
+use dc_tensor::{set_pool_enabled, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
-/// Serializes tests that pin the global pool/fuse gates.
+/// Serializes tests that pin the global pool gate.
 static GATE_LOCK: Mutex<()> = Mutex::new(());
 
 fn check_step(tape: &Tape, label: &str) {
@@ -43,7 +43,6 @@ fn check_step(tape: &Tape, label: &str) {
 fn forecast_matches_actuals_on_mlp_training_step() {
     let _gates = GATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     set_pool_enabled(true);
-    set_fuse_enabled(true);
 
     // The bench suite's MlpMicro: a deep narrow MLP on a 4-example batch.
     let mut rng = StdRng::seed_from_u64(11);
@@ -78,7 +77,6 @@ fn forecast_matches_actuals_on_mlp_training_step() {
 fn forecast_matches_actuals_on_deeper_lstm_training_step() {
     let _gates = GATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     set_pool_enabled(true);
-    set_fuse_enabled(true);
 
     let mut rng = StdRng::seed_from_u64(23);
     let (dim, hidden, tokens) = (8, 8, 10);

@@ -25,18 +25,18 @@
 //!    bit.
 //!
 //! `scripts/lint.sh` runs this suite under `DC_THREADS` 1, 2, and the
-//! default. The gates are process-global, so tests serialise on a
-//! mutex and re-pin every gate they depend on at entry.
+//! default. The pool gate is process-global, so tests serialise on a
+//! mutex and re-pin it at entry.
 
 use dc_nn::lstm::LstmEncoder;
 use dc_nn::optim::{Adam, Optimizer, Sgd};
-use dc_tensor::{set_fuse_enabled, set_pool_enabled, Tape, Tensor};
+use dc_tensor::{set_pool_enabled, Tape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
-/// Serialises tests that flip the global pool/fuse gates.
+/// Serialises tests that flip the global pool gate.
 static GATE_LOCK: Mutex<()> = Mutex::new(());
 
 fn seq_tensor(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
@@ -182,7 +182,6 @@ proptest! {
     ) {
         let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_pool_enabled(true);
-        set_fuse_enabled(true);
 
         let mut rng = StdRng::seed_from_u64(seed);
         let enc = LstmEncoder::new(dim, hidden, &mut rng);
@@ -207,7 +206,6 @@ proptest! {
     ) {
         let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_pool_enabled(true);
-        set_fuse_enabled(true);
 
         let mut rng = StdRng::seed_from_u64(seed);
         let enc = LstmEncoder::new(dim, hidden, &mut rng);
@@ -237,7 +235,6 @@ proptest! {
     ) {
         let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_pool_enabled(true);
-        set_fuse_enabled(true);
 
         let run = |fused: bool| {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -282,7 +279,6 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_fuse_enabled(true);
 
         let run = |pooled: bool| {
             set_pool_enabled(pooled);

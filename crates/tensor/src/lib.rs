@@ -18,7 +18,7 @@
 //! * [`pool`] — the step-scoped [`BufferPool`] behind every tape
 //!   allocation; [`Tape::recycle`] makes steady-state training steps
 //!   (near-)allocation-free, bitwise identically to a fresh unpooled
-//!   tape with fusion off (the reference the equivalence suites build).
+//!   tape (the reference the equivalence suites build).
 //! * [`grad_check`] — finite-difference gradient checking used by the
 //!   test-suites of every downstream model.
 //!
@@ -32,10 +32,10 @@ pub mod tape;
 pub mod tensor;
 
 pub use pool::{
-    check_enabled, fuse_enabled, pool_enabled, set_check_enabled, set_fuse_enabled,
-    set_pool_enabled, BufferPool, PoolStats, PoolViolation, PoolViolationKind, POISON_PATTERN,
+    check_enabled, pool_enabled, set_check_enabled, set_pool_enabled, BufferPool, PoolStats,
+    PoolViolation, PoolViolationKind, POISON_PATTERN,
 };
-pub use tape::{op_name, EltStage, Op, Tape, Var};
+pub use tape::{op_name, Op, Tape, Var};
 pub use tensor::Tensor;
 
 /// Numerically check the gradient of `f` at `x` against finite differences.

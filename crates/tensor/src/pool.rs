@@ -16,14 +16,12 @@
 //! (elementwise maps/zips, row copies) or asks for [`BufferPool::take_zeroed`]
 //! (matmul panels accumulate with `+=`; scatter-style backward ops).
 //!
-//! Gates: pooling and elementwise fusion are always on in production.
-//! [`set_pool_enabled`]/[`set_fuse_enabled`] exist so the equivalence
-//! suites (`pool_equiv`, `liveness_prop`, `lstm_fused_equiv`) and
-//! `bench_train` can build their reference in-process — a fresh
-//! unpooled tape (every take a fresh allocation, every put a drop)
-//! with fusion off. A [`BufferPool`] samples the pool gate at
-//! construction and at each [`crate::tape::Tape::recycle`], never
-//! mid-step.
+//! Gate: pooling is always on in production. [`set_pool_enabled`]
+//! exists so the equivalence suites (`pool_equiv`, `lstm_fused_equiv`)
+//! and `bench_train` can build their reference in-process — a fresh
+//! unpooled tape (every take a fresh allocation, every put a drop). A
+//! [`BufferPool`] samples the gate at construction and at each
+//! [`crate::tape::Tape::recycle`], never mid-step.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -33,9 +31,8 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 // ---------------------------------------------------------------------------
 
 static POOL_ON: AtomicBool = AtomicBool::new(true);
-static FUSE_ON: AtomicBool = AtomicBool::new(true);
 /// Memory-safety instrumentation gate: 0 = uninitialized, 1 = off,
-/// 2 = on (same scheme as dc-obs's gate). Unlike the pool/fuse gates
+/// 2 = on (same scheme as dc-obs's gate). Unlike the pool gate
 /// this defaults *off*: it is keyed on `DC_CHECK` (the same opt-in
 /// switch dc-check's `debug_validate` uses), so production steps never
 /// pay for handle tracking or poison fills.
@@ -49,23 +46,10 @@ pub fn pool_enabled() -> bool {
     POOL_ON.load(Ordering::Relaxed)
 }
 
-/// True unless [`set_fuse_enabled`]`(false)`: adjacent unary
-/// elementwise tape ops collapse into one `FusedEltwise` node.
-#[inline(always)]
-pub fn fuse_enabled() -> bool {
-    FUSE_ON.load(Ordering::Relaxed)
-}
-
 /// Test/bench toggle for the pool gate (see the module doc). Existing
 /// tapes keep the setting they sampled until their next `recycle()`.
 pub fn set_pool_enabled(on: bool) {
     POOL_ON.store(on, Ordering::Relaxed);
-}
-
-/// Test/bench toggle for the fusion gate (see the module doc). Takes
-/// effect for ops recorded after the call.
-pub fn set_fuse_enabled(on: bool) {
-    FUSE_ON.store(on, Ordering::Relaxed);
 }
 
 /// True when `DC_CHECK` is set to anything but `0` (or after

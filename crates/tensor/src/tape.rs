@@ -7,19 +7,13 @@
 //! indices are monotonically increasing, so a single reverse sweep over
 //! the arena visits every node after all of its consumers.
 //!
-//! Two step-scoped optimisations keep the steady state (near-)free of
-//! heap allocations, both bitwise-transparent (same float op order as
-//! the naive path — pinned by `tests/pool_equiv.rs`):
-//!
-//! * **Buffer pooling** — every node value and gradient buffer comes
-//!   from the tape's [`BufferPool`]; [`Tape::recycle`] returns them all
-//!   at step end and re-mints the tape's generation id, so one tape
-//!   serves a whole training run without growing.
-//! * **Elementwise fusion** — chains of unary elementwise ops
-//!   (`scale`/`add_scalar`/`sigmoid`/`tanh`/`relu`/`leaky_relu`/`exp`/
-//!   `ln`/`abs`) collapse into one [`Op::FusedEltwise`] node whose
-//!   backward replays the whole chain in a single per-element pass when
-//!   no intermediate is consumed elsewhere.
+//! Every node value and gradient buffer comes from the tape's
+//! [`BufferPool`]; [`Tape::recycle`] returns them all at step end and
+//! re-mints the tape's generation id, so one tape serves a whole
+//! training run without growing and the steady state is (near-)free of
+//! heap allocations. Pooling is bitwise-transparent: a recycled tape
+//! computes the same floats, in the same order, as a fresh unpooled one
+//! (pinned by `tests/pool_equiv.rs`).
 
 use crate::pool::BufferPool;
 use crate::tensor::Tensor;
@@ -30,10 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// so a [`Var`] can prove which tape minted it. [`Tape::recycle`] mints a
 /// fresh id too, invalidating handles from the previous step.
 static NEXT_TAPE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Longest unary elementwise chain collapsed into one [`Op::FusedEltwise`]
-/// node; longer chains simply start a new fused node.
-const MAX_FUSED_STAGES: usize = 16;
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape
 /// *generation* that produced it — the handle carries its tape's generation
@@ -55,95 +45,6 @@ impl Var {
     /// Generation id of the tape that minted this handle (see [`Tape::id`]).
     pub fn tape_id(self) -> u64 {
         self.tape
-    }
-}
-
-/// One unary elementwise stage of a fused chain. The forward/backward
-/// formulas are byte-for-byte those of the corresponding standalone
-/// [`Op`] variant — fusion must not change a single float operation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum EltStage {
-    /// `x * s`.
-    Scale(f32),
-    /// `x + s`.
-    AddScalar(f32),
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Rectified linear unit.
-    Relu,
-    /// Leaky ReLU with the given negative slope.
-    LeakyRelu(f32),
-    /// Natural exponent.
-    Exp,
-    /// `ln(max(x, 1e-12))`.
-    Ln,
-    /// Absolute value.
-    Abs,
-}
-
-impl EltStage {
-    /// The op label this stage carries in timers and diagnostics —
-    /// identical to the standalone op's name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EltStage::Scale(_) => "scale",
-            EltStage::AddScalar(_) => "add_scalar",
-            EltStage::Sigmoid => "sigmoid",
-            EltStage::Tanh => "tanh",
-            EltStage::Relu => "relu",
-            EltStage::LeakyRelu(_) => "leaky_relu",
-            EltStage::Exp => "exp",
-            EltStage::Ln => "ln",
-            EltStage::Abs => "abs",
-        }
-    }
-
-    /// Backward: incoming gradient `acc` times this stage's local
-    /// derivative, written with exactly the float expressions of the
-    /// standalone op's backward arm (`x` is the stage input, `y` its
-    /// output — whichever the formula needs).
-    #[inline(always)]
-    fn dgrad(self, acc: f32, x: f32, y: f32) -> f32 {
-        match self {
-            EltStage::Scale(s) => acc * s,
-            EltStage::AddScalar(_) => acc,
-            EltStage::Sigmoid => acc * y * (1.0 - y),
-            EltStage::Tanh => acc * (1.0 - y * y),
-            EltStage::Relu => {
-                if x > 0.0 {
-                    acc
-                } else {
-                    0.0
-                }
-            }
-            EltStage::LeakyRelu(al) => {
-                if x > 0.0 {
-                    acc
-                } else {
-                    al * acc
-                }
-            }
-            EltStage::Exp => acc * y,
-            EltStage::Ln => acc / x.max(1e-12),
-            EltStage::Abs => acc * x.signum(),
-        }
-    }
-
-    /// The standalone [`Op`] recorded when this stage does not fuse.
-    fn plain_op(self, a: Var) -> Op {
-        match self {
-            EltStage::Scale(s) => Op::Scale(a, s),
-            EltStage::AddScalar(s) => Op::AddScalar(a, s),
-            EltStage::Sigmoid => Op::Sigmoid(a),
-            EltStage::Tanh => Op::Tanh(a),
-            EltStage::Relu => Op::Relu(a),
-            EltStage::LeakyRelu(al) => Op::LeakyRelu(a, al),
-            EltStage::Exp => Op::Exp(a),
-            EltStage::Ln => Op::Ln(a),
-            EltStage::Abs => Op::Abs(a),
-        }
     }
 }
 
@@ -221,23 +122,39 @@ pub enum Op {
         /// Cached row-softmax from the forward pass.
         probs: Tensor,
     },
-    /// A chain of unary elementwise stages collapsed into one node.
-    ///
-    /// `interiors[j]` is the (still recorded, never stolen) node holding
-    /// the output of `stages[j]`; this node's own value is the output of
-    /// the final stage. Backward takes a single per-element pass over
-    /// the whole chain when no interior is consumed outside the chain,
-    /// otherwise it peels one stage and lets the sweep continue — both
-    /// paths are bitwise identical to the unfused graph.
-    FusedEltwise {
-        /// Input of the first stage.
-        root: Var,
-        /// The stages, in application order (`stages.len() >= 2`).
-        stages: Vec<EltStage>,
-        /// Intermediate output nodes, one per stage except the last
-        /// (`interiors.len() == stages.len() - 1`).
-        interiors: Vec<Var>,
-    },
+}
+
+impl Op {
+    /// Call `f` on every [`Var`] this op takes as an input, in operand
+    /// order — the one enumeration of which handles each variant embeds
+    /// (ownership checks here, reachability in `dc-check`'s lints).
+    pub fn for_each_input(&self, mut f: impl FnMut(Var)) {
+        match self {
+            Op::Leaf => {}
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) | Op::AddRow(a, b) => {
+                f(*a);
+                f(*b);
+            }
+            Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Abs(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::RowsSelect(a, _)
+            | Op::RowsMean(a, _)
+            | Op::SliceCols(a, _, _)
+            | Op::Dropout(a, _)
+            | Op::MseLoss(a, _) => f(*a),
+            Op::Concat(parts) => parts.iter().for_each(|&p| f(p)),
+            Op::BceWithLogits { logits, .. } | Op::SoftmaxCe { logits, .. } => f(*logits),
+        }
+    }
 }
 
 struct Node {
@@ -264,11 +181,6 @@ pub struct Tape {
     /// the sweep root but only see the tape after the step ran.
     last_root: Cell<Option<usize>>,
     pool: BufferPool,
-    has_fused: Cell<bool>,
-    /// Reusable backward scratch (consumer counts / deferred fused-root
-    /// credits) so steady-state sweeps allocate nothing.
-    scratch_counts: RefCell<Vec<u32>>,
-    scratch_pending: RefCell<Vec<Option<(usize, Tensor)>>>,
 }
 
 impl Default for Tape {
@@ -287,9 +199,6 @@ impl Tape {
             backward_runs: Cell::new(0),
             last_root: Cell::new(None),
             pool: BufferPool::new(),
-            has_fused: Cell::new(false),
-            scratch_counts: RefCell::new(Vec::new()),
-            scratch_pending: RefCell::new(Vec::new()),
         }
     }
 
@@ -344,14 +253,8 @@ impl Tape {
             self.pool.put(t.data);
         }
         drop(grads);
-        // Backward drains `scratch_pending` itself; sweep past it anyway
-        // in case a panic unwound mid-backward.
-        for (_, t) in self.scratch_pending.borrow_mut().drain(..).flatten() {
-            self.pool.put(t.data);
-        }
         self.backward_runs.set(0);
         self.last_root.set(None);
-        self.has_fused.set(false);
         self.pool.publish_counters();
         self.pool.refresh_enabled();
         self.pool.bump_generation();
@@ -402,38 +305,7 @@ impl Tape {
 
     /// Panic if any `Var` embedded in `op` was minted by another tape.
     fn assert_owned_op(&self, op: &Op) {
-        let mut check = |v: &Var| self.assert_owned(*v, op_name(op));
-        match op {
-            Op::Leaf => {}
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) | Op::AddRow(a, b) => {
-                check(a);
-                check(b);
-            }
-            Op::Scale(a, _)
-            | Op::AddScalar(a, _)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Exp(a)
-            | Op::Ln(a)
-            | Op::Abs(a)
-            | Op::Sum(a)
-            | Op::Mean(a)
-            | Op::RowsSelect(a, _)
-            | Op::RowsMean(a, _)
-            | Op::SliceCols(a, _, _)
-            | Op::Dropout(a, _)
-            | Op::MseLoss(a, _) => check(a),
-            Op::Concat(parts) => parts.iter().for_each(&mut check),
-            Op::BceWithLogits { logits, .. } | Op::SoftmaxCe { logits, .. } => check(logits),
-            Op::FusedEltwise {
-                root, interiors, ..
-            } => {
-                check(root);
-                interiors.iter().for_each(&mut check);
-            }
-        }
+        op.for_each_input(|v| self.assert_owned(v, op_name(op)));
     }
 
     fn push(&self, value: Tensor, pooled: bool, op: Op) -> Var {
@@ -444,9 +316,6 @@ impl Tape {
         static TAPE_NODES: dc_obs::Counter = dc_obs::Counter::new("tape.nodes");
         TAPE_NODES.incr();
         self.assert_owned_op(&op);
-        if matches!(op, Op::FusedEltwise { .. }) {
-            self.has_fused.set(true);
-        }
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node {
             value,
@@ -670,118 +539,61 @@ impl Tape {
 
     /// Multiply by a constant scalar.
     pub fn scale(&self, a: Var, s: f32) -> Var {
-        self.eltwise(a, EltStage::Scale(s))
+        self.unary(a, Op::Scale(a, s), move |x| x * s)
     }
 
     /// Add a constant scalar.
     pub fn add_scalar(&self, a: Var, s: f32) -> Var {
-        self.eltwise(a, EltStage::AddScalar(s))
+        self.unary(a, Op::AddScalar(a, s), move |x| x + s)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        self.eltwise(a, EltStage::Sigmoid)
+        self.unary(a, Op::Sigmoid(a), |x| 1.0 / (1.0 + (-x).exp()))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
-        self.eltwise(a, EltStage::Tanh)
+        self.unary(a, Op::Tanh(a), f32::tanh)
     }
 
     /// Rectified linear unit.
     pub fn relu(&self, a: Var) -> Var {
-        self.eltwise(a, EltStage::Relu)
+        self.unary(a, Op::Relu(a), |x| x.max(0.0))
     }
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&self, a: Var, alpha: f32) -> Var {
-        self.eltwise(a, EltStage::LeakyRelu(alpha))
+        self.unary(a, Op::LeakyRelu(a, alpha), move |x| {
+            if x > 0.0 {
+                x
+            } else {
+                alpha * x
+            }
+        })
     }
 
     /// Elementwise exponent.
     pub fn exp(&self, a: Var) -> Var {
-        self.eltwise(a, EltStage::Exp)
+        self.unary(a, Op::Exp(a), f32::exp)
     }
 
     /// Elementwise `ln(max(x, 1e-12))` — clamped to stay finite.
     pub fn ln(&self, a: Var) -> Var {
-        self.eltwise(a, EltStage::Ln)
+        self.unary(a, Op::Ln(a), |x| x.max(1e-12).ln())
     }
 
     /// Elementwise absolute value.
     pub fn abs(&self, a: Var) -> Var {
-        self.eltwise(a, EltStage::Abs)
+        self.unary(a, Op::Abs(a), f32::abs)
     }
 
-    /// Record one unary elementwise stage, fusing it onto `a`'s chain
-    /// when fusion is on and `a` is itself a unary elementwise node.
-    /// The forward value is always a single map over `a`'s value —
-    /// identical floats whether or not the op fuses.
-    fn eltwise(&self, a: Var, st: EltStage) -> Var {
-        let _fwd = dc_obs::timer("tape.fwd", st.name());
-        let v = self.with_values(|n| self.map_stage(&n[a.index].value, st));
-        let op = self.fuse_with(a, st).unwrap_or_else(|| st.plain_op(a));
+    /// Record the unary elementwise node `op`, whose value is `f` mapped
+    /// over `a`'s value.
+    fn unary(&self, a: Var, op: Op, f: impl Fn(f32) -> f32 + Sync) -> Var {
+        let _fwd = dc_obs::timer("tape.fwd", op_name(&op));
+        let v = self.with_values(|n| self.pmap(&n[a.index].value, f));
         self.push(v, true, op)
-    }
-
-    /// Apply one stage's forward formula over `src` into a pooled
-    /// buffer. Each arm passes the *same closure* the standalone op
-    /// used, so the kernels monomorphise identically.
-    fn map_stage(&self, src: &Tensor, st: EltStage) -> Tensor {
-        match st {
-            EltStage::Scale(s) => self.pmap(src, move |x| x * s),
-            EltStage::AddScalar(s) => self.pmap(src, move |x| x + s),
-            EltStage::Sigmoid => self.pmap(src, |x| 1.0 / (1.0 + (-x).exp())),
-            EltStage::Tanh => self.pmap(src, f32::tanh),
-            EltStage::Relu => self.pmap(src, |x| x.max(0.0)),
-            EltStage::LeakyRelu(al) => self.pmap(src, move |x| if x > 0.0 { x } else { al * x }),
-            EltStage::Exp => self.pmap(src, f32::exp),
-            EltStage::Ln => self.pmap(src, |x| x.max(1e-12).ln()),
-            EltStage::Abs => self.pmap(src, f32::abs),
-        }
-    }
-
-    /// If `a` is a unary elementwise node (or an existing fused chain
-    /// with room), the [`Op::FusedEltwise`] extending it by `st`.
-    fn fuse_with(&self, a: Var, st: EltStage) -> Option<Op> {
-        if !crate::pool::fuse_enabled() || a.tape != self.id.get() {
-            return None;
-        }
-        let nodes = self.nodes.borrow();
-        let start = |root: Var, first: EltStage| Op::FusedEltwise {
-            root,
-            stages: vec![first, st],
-            interiors: vec![a],
-        };
-        match &nodes[a.index].op {
-            Op::Scale(u, s) => Some(start(*u, EltStage::Scale(*s))),
-            Op::AddScalar(u, s) => Some(start(*u, EltStage::AddScalar(*s))),
-            Op::Sigmoid(u) => Some(start(*u, EltStage::Sigmoid)),
-            Op::Tanh(u) => Some(start(*u, EltStage::Tanh)),
-            Op::Relu(u) => Some(start(*u, EltStage::Relu)),
-            Op::LeakyRelu(u, al) => Some(start(*u, EltStage::LeakyRelu(*al))),
-            Op::Exp(u) => Some(start(*u, EltStage::Exp)),
-            Op::Ln(u) => Some(start(*u, EltStage::Ln)),
-            Op::Abs(u) => Some(start(*u, EltStage::Abs)),
-            Op::FusedEltwise {
-                root,
-                stages,
-                interiors,
-            } if stages.len() < MAX_FUSED_STAGES => {
-                let mut stages2 = Vec::with_capacity(stages.len() + 1);
-                stages2.extend_from_slice(stages);
-                stages2.push(st);
-                let mut interiors2 = Vec::with_capacity(interiors.len() + 1);
-                interiors2.extend_from_slice(interiors);
-                interiors2.push(a);
-                Some(Op::FusedEltwise {
-                    root: *root,
-                    stages: stages2,
-                    interiors: interiors2,
-                })
-            }
-            _ => None,
-        }
     }
 
     /// Sum to scalar.
@@ -1095,28 +907,7 @@ impl Tape {
         }
         grads[out.index] = Some(self.alloc_scalar(1.0));
 
-        // Fused chains skip their interior nodes only when nothing else
-        // consumes them — decided from a consumer count over the swept
-        // prefix. A fast-path chain credits its root at the sweep
-        // position of its *first* interior (where the unfused graph
-        // would have), via the `pending` side table: f32 addition is not
-        // associative, so accumulation order is part of the bitwise
-        // contract. Both tables live in reusable scratch.
-        let fused = self.has_fused.get();
-        let mut counts = std::mem::take(&mut *self.scratch_counts.borrow_mut());
-        let mut pending = std::mem::take(&mut *self.scratch_pending.borrow_mut());
-        if fused {
-            consumer_counts(&nodes, &mut counts, out.index);
-            pending.clear();
-            pending.resize_with(nodes.len(), || None);
-        }
-
         for i in (0..=out.index).rev() {
-            if fused {
-                if let Some((tgt, t)) = pending[i].take() {
-                    self.acc_owned(&mut grads, &nodes, tgt, t);
-                }
-            }
             let g = match grads[i].take() {
                 Some(g) => g,
                 None => continue,
@@ -1345,141 +1136,10 @@ impl Tape {
                     self.acc_owned(&mut grads, &nodes, logits.index, gz);
                     self.pool.put(g.data);
                 }
-                Op::FusedEltwise {
-                    root,
-                    stages,
-                    interiors,
-                } => {
-                    let k = interiors.len();
-                    // Fast path iff every interior's only consumers are
-                    // the later links of this same chain (interior j is
-                    // referenced by the k-j fused nodes above it).
-                    let fast = interiors
-                        .iter()
-                        .enumerate()
-                        .all(|(j, iv)| counts[iv.index] as usize == k - j);
-                    if fast {
-                        // One pass per element through the whole chain,
-                        // replaying the unfused per-stage expressions
-                        // (each acc rounds to f32 between stages, like
-                        // the materialised gradient buffers did).
-                        let rv = &nodes[root.index].value;
-                        let mut xs: [&[f32]; MAX_FUSED_STAGES] = [&[]; MAX_FUSED_STAGES];
-                        let mut ys: [&[f32]; MAX_FUSED_STAGES] = [&[]; MAX_FUSED_STAGES];
-                        for j in 0..stages.len() {
-                            xs[j] = if j == 0 {
-                                &rv.data
-                            } else {
-                                &nodes[interiors[j - 1].index].value.data
-                            };
-                            ys[j] = if j + 1 == stages.len() {
-                                &node.value.data
-                            } else {
-                                &nodes[interiors[j].index].value.data
-                            };
-                        }
-                        let mut ga = self.alloc(rv.rows, rv.cols);
-                        for e in 0..ga.data.len() {
-                            let mut acc = g.data[e];
-                            for j in (0..stages.len()).rev() {
-                                acc = stages[j].dgrad(acc, xs[j][e], ys[j][e]);
-                            }
-                            ga.data[e] = acc;
-                        }
-                        // Defer the root credit to the first interior's
-                        // sweep position — where the unfused graph's
-                        // first-stage node would have produced it.
-                        let slot = &mut pending[interiors[0].index];
-                        match slot {
-                            Some((tgt, t)) => {
-                                debug_assert_eq!(*tgt, root.index);
-                                t.axpy(1.0, &ga);
-                                self.pool.put(ga.data);
-                            }
-                            None => *slot = Some((root.index, ga)),
-                        }
-                        self.pool.put(g.data);
-                    } else {
-                        // An interior is consumed elsewhere: peel only
-                        // the final stage — bitwise the standalone op's
-                        // arm — and let the sweep handle the rest.
-                        let prev = *interiors.last().unwrap_or(root);
-                        let last = *stages.last().expect("fused chain has stages");
-                        let x = &nodes[prev.index].value;
-                        let y = &node.value;
-                        let ga = match last {
-                            EltStage::Scale(s) => self.pmap(&g, move |v| v * s),
-                            EltStage::AddScalar(_) => self.pcopy(&g),
-                            EltStage::Sigmoid => self.pzip(&g, y, |gi, yi| gi * yi * (1.0 - yi)),
-                            EltStage::Tanh => self.pzip(&g, y, |gi, yi| gi * (1.0 - yi * yi)),
-                            EltStage::Relu => {
-                                self.pzip(&g, x, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
-                            }
-                            EltStage::LeakyRelu(al) => {
-                                self.pzip(&g, x, move |gi, xi| if xi > 0.0 { gi } else { al * gi })
-                            }
-                            EltStage::Exp => self.pzip(&g, y, |gi, yi| gi * yi),
-                            EltStage::Ln => self.pzip(&g, x, |gi, xi| gi / xi.max(1e-12)),
-                            EltStage::Abs => self.pzip(&g, x, |gi, xi| gi * xi.signum()),
-                        };
-                        self.acc_owned(&mut grads, &nodes, prev.index, ga);
-                        self.pool.put(g.data);
-                    }
-                }
             }
         }
 
-        debug_assert!(
-            pending.iter().all(|p| p.is_none()),
-            "all deferred fused-root credits must drain during the sweep"
-        );
-        *self.scratch_counts.borrow_mut() = counts;
-        *self.scratch_pending.borrow_mut() = pending;
         *self.grads.borrow_mut() = grads;
-    }
-}
-
-/// How many times each node in `nodes[..=upto]` is referenced as an
-/// input by another node in that prefix. A fused node references its
-/// root and every interior (mirroring [`Tape::assert_owned_op`]'s
-/// enumeration), so an interior consumed *only* by its chain has count
-/// `chain links above it`.
-fn consumer_counts(nodes: &[Node], counts: &mut Vec<u32>, upto: usize) {
-    counts.clear();
-    counts.resize(nodes.len(), 0);
-    for node in &nodes[..=upto] {
-        let mut bump = |v: &Var| counts[v.index] += 1;
-        match &node.op {
-            Op::Leaf => {}
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) | Op::AddRow(a, b) => {
-                bump(a);
-                bump(b);
-            }
-            Op::Scale(a, _)
-            | Op::AddScalar(a, _)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Exp(a)
-            | Op::Ln(a)
-            | Op::Abs(a)
-            | Op::Sum(a)
-            | Op::Mean(a)
-            | Op::RowsSelect(a, _)
-            | Op::RowsMean(a, _)
-            | Op::SliceCols(a, _, _)
-            | Op::Dropout(a, _)
-            | Op::MseLoss(a, _) => bump(a),
-            Op::Concat(parts) => parts.iter().for_each(&mut bump),
-            Op::BceWithLogits { logits, .. } | Op::SoftmaxCe { logits, .. } => bump(logits),
-            Op::FusedEltwise {
-                root, interiors, ..
-            } => {
-                bump(root);
-                interiors.iter().for_each(&mut bump);
-            }
-        }
     }
 }
 
@@ -1521,7 +1181,6 @@ pub fn op_name(op: &Op) -> &'static str {
         Op::MseLoss(..) => "mse_loss",
         Op::BceWithLogits { .. } => "bce_with_logits",
         Op::SoftmaxCe { .. } => "softmax_ce",
-        Op::FusedEltwise { .. } => "fused_eltwise",
     }
 }
 
@@ -1701,10 +1360,8 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_long_fused_chain() {
-        // Four unary stages in a row — with fusion on (the default) this
-        // records plain(scale) + three growing FusedEltwise nodes, and
-        // backward takes the single-pass fast path.
+    fn gradcheck_long_unary_chain() {
+        // Four unary stages in a row, each its own node.
         let x = Tensor::from_vec(1, 5, vec![0.3, -0.7, 1.5, -2.0, 0.9]);
         let err = grad_check(
             &x,
@@ -1715,9 +1372,9 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_fused_chain_with_shared_interior() {
+    fn gradcheck_unary_chain_with_shared_interior() {
         // The sigmoid's input is also consumed by a mul outside the
-        // chain, forcing the peel-one-stage slow path.
+        // chain, so its gradient accumulates from two consumers.
         let x = Tensor::from_vec(1, 4, vec![0.4, -0.2, 1.1, -0.8]);
         let err = grad_check(
             &x,
@@ -1729,31 +1386,6 @@ mod tests {
             1e-3,
         );
         assert!(err < 2e-2, "err {err}");
-    }
-
-    #[test]
-    fn fusion_collapses_unary_chains_without_stealing_interiors() {
-        if !crate::pool::fuse_enabled() {
-            return; // fusion off: nothing to inspect
-        }
-        let t = Tape::new();
-        let x = t.var(Tensor::row(vec![0.5, -1.0]));
-        let a = t.scale(x, 3.0);
-        let b = t.sigmoid(a);
-        let c = t.tanh(b);
-        // Chain head holds the full stage list...
-        match t.op_of(c) {
-            Op::FusedEltwise {
-                stages, interiors, ..
-            } => {
-                assert_eq!(stages.len(), 3);
-                assert_eq!(interiors.len(), 2);
-            }
-            other => panic!("expected fused chain, got {}", op_name(&other)),
-        }
-        // ...and the interiors' values are still individually readable.
-        assert_eq!(t.value(a).data[0], 1.5);
-        assert!((t.value(b).data[0] - 1.0 / (1.0 + (-1.5f32).exp())).abs() < 1e-6);
     }
 
     #[test]

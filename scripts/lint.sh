@@ -73,6 +73,9 @@ gates=(
     # The bracket keeps the knob's name itself out of this file.
     "run if git grep -nE 'pub fn run_epochs|fn (train_batch|train_step|train_round)_on|chunk_budget_from_env|DC_DATA_CHUNK[S]' -- 'crates/*/src/*' src; then exit 1; fi"
 
+    "== one node per unary op: no elementwise fusion, fusion gate or fusion verdicts"
+    "run if git grep -nE 'FusedEltwise|EltStage|fuse_enabled|IllegalFusion|FusionVerdict' -- 'crates/*/src/*' src; then exit 1; fi"
+
     "== chunked-store + CSR equivalence"
     "pool dc-data:chunk_equiv"
     "pool dc-data:csr_equiv"
@@ -80,7 +83,7 @@ gates=(
     "== out-of-core training equivalence"
     "pool dc-nn:data_equiv"
 
-    "== pool/fusion bitwise equivalence"
+    "== pool bitwise equivalence (recycled pooled tape vs fresh unpooled tape)"
     "pool dc-tensor:pool_equiv"
 
     "== fused-LSTM equivalence (per-gate oracle, pooled vs fresh tape) + DeepER-LSTM golden run"
