@@ -1,6 +1,6 @@
 //! Kernel equivalence suite (ISSUE 2).
 //!
-//! Two properties, over random shapes including the degenerate
+//! Three properties, over random shapes including the degenerate
 //! `1×N` / `N×1` cases:
 //!
 //! 1. **Blocked vs reference, 1e-5 relative.** The blocked kernels may
@@ -15,6 +15,12 @@
 //!    bit-for-bit — a stronger guarantee than the 1e-5 the acceptance
 //!    criteria ask for. This holds for every `DC_THREADS` value;
 //!    `scripts/lint.sh` runs this suite under 1, 2, and the default.
+//! 3. **Narrow products, bitwise against the per-element order.** When
+//!    every element of a product is a remainder element — `A·B` or
+//!    `Aᵀ·B` with fewer than 4 output rows or fewer than 8 output
+//!    columns, `A·Bᵀ` with fewer than 8 shared columns — the kernels
+//!    promise one exact sequence of IEEE operations per element, which
+//!    an oracle below spells out term by term.
 
 use dc_tensor::{kernel, Tensor};
 use proptest::prelude::*;
@@ -61,7 +67,91 @@ fn shape(m: usize, k: usize, n: usize, flavor: u32) -> (usize, usize, usize) {
     }
 }
 
+/// True when the kernels run their AVX2+FMA build, the one in which
+/// `madd` is a fused `f32::mul_add`.
+fn kernels_fuse() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    {
+        false
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The per-element order of a narrow product, as bit patterns: element
+/// `(i, j)` starts at `+0.0` and takes the terms `term(i, j, r)` for
+/// `r` ascending over `0..k`, one `acc + x·y` each — or, with `fused`,
+/// one `x.mul_add(y, acc)` each.
+fn chain(
+    rows: usize,
+    cols: usize,
+    k: usize,
+    fused: bool,
+    term: impl Fn(usize, usize, usize) -> (f32, f32),
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(rows * cols);
+    for i in 0..rows {
+        for j in 0..cols {
+            let mut acc = 0.0f32;
+            for r in 0..k {
+                let (x, y) = term(i, j, r);
+                acc = if fused {
+                    x.mul_add(y, acc)
+                } else {
+                    acc + x * y
+                };
+            }
+            out.push(acc.to_bits());
+        }
+    }
+    out
+}
+
 proptest! {
+    /// `A·B` and `Aᵀ·B` with 1–3 output rows (any columns) or 1–7
+    /// output columns (any rows) are non-fused ascending chains in every
+    /// element; `A·Bᵀ` with 1–7 shared columns is a `madd` chain from
+    /// `+0.0`, fused exactly when the AVX2+FMA build runs. The other
+    /// dimensions cross the `KC` = 256 and `NC` = 128 panel edges.
+    #[test]
+    fn narrow_products_keep_the_per_element_order(
+        short in 1usize..=3,
+        narrow in 1usize..=7,
+        wide in 1usize..160,
+        k in 1usize..300,
+        short_rows in 0u32..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (m, n) = if short_rows == 1 { (short, wide) } else { (wide, narrow) };
+        let a = fill(m, k, seed);
+        let b = fill(k, n, seed ^ 0x9e3779b97f4a7c15);
+        let want = chain(m, n, k, false, |i, j, r| (a.data[i * k + r], b.data[r * n + j]));
+        prop_assert_eq!(bits(&kernel::matmul_serial(&a, &b)), want.clone());
+        prop_assert_eq!(bits(&kernel::matmul_parallel(&a, &b)), want);
+
+        // Aᵀ·B with A: k×m, so the output is m×n again.
+        let at = fill(k, m, seed ^ 0x517cc1b727220a95);
+        let want = chain(m, n, k, false, |i, j, r| (at.data[r * m + i], b.data[r * n + j]));
+        prop_assert_eq!(bits(&kernel::t_matmul_serial(&at, &b)), want.clone());
+        prop_assert_eq!(bits(&kernel::t_matmul_parallel(&at, &b)), want);
+
+        // A·Bᵀ with A: m×narrow, B: wide×narrow.
+        let kn = narrow;
+        let a = fill(m, kn, seed ^ 0x2545f4914f6cdd1d);
+        let bt = fill(wide, kn, seed ^ 0x3c6ef372fe94f82b);
+        let want = chain(m, wide, kn, kernels_fuse(), |i, j, r| {
+            (a.data[i * kn + r], bt.data[j * kn + r])
+        });
+        prop_assert_eq!(bits(&kernel::matmul_t_serial(&a, &bt)), want.clone());
+        prop_assert_eq!(bits(&kernel::matmul_t_parallel(&a, &bt)), want);
+    }
+
     #[test]
     fn matmul_blocked_vs_reference_and_parallel_bitwise(
         m in 1usize..48,

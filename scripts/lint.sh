@@ -62,6 +62,8 @@ gates=(
     # Allocation figures repeat exactly only on one thread; at any other
     # thread count the suite compares the counters alone.
     "run DC_THREADS=1 cargo test -q --release -p autodc --test work_profile"
+    "== exact work profile of streamed epochs (chunk cache and tape counters, allocation figures, epoch loss bits)"
+    "run DC_THREADS=1 cargo test -q --release -p autodc --test work_profile_stream"
 
     "== EXPERIMENTS.md is regenerated byte for byte (E13's CPU timings excluded)"
     "run cargo run -q --release -p dc-bench --bin report -- --check report_full.md"
