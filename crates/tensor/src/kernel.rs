@@ -8,9 +8,16 @@
 //! 1. **Cache-blocked, register-tiled serial kernels.** Matmuls pack
 //!    `MR`-row panels of `A` into contiguous stack tiles and sweep
 //!    `KC×NC` panels of `B`, with a 4-row register block whose inner
-//!    loop LLVM auto-vectorizes. The naive `a == 0.0` skip of the seed
-//!    kernel is gone: it only ever helped pathologically sparse inputs
-//!    and defeated vectorization on dense data.
+//!    loop LLVM auto-vectorizes. Elements of full `MR×NR` tiles sum
+//!    each k panel with `madd` (fused on the AVX2+FMA build); every
+//!    other `A·B` / `Aᵀ·B` element is a non-fused ascending chain, and
+//!    every `A·Bᵀ` element a `dot8`. Narrow shapes (`A·B` with fewer
+//!    than `MR` rows or `NR` columns, `Aᵀ·B` with fewer than `NR`
+//!    columns, `A·Bᵀ` with fewer than `NR` shared columns) skip the
+//!    packing and run those same chains in registers or contiguous
+//!    sweeps. The naive `a == 0.0` skip of the seed kernel is gone: it
+//!    only ever helped pathologically sparse inputs and defeated
+//!    vectorization on dense data.
 //! 2. **A lazily-initialized shared worker pool.** The first large
 //!    kernel call spawns `configured_threads() - 1` detached workers
 //!    (`DC_THREADS` overrides [`std::thread::available_parallelism`]);
@@ -72,6 +79,9 @@ const KC: usize = 256;
 const NC: usize = 128;
 /// Edge length of the blocked transpose tiles.
 const TB: usize = 32;
+/// `f32` lanes in one 256-bit vector: the narrow-column `A·B` path runs
+/// this many rows' chains per output column side by side.
+const LANES: usize = 8;
 
 /// Matmuls with fewer multiply-adds (`m·k·n`) than this stay on the
 /// caller thread. Paper-scale models (dims ≤ 128) live below it, so
@@ -459,30 +469,94 @@ dispatch_panel!(matmul_panel, matmul_panel_avx2, matmul_panel_body);
 dispatch_panel!(t_matmul_panel, t_matmul_panel_avx2, t_matmul_panel_body);
 dispatch_panel!(matmul_t_panel, matmul_t_panel_avx2, matmul_t_panel_body);
 
-/// `C = A·B` restricted to output rows `rows`; `out` holds exactly
-/// those rows. Each element accumulates its `k` terms in a fixed,
-/// ascending-panel order that depends only on the shapes — never on how
-/// rows are partitioned across threads — so results are bitwise
-/// reproducible for every thread count.
-#[inline(always)]
-fn matmul_panel_body<const FMA: bool>(a: &Tensor, b: &Tensor, rows: Range<usize>, out: &mut [f32]) {
-    // Scratch for the packed B panel, sized for the largest (jb, kb)
-    // panel this call will see — a few KiB for paper-scale matmuls,
-    // capped at KC×NC floats (512 KiB) for large ones. Reused through a
-    // per-thread slot in `crate::pool` (each worker packs its own
-    // panel); packing fully overwrites every region it later reads, so
-    // stale contents are harmless. The buffer is moved out of the slot
-    // rather than borrowed in a closure on purpose: the hot loop must
-    // stay on the `#[inline(always)]` path into the `#[target_feature]`
-    // wrappers, and a closure would sever that chain.
-    let need = a.cols.min(KC) * (b.cols.min(NC) / NR) * NR;
-    let mut bpack = crate::pool::take_pack_scratch(need);
-    matmul_panel_packed::<FMA>(a, b, rows, out, &mut bpack);
-    crate::pool::put_pack_scratch(bpack);
+/// Evaluate `$body` with `$w` bound to a `const` equal to `$n`, which
+/// must be below [`NR`]: a narrow loop over `0..$w` then unrolls into
+/// registers, and a stride of `$w` is known to the vectorizer.
+macro_rules! with_narrow_width {
+    ($n:expr, $w:ident => $body:expr) => {
+        match $n {
+            0 => {
+                const $w: usize = 0;
+                $body
+            }
+            1 => {
+                const $w: usize = 1;
+                $body
+            }
+            2 => {
+                const $w: usize = 2;
+                $body
+            }
+            3 => {
+                const $w: usize = 3;
+                $body
+            }
+            4 => {
+                const $w: usize = 4;
+                $body
+            }
+            5 => {
+                const $w: usize = 5;
+                $body
+            }
+            6 => {
+                const $w: usize = 6;
+                $body
+            }
+            7 => {
+                const $w: usize = 7;
+                $body
+            }
+            n => unreachable!("narrow width {n} is not below NR"),
+        }
+    };
 }
 
+/// `C = A·B` restricted to output rows `rows`; `out` holds exactly
+/// those rows. Each element accumulates its `k` terms in a fixed,
+/// ascending order that depends only on the shapes — never on how rows
+/// are partitioned across threads — so results are bitwise reproducible
+/// for every thread count.
+///
+/// Elements inside full `MR×NR` tiles take [`matmul_tiles`]' fused
+/// per-panel register accumulators. Every other element is a non-fused
+/// ascending chain `acc + a·b` over all of `k`, which no packing helps:
+/// calls with fewer than `MR` rows or `NR` columns never pack.
 #[inline(always)]
-fn matmul_panel_packed<const FMA: bool>(
+fn matmul_panel_body<const FMA: bool>(a: &Tensor, b: &Tensor, rows: Range<usize>, out: &mut [f32]) {
+    let n = b.cols;
+    debug_assert_eq!(out.len(), rows.len() * n);
+    let n8 = n - n % NR;
+    let tile_rows = rows.len() - rows.len() % MR;
+    if tile_rows > 0 && n8 > 0 {
+        // Scratch for the packed B panel, sized for the largest (jb, kb)
+        // panel this call will see — a few KiB for paper-scale matmuls,
+        // capped at KC×NC floats (512 KiB) for large ones. Reused through
+        // a per-thread slot in `crate::pool` (each worker packs its own
+        // panel); packing fully overwrites every region it later reads,
+        // so stale contents are harmless. The buffer is moved out of the
+        // slot rather than borrowed in a closure on purpose: the hot loop
+        // must stay on the `#[inline(always)]` path into the
+        // `#[target_feature]` wrappers, and a closure would sever that
+        // chain.
+        let mut bpack = crate::pool::take_pack_scratch(a.cols.min(KC) * n8.min(NC));
+        let tiles = rows.start..rows.start + tile_rows;
+        matmul_tiles::<FMA>(a, b, tiles, &mut out[..tile_rows * n], &mut bpack);
+        crate::pool::put_pack_scratch(bpack);
+    }
+    if n8 < n {
+        with_narrow_width!(n - n8, W => matmul_cols::<W>(a, b, rows.clone(), n8, out));
+    }
+    for t in tile_rows..rows.len() {
+        let arow = a.row_slice(rows.start + t);
+        matmul_row_chain(arow, b, &mut out[t * n..t * n + n8]);
+    }
+}
+
+/// The full `MR×NR` tiles of `A·B`: output rows `rows` (a multiple of
+/// `MR`) by output columns `0..` the last multiple of `NR`.
+#[inline(always)]
+fn matmul_tiles<const FMA: bool>(
     a: &Tensor,
     b: &Tensor,
     rows: Range<usize>,
@@ -491,102 +565,166 @@ fn matmul_panel_packed<const FMA: bool>(
 ) {
     let k = a.cols;
     let n = b.cols;
-    debug_assert_eq!(out.len(), rows.len() * n);
+    let n8 = n - n % NR;
+    debug_assert_eq!(rows.len() % MR, 0);
     // A tile packed k-major: `apack[kk * MR + t]` holds `A[i+t][kb+kk]`,
     // so the microkernel reads one k step's MR values from one cache
     // line instead of four lines `kw` floats apart.
     let mut apack = [0.0f32; MR * KC];
-    {
-        for jb in (0..n).step_by(NC) {
-            let je = (jb + NC).min(n);
-            let nstrips = (je - jb) / NR;
-            for kb in (0..k).step_by(KC) {
-                let ke = (kb + KC).min(k);
-                let kw = ke - kb;
-                // Pack the B panel into NR-wide column strips, each
-                // `kw × NR` contiguous, shared by every row tile below:
-                // the microkernel then streams B at unit stride instead
-                // of jumping a full row of `B` (often several KiB) per
-                // k step.
+    for jb in (0..n8).step_by(NC) {
+        let nstrips = ((jb + NC).min(n8) - jb) / NR;
+        for kb in (0..k).step_by(KC) {
+            let ke = (kb + KC).min(k);
+            let kw = ke - kb;
+            // Pack the B panel into NR-wide column strips, each
+            // `kw × NR` contiguous, shared by every row tile below: the
+            // microkernel then streams B at unit stride instead of
+            // jumping a full row of `B` (often several KiB) per k step.
+            for si in 0..nstrips {
+                let js = jb + si * NR;
+                for kk in 0..kw {
+                    let dst = (si * kw + kk) * NR;
+                    let src = (kb + kk) * n + js;
+                    bpack[dst..dst + NR].copy_from_slice(&b.data[src..src + NR]);
+                }
+            }
+            for i in rows.clone().step_by(MR) {
+                for kk in 0..kw {
+                    for t in 0..MR {
+                        apack[kk * MR + t] = a.data[(i + t) * k + kb + kk];
+                    }
+                }
+                let base = (i - rows.start) * n;
+                let [c0, c1, c2, c3] = four_rows(&mut out[base..base + MR * n], n);
+                // Register-tiled: MR×NR accumulators live in vector
+                // registers across the whole k panel, so C is touched
+                // once per (tile, panel) instead of once per k step.
                 for si in 0..nstrips {
-                    let js = jb + si * NR;
+                    let jr = jb + si * NR;
+                    let strip = &bpack[si * kw * NR..(si * kw + kw) * NR];
+                    let mut acc = [[0.0f32; NR]; MR];
                     for kk in 0..kw {
-                        let dst = (si * kw + kk) * NR;
-                        let src = (kb + kk) * n + js;
-                        bpack[dst..dst + NR].copy_from_slice(&b.data[src..src + NR]);
+                        let bv: &[f32; NR] =
+                            strip[kk * NR..kk * NR + NR].try_into().expect("NR slice");
+                        let av: &[f32; MR] =
+                            apack[kk * MR..kk * MR + MR].try_into().expect("MR slice");
+                        for l in 0..NR {
+                            acc[0][l] = madd::<FMA>(acc[0][l], av[0], bv[l]);
+                            acc[1][l] = madd::<FMA>(acc[1][l], av[1], bv[l]);
+                            acc[2][l] = madd::<FMA>(acc[2][l], av[2], bv[l]);
+                            acc[3][l] = madd::<FMA>(acc[3][l], av[3], bv[l]);
+                        }
+                    }
+                    for (t, c) in [&mut *c0, &mut *c1, &mut *c2, &mut *c3]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        for l in 0..NR {
+                            c[jr + l] += acc[t][l];
+                        }
                     }
                 }
-                let mut i = rows.start;
-                while i < rows.end {
-                    let h = (rows.end - i).min(MR);
-                    for kk in 0..kw {
-                        for t in 0..h {
-                            apack[kk * MR + t] = a.data[(i + t) * k + kb + kk];
-                        }
-                    }
-                    let base = (i - rows.start) * n;
-                    if h == MR {
-                        let [c0, c1, c2, c3] = four_rows(&mut out[base..base + MR * n], n);
-                        // Register-tiled middle: MR×NR accumulators live
-                        // in vector registers across the whole k panel,
-                        // so C is touched once per (tile, panel) instead
-                        // of once per k step.
-                        for si in 0..nstrips {
-                            let jr = jb + si * NR;
-                            let strip = &bpack[si * kw * NR..(si * kw + kw) * NR];
-                            let mut acc = [[0.0f32; NR]; MR];
-                            for kk in 0..kw {
-                                let bv: &[f32; NR] =
-                                    strip[kk * NR..kk * NR + NR].try_into().expect("NR slice");
-                                let av: &[f32; MR] =
-                                    apack[kk * MR..kk * MR + MR].try_into().expect("MR slice");
-                                for l in 0..NR {
-                                    acc[0][l] = madd::<FMA>(acc[0][l], av[0], bv[l]);
-                                    acc[1][l] = madd::<FMA>(acc[1][l], av[1], bv[l]);
-                                    acc[2][l] = madd::<FMA>(acc[2][l], av[2], bv[l]);
-                                    acc[3][l] = madd::<FMA>(acc[3][l], av[3], bv[l]);
-                                }
-                            }
-                            for (t, c) in [&mut *c0, &mut *c1, &mut *c2, &mut *c3]
-                                .into_iter()
-                                .enumerate()
-                            {
-                                for l in 0..NR {
-                                    c[jr + l] += acc[t][l];
-                                }
-                            }
-                        }
-                        // Column remainder (< NR wide), scalar, straight
-                        // from the unpacked B.
-                        let jr = jb + nstrips * NR;
-                        if jr < je {
-                            for kk in 0..kw {
-                                let brow = &b.data[(kb + kk) * n..(kb + kk) * n + je];
-                                let av: &[f32; MR] =
-                                    apack[kk * MR..kk * MR + MR].try_into().expect("MR slice");
-                                for j in jr..je {
-                                    c0[j] += av[0] * brow[j];
-                                    c1[j] += av[1] * brow[j];
-                                    c2[j] += av[2] * brow[j];
-                                    c3[j] += av[3] * brow[j];
-                                }
-                            }
-                        }
-                    } else {
-                        // Row remainder (< MR rows), scalar rows.
-                        for t in 0..h {
-                            let crow = &mut out[base + t * n + jb..base + t * n + je];
-                            for kk in 0..kw {
-                                let av = apack[kk * MR + t];
-                                let brow = &b.data[(kb + kk) * n + jb..(kb + kk) * n + je];
-                                for (j, &bv) in brow.iter().enumerate() {
-                                    crow[j] += av * bv;
-                                }
-                            }
-                        }
-                    }
-                    i += h;
-                }
+            }
+        }
+    }
+}
+
+/// Output columns `j0..j0 + W` of `A·B` (`W < NR`) for output rows
+/// `rows`; `out` holds exactly those rows. Each element is a non-fused
+/// ascending chain `acc + a·b` over all of `k`, continuing from its
+/// value in `out`. Blocks of [`LANES`] rows keep their chains side by
+/// side in registers, one vector per output column; the last
+/// `< LANES` rows run one at a time.
+#[inline(always)]
+fn matmul_cols<const W: usize>(
+    a: &Tensor,
+    b: &Tensor,
+    rows: Range<usize>,
+    j0: usize,
+    out: &mut [f32],
+) {
+    let n = b.cols;
+    let mut blocks = out.chunks_exact_mut(LANES * n);
+    let mut i = rows.start;
+    for block in &mut blocks {
+        matmul_cols_rows::<LANES, W>(a, b, i, j0, block);
+        i += LANES;
+    }
+    for crow in blocks.into_remainder().chunks_exact_mut(n) {
+        matmul_cols_rows::<1, W>(a, b, i, j0, crow);
+        i += 1;
+    }
+}
+
+/// [`matmul_cols`] for the `H` output rows from row `i` on, held in `c`.
+/// `A` is read in `H×LANES` blocks transposed on the stack, so each k
+/// step hands the `H` chains of a column one contiguous vector of `A`.
+#[inline(always)]
+fn matmul_cols_rows<const H: usize, const W: usize>(
+    a: &Tensor,
+    b: &Tensor,
+    i: usize,
+    j0: usize,
+    c: &mut [f32],
+) {
+    let (k, n) = (a.cols, b.cols);
+    let arows: [&[f32]; H] = std::array::from_fn(|t| &a.row_slice(i + t)[..k]);
+    let bv = |kk: usize| -> &[f32; W] {
+        let at = kk * n + j0;
+        b.data[at..at + W].try_into().expect("W slice")
+    };
+    // acc[l][t] is column j0 + l of row i + t.
+    let mut acc = [[0.0f32; H]; W];
+    for t in 0..H {
+        for l in 0..W {
+            acc[l][t] = c[t * n + j0 + l];
+        }
+    }
+    // One k step: `av[t]` is `A[i + t][kk]`, `bv[l]` is `B[kk][j0 + l]`.
+    let mut step = |av: &[f32; H], bv: &[f32; W]| {
+        for l in 0..W {
+            for t in 0..H {
+                acc[l][t] += av[t] * bv[l];
+            }
+        }
+    };
+    let k_blocked = k - k % LANES;
+    for kb in (0..k_blocked).step_by(LANES) {
+        let mut at = [[0.0f32; H]; LANES];
+        for (t, arow) in arows.iter().enumerate() {
+            for (kk, &v) in arow[kb..kb + LANES].iter().enumerate() {
+                at[kk][t] = v;
+            }
+        }
+        for (kk, av) in at.iter().enumerate() {
+            step(av, bv(kb + kk));
+        }
+    }
+    for kk in k_blocked..k {
+        step(&arows.map(|row| row[kk]), bv(kk));
+    }
+    for t in 0..H {
+        for l in 0..W {
+            c[t * n + j0 + l] = acc[l][t];
+        }
+    }
+}
+
+/// Output columns `0..crow.len()` of one `A·B` row, whose `A` row is
+/// `arow`: each element a non-fused ascending chain `acc + a·b` over all
+/// of `k`, continuing from its value in `crow`. The row is swept one k
+/// step at a time, an `NC`-wide panel of it at a time, so every step is
+/// one contiguous, vectorized multiply-add along the output.
+#[inline(always)]
+fn matmul_row_chain(arow: &[f32], b: &Tensor, crow: &mut [f32]) {
+    let n = b.cols;
+    let w = crow.len();
+    for jb in (0..w).step_by(NC) {
+        let je = (jb + NC).min(w);
+        let panel = &mut crow[jb..je];
+        for (&av, brow) in arow.iter().zip(b.data.chunks_exact(n)) {
+            for (c, &bv) in panel.iter_mut().zip(&brow[jb..je]) {
+                *c += av * bv;
             }
         }
     }
@@ -594,8 +732,12 @@ fn matmul_panel_packed<const FMA: bool>(
 
 /// `C = Aᵀ·B` restricted to output rows `rows` (columns of `A`);
 /// `out` holds exactly those rows. The shared dimension (rows of
-/// `A`/`B`) accumulates in a fixed ascending-panel order independent of
-/// the thread partition.
+/// `A`/`B`) accumulates in a fixed ascending order independent of the
+/// thread partition.
+///
+/// Elements inside full `MR×NR` tiles take fused register accumulators
+/// per `KC` panel of `A`'s rows; every other element is a non-fused
+/// ascending chain (see [`t_matmul_chain`]).
 #[inline(always)]
 fn t_matmul_panel_body<const FMA: bool>(
     a: &Tensor,
@@ -607,66 +749,80 @@ fn t_matmul_panel_body<const FMA: bool>(
     let n = b.cols;
     let m = a.rows;
     debug_assert_eq!(out.len(), rows.len() * n);
+    if out.is_empty() {
+        return;
+    }
+    if n < NR {
+        with_narrow_width!(n, W => t_matmul_chain(a, b, rows, 0..W, W, out));
+        return;
+    }
+    let n8 = n - n % NR;
+    let tile_rows = rows.len() - rows.len() % MR;
     for rb in (0..m).step_by(KC) {
         let re = (rb + KC).min(m);
-        let mut i = rows.start;
-        while i < rows.end {
-            let h = (rows.end - i).min(MR);
+        for i in (rows.start..rows.start + tile_rows).step_by(MR) {
             let base = (i - rows.start) * n;
-            if h == MR {
-                let [c0, c1, c2, c3] = four_rows(&mut out[base..base + MR * n], n);
-                let mut jr = 0;
-                while jr + NR <= n {
-                    let mut acc = [[0.0f32; NR]; MR];
-                    for r in rb..re {
-                        // Columns i..i+4 of row r are contiguous in A.
-                        let av = &a.data[r * ka + i..r * ka + i + MR];
-                        let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
-                        let boff = r * n + jr;
-                        let bv: &[f32; NR] = b.data[boff..boff + NR].try_into().expect("NR slice");
-                        for l in 0..NR {
-                            acc[0][l] = madd::<FMA>(acc[0][l], a0, bv[l]);
-                            acc[1][l] = madd::<FMA>(acc[1][l], a1, bv[l]);
-                            acc[2][l] = madd::<FMA>(acc[2][l], a2, bv[l]);
-                            acc[3][l] = madd::<FMA>(acc[3][l], a3, bv[l]);
-                        }
-                    }
-                    for (t, c) in [&mut *c0, &mut *c1, &mut *c2, &mut *c3]
-                        .into_iter()
-                        .enumerate()
-                    {
-                        for l in 0..NR {
-                            c[jr + l] += acc[t][l];
-                        }
-                    }
-                    jr += NR;
-                }
-                if jr < n {
-                    for r in rb..re {
-                        let av = &a.data[r * ka + i..r * ka + i + MR];
-                        let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
-                        let brow = &b.data[r * n..(r + 1) * n];
-                        for j in jr..n {
-                            c0[j] += a0 * brow[j];
-                            c1[j] += a1 * brow[j];
-                            c2[j] += a2 * brow[j];
-                            c3[j] += a3 * brow[j];
-                        }
+            let [c0, c1, c2, c3] = four_rows(&mut out[base..base + MR * n], n);
+            for jr in (0..n8).step_by(NR) {
+                let mut acc = [[0.0f32; NR]; MR];
+                for r in rb..re {
+                    // Columns i..i+4 of row r are contiguous in A.
+                    let av = &a.data[r * ka + i..r * ka + i + MR];
+                    let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
+                    let boff = r * n + jr;
+                    let bv: &[f32; NR] = b.data[boff..boff + NR].try_into().expect("NR slice");
+                    for l in 0..NR {
+                        acc[0][l] = madd::<FMA>(acc[0][l], a0, bv[l]);
+                        acc[1][l] = madd::<FMA>(acc[1][l], a1, bv[l]);
+                        acc[2][l] = madd::<FMA>(acc[2][l], a2, bv[l]);
+                        acc[3][l] = madd::<FMA>(acc[3][l], a3, bv[l]);
                     }
                 }
-            } else {
-                for t in 0..h {
-                    let crow = &mut out[base + t * n..base + (t + 1) * n];
-                    for r in rb..re {
-                        let av = a.data[r * ka + i + t];
-                        let brow = &b.data[r * n..(r + 1) * n];
-                        for (j, &bv) in brow.iter().enumerate() {
-                            crow[j] += av * bv;
-                        }
+                for (t, c) in [&mut *c0, &mut *c1, &mut *c2, &mut *c3]
+                    .into_iter()
+                    .enumerate()
+                {
+                    for l in 0..NR {
+                        c[jr + l] += acc[t][l];
                     }
                 }
             }
-            i += h;
+        }
+    }
+    let (tiles, tail) = out.split_at_mut(tile_rows * n);
+    if n8 < n && tile_rows > 0 {
+        t_matmul_chain(a, b, rows.start..rows.start + tile_rows, n8..n, n, tiles);
+    }
+    if tile_rows < rows.len() {
+        t_matmul_chain(a, b, rows.start + tile_rows..rows.end, 0..n, n, tail);
+    }
+}
+
+/// Output columns `cols` of `Aᵀ·B` for output rows `rows` (columns of
+/// `A`); `out` holds those rows, `stride` (= `b.cols`) apart. Each
+/// element is a non-fused ascending chain `acc + a·b` over the rows of
+/// `A`, continuing from its value in `out`. Rows of `A` are the outer
+/// loop, so each step sweeps a contiguous row of `A` against the
+/// output; with `stride == cols.len()` that is one contiguous run of
+/// `out`, which vectorizes.
+#[inline(always)]
+fn t_matmul_chain(
+    a: &Tensor,
+    b: &Tensor,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    stride: usize,
+    out: &mut [f32],
+) {
+    let (ka, n) = (a.cols, b.cols);
+    debug_assert_eq!(stride, n);
+    for r in 0..a.rows {
+        let arow = &a.data[r * ka + rows.start..r * ka + rows.end];
+        let brow = &b.data[r * n + cols.start..r * n + cols.end];
+        for (crow, &av) in out.chunks_exact_mut(stride).zip(arow) {
+            for (c, &bv) in crow[cols.clone()].iter_mut().zip(brow) {
+                *c += av * bv;
+            }
         }
     }
 }
@@ -696,8 +852,10 @@ fn dot8<const FMA: bool>(x: &[f32], y: &[f32]) -> f32 {
 }
 
 /// `C = A·Bᵀ` restricted to output rows `rows`; `out` holds exactly
-/// those rows. Each element is an independent [`dot8`], so the result
-/// is identical for every row partition.
+/// those rows and is overwritten. Each element is an independent
+/// [`dot8`], so the result is identical for every row partition.
+/// Below `NR` shared columns `dot8` is a `madd` chain from `+0.0`, which
+/// [`matmul_t_narrow`] runs without the eight empty lanes.
 #[inline(always)]
 fn matmul_t_panel_body<const FMA: bool>(
     a: &Tensor,
@@ -707,6 +865,10 @@ fn matmul_t_panel_body<const FMA: bool>(
 ) {
     let bm = b.rows;
     debug_assert_eq!(out.len(), rows.len() * bm);
+    if a.cols < NR {
+        with_narrow_width!(a.cols, K => matmul_t_narrow::<FMA, K>(a, b, rows, out));
+        return;
+    }
     let mut i = rows.start;
     while i < rows.end {
         let h = (rows.end - i).min(MR);
@@ -721,15 +883,45 @@ fn matmul_t_panel_body<const FMA: bool>(
     }
 }
 
+/// [`matmul_t_panel_body`] with `K < NR` shared columns: each output
+/// row starts at `+0.0` and takes one `madd` per k step, k outermost and
+/// the output column innermost, so every step is one sweep along the
+/// row. Per element that is `dot8`'s exact sequence for `K < 8`.
+#[inline(always)]
+fn matmul_t_narrow<const FMA: bool, const K: usize>(
+    a: &Tensor,
+    b: &Tensor,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    if K == 0 {
+        // An empty chain is its `+0.0` start.
+        out.fill(0.0);
+        return;
+    }
+    let bm = b.rows;
+    for i in rows.clone() {
+        let crow = &mut out[(i - rows.start) * bm..(i - rows.start + 1) * bm];
+        let arow: &[f32; K] = a.row_slice(i).try_into().expect("K slice");
+        for (c, brow) in crow.iter_mut().zip(b.data.chunks_exact(K)) {
+            let mut acc = 0.0;
+            for kk in 0..K {
+                acc = madd::<FMA>(acc, arow[kk], brow[kk]);
+            }
+            *c = acc;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Public matmul entry points
 // ---------------------------------------------------------------------------
 
-/// Dispatch one of the matmul panels serially or across the pool,
-/// accumulating into `out`, which the caller must supply **zeroed**
-/// (panels add into it) and sized `out_rows * out_cols`. The
-/// serial/parallel split is identical to the allocating path, so
-/// results are bitwise the same.
+/// Dispatch one of the matmul panels serially or across the pool into
+/// `out`, sized `out_rows * out_cols`: the `A·B` and `Aᵀ·B` panels add
+/// into it, so the caller supplies it **zeroed**; the `A·Bᵀ` panel
+/// overwrites it. The serial/parallel split is identical to the
+/// allocating path, so results are bitwise the same.
 #[allow(clippy::too_many_arguments)]
 fn run_matmul_into(
     a: &Tensor,
@@ -870,8 +1062,10 @@ pub fn matmul_t(a: &Tensor, b: &Tensor) -> Tensor {
     run_matmul(a, b, a.rows, b.rows, madds, false, matmul_t_panel)
 }
 
-/// Blocked `A·Bᵀ` accumulated into a caller-supplied **zeroed** buffer
-/// of `a.rows * b.rows` elements; bitwise identical to [`matmul_t`].
+/// Blocked `A·Bᵀ` written into a caller-supplied buffer of
+/// `a.rows * b.rows` elements, which it **overwrites** (every element is
+/// assigned, so stale or recycled contents are fine); bitwise identical
+/// to [`matmul_t`].
 pub fn matmul_t_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     assert_eq!(
         a.cols, b.cols,
@@ -1166,6 +1360,27 @@ mod tests {
         assert_eq!(t_matmul_parallel(&a, &c).data, t_matmul_serial(&a, &c).data);
         let d = Tensor::randn(29, 41, 1.0, &mut rng);
         assert_eq!(matmul_t_parallel(&a, &d).data, matmul_t_serial(&a, &d).data);
+    }
+
+    #[test]
+    fn matmul_t_into_overwrites_its_output() {
+        let mut rng = StdRng::seed_from_u64(16);
+        // Both sides of the k < 8 cut, one shape past the pool threshold.
+        for &(m, k, n) in &[
+            (5, 1, 9),
+            (7, 3, 4),
+            (6, 8, 5),
+            (9, 19, 11),
+            (1024, 2, 1024),
+        ] {
+            let a = Tensor::randn(m, k, 1.0, &mut rng);
+            let b = Tensor::randn(n, k, 1.0, &mut rng);
+            let mut out = vec![f32::NAN; m * n];
+            matmul_t_into(&a, &b, &mut out);
+            let want = matmul_t(&a, &b);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want.data), "{m}x{k} · ({n}x{k})ᵀ");
+        }
     }
 
     #[test]

@@ -939,7 +939,8 @@ impl Tape {
                 Op::MatMul(a, b) => {
                     // dL/dA = G · Bᵀ ; dL/dB = Aᵀ · G
                     let (av, bv) = (&nodes[a.index].value, &nodes[b.index].value);
-                    let mut ga = self.alloc_zeroed(g.rows, bv.rows);
+                    // `matmul_t_into` overwrites; `t_matmul_into` adds.
+                    let mut ga = self.alloc(g.rows, bv.rows);
                     crate::kernel::matmul_t_into(&g, bv, &mut ga.data);
                     let mut gb = self.alloc_zeroed(av.cols, g.cols);
                     crate::kernel::t_matmul_into(av, &g, &mut gb.data);
