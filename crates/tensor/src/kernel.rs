@@ -474,39 +474,14 @@ dispatch_panel!(matmul_t_panel, matmul_t_panel_avx2, matmul_t_panel_body);
 /// registers, and a stride of `$w` is known to the vectorizer.
 macro_rules! with_narrow_width {
     ($n:expr, $w:ident => $body:expr) => {
+        with_narrow_width!(@arms $n, $w => $body; 0 1 2 3 4 5 6 7)
+    };
+    (@arms $n:expr, $w:ident => $body:expr; $($v:literal)*) => {
         match $n {
-            0 => {
-                const $w: usize = 0;
+            $($v => {
+                const $w: usize = $v;
                 $body
-            }
-            1 => {
-                const $w: usize = 1;
-                $body
-            }
-            2 => {
-                const $w: usize = 2;
-                $body
-            }
-            3 => {
-                const $w: usize = 3;
-                $body
-            }
-            4 => {
-                const $w: usize = 4;
-                $body
-            }
-            5 => {
-                const $w: usize = 5;
-                $body
-            }
-            6 => {
-                const $w: usize = 6;
-                $body
-            }
-            7 => {
-                const $w: usize = 7;
-                $body
-            }
+            })*
             n => unreachable!("narrow width {n} is not below NR"),
         }
     };
@@ -750,6 +725,7 @@ fn t_matmul_panel_body<const FMA: bool>(
     let m = a.rows;
     debug_assert_eq!(out.len(), rows.len() * n);
     if out.is_empty() {
+        // Nothing to write, and no zero-width output row to step by.
         return;
     }
     if n < NR {
@@ -803,8 +779,9 @@ fn t_matmul_panel_body<const FMA: bool>(
 /// element is a non-fused ascending chain `acc + a·b` over the rows of
 /// `A`, continuing from its value in `out`. Rows of `A` are the outer
 /// loop, so each step sweeps a contiguous row of `A` against the
-/// output; with `stride == cols.len()` that is one contiguous run of
-/// `out`, which vectorizes.
+/// output. The stride is an argument so that a caller whose width is a
+/// constant can pass it as one: with `stride == cols.len()` known, the
+/// sweep is one contiguous run of `out` and vectorizes.
 #[inline(always)]
 fn t_matmul_chain(
     a: &Tensor,
@@ -883,10 +860,10 @@ fn matmul_t_panel_body<const FMA: bool>(
     }
 }
 
-/// [`matmul_t_panel_body`] with `K < NR` shared columns: each output
-/// row starts at `+0.0` and takes one `madd` per k step, k outermost and
-/// the output column innermost, so every step is one sweep along the
-/// row. Per element that is `dot8`'s exact sequence for `K < 8`.
+/// [`matmul_t_panel_body`] with `K < NR` shared columns: one sweep
+/// along each output row, each element's `K` `madd`s from `+0.0`
+/// unrolled in a register. Per element that is `dot8`'s exact sequence
+/// for `K < 8`, without its eight empty lanes.
 #[inline(always)]
 fn matmul_t_narrow<const FMA: bool, const K: usize>(
     a: &Tensor,
