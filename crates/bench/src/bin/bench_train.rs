@@ -51,11 +51,6 @@ struct WorkloadSnapshot {
     pool_misses: u64,
     pool_high_water_bytes: usize,
     bitwise_equal: bool,
-    /// High-water bytes the static liveness analyzer predicted for one
-    /// step from a fresh tape (dc-check `forecast_pool`).
-    forecast_high_water_bytes: usize,
-    /// Whether the forecast matched the runtime's `PoolStats` exactly.
-    forecast_exact: bool,
 }
 
 /// The `tape.pool.*` counters and gauge as dc-obs reports them, pulled
@@ -293,32 +288,6 @@ fn bench_workload(
         "{name}: pooled training diverged from the fresh-unpooled-tape baseline"
     );
 
-    // Liveness forecast parity (dc-check): one un-recycled step from a
-    // fresh tape, then the static analyzer must verify the recorded
-    // graph clean and predict the pool's PoolStats — including the
-    // high-water mark — exactly. Runs in --smoke too, so lint gates it.
-    set_pool_enabled(true);
-    let forecast_tape = Tape::new();
-    make(7).step(&forecast_tape);
-    let root = forecast_tape
-        .last_backward_root()
-        .expect("workload step runs backward");
-    let errors = dc_check::liveness::verify(&forecast_tape, root);
-    assert!(
-        errors.is_empty(),
-        "{name}: liveness verification failed\n{}",
-        dc_check::render(&errors)
-    );
-    let predicted =
-        dc_check::forecast_pool(&forecast_tape, root).expect("workload graph is well-formed");
-    let actual = forecast_tape.pool_stats();
-    let forecast_exact = predicted == actual;
-    assert!(
-        forecast_exact,
-        "{name}: forecast pool stats {predicted:?} != actual {actual:?}"
-    );
-    let forecast_high_water_bytes = predicted.high_water_bytes;
-
     // Timing: interleaved baseline/pooled sample pairs so both modes
     // see the same machine conditions. Every sample restarts from the
     // same seed, so each rep times the exact same deterministic step
@@ -391,8 +360,6 @@ fn bench_workload(
         pool_misses: stats.misses,
         pool_high_water_bytes: stats.high_water_bytes,
         bitwise_equal,
-        forecast_high_water_bytes,
-        forecast_exact,
     }
 }
 

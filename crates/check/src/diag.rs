@@ -2,25 +2,14 @@
 
 use std::fmt;
 
-/// The class of defect a diagnostic reports. The first group are hard
-/// errors (the graph would panic or silently miscompute); the second
-/// group are lints (legal but almost certainly unintended).
+/// The class of defect a diagnostic reports. Hard errors mean the step
+/// silently miscomputed or misused memory; lints (see
+/// [`Defect::is_warning`]) are legal but almost certainly unintended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Defect {
-    /// Operand shapes are incompatible with the op's contract.
-    ShapeMismatch,
-    /// `add_row` broadcast where the right-hand side is not `1×m`.
-    BadBroadcast,
-    /// A gather/group/label index points past the end of its operand.
-    IndexOutOfBounds,
-    /// A backward root that is not a `1×1` scalar.
-    NonScalarLoss,
     /// A dropout mask whose kept entries are not one uniform scale `≥ 1`.
     BadDropoutMask,
-    /// Structurally broken arena: forward references or indices past the
-    /// end of the node list.
-    Malformed,
-    /// A `Var` minted by a different tape.
+    /// A backward root minted by a different tape.
     CrossTapeVar,
     /// A parameter leaf the backward root never reads — it will receive
     /// zero gradient and silently never train.
@@ -34,10 +23,9 @@ pub enum Defect {
     NonFiniteValue,
     /// A NaN or ±Inf in a node's gradient.
     NonFiniteGrad,
-    /// A buffer is read after its last use: either the liveness
-    /// verifier found a plan that touches a released buffer, or the
-    /// `DC_CHECK=1` poison pattern (a recycled buffer's fill) was
-    /// observed in live data.
+    /// The `DC_CHECK=1` poison pattern (a recycled buffer's fill) was
+    /// observed in live data: a buffer was read after it returned to the
+    /// pool.
     UseAfterRecycle,
     /// A buffer returned to the pool twice (or a foreign buffer
     /// recycled), detected by the pool's generation-tagged handles.
@@ -75,12 +63,7 @@ impl fmt::Display for GraphError {
             f,
             "{} at node {} ({}): expected {}, got {}",
             match self.defect {
-                Defect::ShapeMismatch => "shape mismatch",
-                Defect::BadBroadcast => "bad broadcast",
-                Defect::IndexOutOfBounds => "index out of bounds",
-                Defect::NonScalarLoss => "non-scalar loss",
                 Defect::BadDropoutMask => "bad dropout mask",
-                Defect::Malformed => "malformed graph",
                 Defect::CrossTapeVar => "cross-tape Var",
                 Defect::DeadParameter => "dead parameter",
                 Defect::UnusedNode => "unused node",
@@ -100,8 +83,7 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Render a batch of diagnostics, one per line, for panic messages and
-/// the self-test binary.
+/// Render a batch of diagnostics, one per line, for panic messages.
 pub fn render(errors: &[GraphError]) -> String {
     errors
         .iter()

@@ -1,31 +1,26 @@
 //! # dc-check
 //!
-//! Static graph validation, numerics sanitizing, and gradient auditing
-//! for [`dc_tensor::Tape`] graphs.
+//! Debug-time validation and gradient auditing for [`dc_tensor::Tape`]
+//! graphs.
 //!
-//! The autograd kernels defend themselves with scattered `assert!`s that
-//! fire one at a time, mid-execution. `dc-check` instead walks the
-//! recorded op arena *symbolically* and reports every defect at once as
-//! structured [`GraphError`]s:
+//! Shape, broadcast, index, scalar-root and tape-ownership defects need
+//! no pass here: the kernels assert them when forward records the op
+//! (and `backward` when it starts), so a tape that ran has none. What
+//! `dc-check` adds are the checks a recorded tape can still fail,
+//! reported as structured [`GraphError`]s:
 //!
-//! * [`check_tape`] / [`check_plan`] — shape and well-formedness: matmul
-//!   inner dimensions, `add_row` broadcasts, concat row counts, gather
-//!   and label bounds, dropout mask shape and keep-scaling, loss
-//!   scalar-ness (via [`check_root`]).
+//! * [`check_dropout_masks`] — dropout masks whose kept entries are not
+//!   one uniform scale `≥ 1`, which forward accepts.
 //! * [`lint_graph`] — dead parameter leaves, unused non-leaf nodes,
-//!   cross-tape `Var` handles, double-`backward` misuse.
+//!   cross-tape backward roots, double-`backward` misuse.
 //! * [`sanitize`] — NaN/±Inf scan over forward values and gradients,
 //!   reporting the op that introduced the poison first.
-//! * [`audit_all_ops`] — central finite-difference verification of the
-//!   backward rule of every [`dc_tensor::Op`] variant, with coverage
-//!   enforced by an exhaustive match.
-//! * [`liveness`] — static last-use analysis over the recorded graph:
-//!   an early-recycle plan (rejected by [`liveness::verify_plan`] if it
-//!   reads past a release) and an exact [`liveness::forecast_pool`]
-//!   prediction of the step's `PoolStats` high-water mark.
 //! * [`memsafe`] — use-after-recycle / double-recycle detection from
 //!   the pool's `DC_CHECK=1` generation-tagged handles and the
 //!   `0xFFC0_DEAD` recycle poison.
+//! * [`audit_all_ops`] — central finite-difference verification of the
+//!   backward rule of every [`dc_tensor::Op`] variant, with coverage
+//!   enforced by an exhaustive match.
 //!
 //! Model code hooks in through [`debug_validate`], a no-op unless the
 //! `DC_CHECK` environment variable is set, so the passes cost nothing in
@@ -36,28 +31,27 @@
 //!
 //! let tape = Tape::new();
 //! let x = tape.var(Tensor::row(vec![1.0, 2.0]));
-//! let loss = tape.mse_loss(x, Tensor::row(vec![0.5, 0.5]));
+//! let h = tape.dropout(x, Tensor::row(vec![2.0, 0.0]));
+//! let loss = tape.mse_loss(h, Tensor::row(vec![0.5, 0.5]));
+//! tape.backward(loss);
 //!
-//! let plan = dc_check::check_tape(&tape).expect("graph is well-formed");
-//! assert_eq!(plan.output_shape(), Some((1, 1)));
-//! assert!(dc_check::check_root(&tape, loss).is_empty());
+//! assert!(dc_check::check_dropout_masks(&tape).is_empty());
+//! assert!(dc_check::lint_graph(&tape, loss).is_empty());
 //! assert!(dc_check::sanitize(&tape).is_empty());
 //! ```
 
 pub mod audit;
 pub mod diag;
+pub mod dropout;
 pub mod lint;
-pub mod liveness;
 pub mod memsafe;
-pub mod plan;
 pub mod sanitize;
 
 pub use audit::{audit_all_ops, audit_op, OpAudit, OpKind};
 pub use diag::{render, Defect, GraphError};
+pub use dropout::check_dropout_masks;
 pub use lint::lint_graph;
-pub use liveness::{forecast_pool, Liveness, ReleasePoint};
 pub use memsafe::{check_memsafe, scan_poison};
-pub use plan::{check_plan, check_root, check_tape, lower, GraphPlan, SymNode, SymOp};
 pub use sanitize::sanitize;
 
 use dc_tensor::{Tape, Var};
@@ -70,34 +64,23 @@ pub fn enabled() -> bool {
     *ENABLED.get_or_init(|| std::env::var_os("DC_CHECK").is_some_and(|v| v != "0"))
 }
 
-/// Debug-mode hook for model hot paths: when [`enabled`], run the shape
-/// checker, root check, lints, and sanitizer over the tape, panicking on
-/// hard errors and printing lint warnings to stderr. A no-op otherwise.
+/// Debug-mode hook for model hot paths: when [`enabled`], run the
+/// sanitizer, the memory-safety scans, the dropout-mask check and the
+/// lints over the tape, panicking on hard errors and printing lint
+/// warnings to stderr. A no-op otherwise.
 ///
 /// `context` names the call site (e.g. `"Mlp::train_step"`) in reports.
 pub fn debug_validate(context: &str, tape: &Tape, root: Var) {
     if !enabled() {
         return;
     }
-    let mut errors: Vec<GraphError> = Vec::new();
-    match check_tape(tape) {
-        Ok(_) => {}
-        Err(es) => errors.extend(es),
-    }
-    errors.extend(check_root(tape, root));
-    errors.extend(sanitize(tape));
+    let mut errors = sanitize(tape);
     errors.extend(memsafe::check_memsafe(tape));
-    if errors.is_empty() {
-        // Liveness verification assumes a structurally sound arena;
-        // only run it once the passes above found nothing.
-        errors.extend(liveness::verify(tape, root.index()));
-    }
-
-    let warnings = if errors.iter().any(|e| e.defect == Defect::CrossTapeVar) {
-        Vec::new() // lint indices would be meaningless across tapes
-    } else {
-        lint_graph(tape, root)
-    };
+    errors.extend(check_dropout_masks(tape));
+    let (warnings, hard): (Vec<_>, Vec<_>) = lint_graph(tape, root)
+        .into_iter()
+        .partition(|e| e.defect.is_warning());
+    errors.extend(hard);
     if !warnings.is_empty() {
         eprintln!("dc-check [{context}]: warnings\n{}", render(&warnings));
     }
@@ -108,18 +91,15 @@ pub fn debug_validate(context: &str, tape: &Tape, root: Var) {
     );
 }
 
-/// Like [`debug_validate`] but without a backward root: shape checker
-/// plus sanitizer only. Model constructors use this to validate a probe
-/// forward pass before any training step runs.
+/// Like [`debug_validate`] but without a backward root: sanitizer plus
+/// the dropout-mask check. Model constructors use this to validate a
+/// probe forward pass before any training step runs.
 pub fn debug_validate_graph(context: &str, tape: &Tape) {
     if !enabled() {
         return;
     }
-    let mut errors = match check_tape(tape) {
-        Ok(_) => Vec::new(),
-        Err(es) => es,
-    };
-    errors.extend(sanitize(tape));
+    let mut errors = sanitize(tape);
+    errors.extend(check_dropout_masks(tape));
     assert!(
         errors.is_empty(),
         "dc-check [{context}]: graph validation failed\n{}",
@@ -131,6 +111,7 @@ pub fn debug_validate_graph(context: &str, tape: &Tape) {
 mod tests {
     use super::*;
     use dc_tensor::{Tape, Tensor};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A small but representative training-step graph: affine layer,
     /// activation, loss — the hot-path shape in `dc-nn`.
@@ -147,30 +128,9 @@ mod tests {
     #[test]
     fn well_formed_graph_checks_clean() {
         let (t, loss) = mlp_step();
-        let plan = check_tape(&t).expect("mlp graph must validate");
-        assert_eq!(plan.len(), t.len());
-        assert_eq!(plan.shape(loss.index()), (1, 1));
-        assert!(check_root(&t, loss).is_empty());
+        assert!(check_dropout_masks(&t).is_empty());
         assert!(lint_graph(&t, loss).is_empty());
         assert!(sanitize(&t).is_empty());
-    }
-
-    #[test]
-    fn plan_shapes_match_recorded_values() {
-        let (t, _) = mlp_step();
-        let plan = check_tape(&t).unwrap();
-        t.for_each_node(|i, _, value, _| {
-            assert_eq!(plan.shape(i), (value.rows, value.cols));
-        });
-    }
-
-    #[test]
-    fn non_scalar_root_is_rejected() {
-        let t = Tape::new();
-        let x = t.var(Tensor::row(vec![1.0, 2.0]));
-        let errs = check_root(&t, x);
-        assert_eq!(errs.len(), 1);
-        assert_eq!(errs[0].defect, Defect::NonScalarLoss);
     }
 
     #[test]
@@ -209,13 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn bad_dropout_mask_scaling_is_reported() {
+    fn hooks_reject_a_bad_dropout_mask_when_enabled() {
+        if !enabled() {
+            return; // the DC_CHECK=1 lane of scripts/sanitize.sh runs this
+        }
         let t = Tape::new();
         let x = t.var(Tensor::row(vec![1.0, 2.0, 3.0]));
         // Non-uniform kept scales: 2.0 vs 1.5.
-        let _ = t.dropout(x, Tensor::row(vec![2.0, 0.0, 1.5]));
-        let errs = check_tape(&t).unwrap_err();
-        assert!(errs.iter().any(|e| e.defect == Defect::BadDropoutMask));
+        let loss = t.sum(t.dropout(x, Tensor::row(vec![2.0, 0.0, 1.5])));
+        let graph = catch_unwind(AssertUnwindSafe(|| debug_validate_graph("test", &t)));
+        assert!(graph.is_err(), "debug_validate_graph accepted a bad mask");
+        let step = catch_unwind(AssertUnwindSafe(|| debug_validate("test", &t, loss)));
+        assert!(step.is_err(), "debug_validate accepted a bad mask");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Graph lints: legal-but-suspect structure.
 //!
-//! Unlike the shape checker these diagnostics are advisory
-//! ([`Defect::is_warning`] is true for all of them): the graph runs, but
-//! almost certainly not as intended — a dead parameter never trains, an
-//! unused node wastes a forward pass, a second `backward` silently
-//! replaces the first run's gradients.
+//! These diagnostics are advisory ([`Defect::is_warning`] is true for
+//! all but a foreign root): the graph runs, but almost certainly not as
+//! intended — a dead parameter never trains, an unused node wastes a
+//! forward pass, a second `backward` silently replaces the first run's
+//! gradients.
 
 use crate::diag::{Defect, GraphError};
 use dc_tensor::{op_name, Op, Tape, Var};

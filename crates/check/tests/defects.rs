@@ -1,90 +1,24 @@
 //! Acceptance tests: one dedicated test per defect class dc-check must
-//! detect — shape mismatch, bad broadcast, out-of-bounds gather, dead
-//! parameter, cross-tape `Var`, and NaN injection.
+//! detect on a tape that ran — bad dropout-mask scaling, dead
+//! parameter, cross-tape backward root, and NaN injection. Shape,
+//! broadcast and index defects never reach a recorded tape: the kernels
+//! panic on them at record time (`tests/prop.rs`, family 1).
 
-use dc_check::{check_plan, check_root, lint_graph, sanitize, Defect, SymNode, SymOp};
+use dc_check::{check_dropout_masks, lint_graph, sanitize, Defect};
 use dc_tensor::{Tape, Tensor};
 
-fn leaf(rows: usize, cols: usize) -> SymNode {
-    SymNode::new(SymOp::Leaf { rows, cols })
-}
-
 #[test]
-fn detects_shape_mismatch() {
-    // add of a 2x3 and a 3x3 — the kernels would panic mid-record; the
-    // symbolic checker reports it as structured data instead.
-    let graph = vec![leaf(2, 3), leaf(3, 3), SymNode::new(SymOp::Add(0, 1))];
-    let errs = check_plan(&graph).unwrap_err();
-    assert_eq!(errs.len(), 1);
-    assert_eq!(errs[0].defect, Defect::ShapeMismatch);
-    assert_eq!(errs[0].node, 2);
-    assert!(errs[0].got.contains("2x3"), "got: {}", errs[0].got);
-    assert!(errs[0].got.contains("3x3"), "got: {}", errs[0].got);
-}
-
-#[test]
-fn detects_bad_broadcast() {
-    // add_row where the right-hand side is 2x3, not 1x3.
-    let graph = vec![
-        leaf(4, 3),
-        leaf(2, 3),
-        SymNode::new(SymOp::AddRow { lhs: 0, rhs: 1 }),
-    ];
-    let errs = check_plan(&graph).unwrap_err();
-    assert_eq!(errs.len(), 1);
-    assert_eq!(errs[0].defect, Defect::BadBroadcast);
-    assert_eq!(errs[0].node, 2);
-
-    // Column mismatch is also a broadcast defect, even with one row.
-    let graph = vec![
-        leaf(4, 3),
-        leaf(1, 2),
-        SymNode::new(SymOp::AddRow { lhs: 0, rhs: 1 }),
-    ];
-    assert_eq!(
-        check_plan(&graph).unwrap_err()[0].defect,
-        Defect::BadBroadcast
-    );
-}
-
-#[test]
-fn detects_out_of_bounds_gather() {
-    let graph = vec![
-        leaf(3, 2),
-        SymNode::new(SymOp::RowsSelect {
-            src: 0,
-            indices: vec![0, 2, 5],
-        }),
-    ];
-    let errs = check_plan(&graph).unwrap_err();
-    assert_eq!(errs.len(), 1);
-    assert_eq!(errs[0].defect, Defect::IndexOutOfBounds);
-    assert!(errs[0].got.contains("index 5"), "got: {}", errs[0].got);
-
-    // Same class for group pooling and class labels.
-    let graph = vec![
-        leaf(3, 2),
-        SymNode::new(SymOp::RowsMean {
-            src: 0,
-            groups: vec![vec![0], vec![1, 7]],
-        }),
-    ];
-    assert_eq!(
-        check_plan(&graph).unwrap_err()[0].defect,
-        Defect::IndexOutOfBounds
-    );
-
-    let graph = vec![
-        leaf(2, 4),
-        SymNode::new(SymOp::SoftmaxCe {
-            logits: 0,
-            labels: vec![1, 4],
-        }),
-    ];
-    assert_eq!(
-        check_plan(&graph).unwrap_err()[0].defect,
-        Defect::IndexOutOfBounds
-    );
+fn detects_bad_dropout_mask() {
+    let t = Tape::new();
+    let x = t.var(Tensor::row(vec![1.0, 2.0, 3.0]));
+    let good = t.dropout(x, Tensor::row(vec![2.0, 0.0, 2.0]));
+    // Forward accepts a mask with mixed kept scales (2.0 vs 1.5).
+    let bad = t.dropout(good, Tensor::row(vec![2.0, 0.0, 1.5]));
+    let errs = check_dropout_masks(&t);
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert_eq!(errs[0].defect, Defect::BadDropoutMask);
+    assert_eq!(errs[0].node, bad.index());
+    assert!(errs[0].got.contains("1.5"), "got: {}", errs[0].got);
 }
 
 #[test]
@@ -114,13 +48,13 @@ fn detects_cross_tape_var() {
     let _ = a.var(Tensor::scalar(1.0));
     let foreign = b.var(Tensor::scalar(2.0));
 
-    let errs = check_root(&a, foreign);
+    let errs = lint_graph(&a, foreign);
     assert_eq!(errs.len(), 1);
     assert_eq!(errs[0].defect, Defect::CrossTapeVar);
-
-    let lints = lint_graph(&a, foreign);
-    assert_eq!(lints.len(), 1);
-    assert_eq!(lints[0].defect, Defect::CrossTapeVar);
+    assert!(
+        !errs[0].defect.is_warning(),
+        "a foreign root is a hard error"
+    );
 }
 
 #[test]

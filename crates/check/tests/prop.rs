@@ -1,23 +1,19 @@
-//! Property tests tying dc-check to the kernels it models.
+//! Property tests for the tape's own guarantees.
 //!
 //! Two families:
 //!
-//! 1. **Acceptance parity** — for every constrained op, the symbolic
-//!    checker accepts a graph exactly when the tape kernel records it
-//!    without panicking. Shapes are drawn small enough that both the
-//!    valid and the defective region of each constraint is hit.
+//! 1. **Record-time shape rules** — for every constrained op, the tape
+//!    kernel panics exactly when the op's shape rule (written inline in
+//!    each property) is broken. Shapes are drawn small enough that both
+//!    the valid and the defective region of each rule is hit. These
+//!    asserts are why dc-check needs no shape pass of its own.
 //! 2. **Finite differences** — on random composite graphs, the
 //!    gradients produced by `Tape::backward` match central finite
 //!    differences of the loss within 1e-3 relative tolerance.
 
-use dc_check::{check_plan, SymNode, SymOp};
 use dc_tensor::{Tape, Tensor, Var};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-fn leaf(rows: usize, cols: usize) -> SymNode {
-    SymNode::new(SymOp::Leaf { rows, cols })
-}
 
 /// True when recording the graph panics inside a tape kernel.
 fn kernel_panics(f: impl FnOnce()) -> bool {
@@ -34,59 +30,58 @@ fn probe(rows: usize, cols: usize, salt: u64) -> Tensor {
 }
 
 // ---------------------------------------------------------------------
-// Family 1: checker ⟺ kernel acceptance parity
+// Family 1: the tape panics exactly when the shape rule is broken
 // ---------------------------------------------------------------------
 
 proptest! {
     #[test]
-    fn add_parity(r1 in 1usize..4, c1 in 1usize..4, r2 in 1usize..4, c2 in 1usize..4) {
-        let graph = vec![leaf(r1, c1), leaf(r2, c2), SymNode::new(SymOp::Add(0, 1))];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+    fn add_panics_unless_shapes_are_equal(
+        r1 in 1usize..4, c1 in 1usize..4, r2 in 1usize..4, c2 in 1usize..4,
+    ) {
+        let legal = (r1, c1) == (r2, c2);
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let a = t.var(Tensor::zeros(r1, c1));
             let b = t.var(Tensor::zeros(r2, c2));
             let _ = t.add(a, b);
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "{}x{} + {}x{}", r1, c1, r2, c2);
+        prop_assert_eq!(panicked, !legal, "{}x{} + {}x{}", r1, c1, r2, c2);
     }
 
     #[test]
-    fn matmul_parity(a in 1usize..4, b in 1usize..4, c in 1usize..4, d in 1usize..4) {
-        let graph = vec![leaf(a, b), leaf(c, d), SymNode::new(SymOp::MatMul(0, 1))];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+    fn matmul_panics_unless_inner_dimensions_agree(
+        a in 1usize..4, b in 1usize..4, c in 1usize..4, d in 1usize..4,
+    ) {
+        let legal = b == c;
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let x = t.var(Tensor::zeros(a, b));
             let y = t.var(Tensor::zeros(c, d));
             let _ = t.matmul(x, y);
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "{}x{} · {}x{}", a, b, c, d);
+        prop_assert_eq!(panicked, !legal, "{}x{} · {}x{}", a, b, c, d);
     }
 
     #[test]
-    fn add_row_parity(r in 1usize..4, c in 1usize..4, rr in 1usize..3, rc in 1usize..4) {
-        let graph = vec![
-            leaf(r, c),
-            leaf(rr, rc),
-            SymNode::new(SymOp::AddRow { lhs: 0, rhs: 1 }),
-        ];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+    fn add_row_panics_unless_rhs_is_one_matching_row(
+        r in 1usize..4, c in 1usize..4, rr in 1usize..3, rc in 1usize..4,
+    ) {
+        let legal = rr == 1 && rc == c;
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let x = t.var(Tensor::zeros(r, c));
             let row = t.var(Tensor::zeros(rr, rc));
             let _ = t.add_row(x, row);
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "{}x{} + row {}x{}", r, c, rr, rc);
+        prop_assert_eq!(panicked, !legal, "{}x{} + row {}x{}", r, c, rr, rc);
     }
 
     #[test]
-    fn concat_parity(dims in proptest::collection::vec((1usize..4, 1usize..4), 1..4)) {
-        let mut graph: Vec<SymNode> = dims.iter().map(|&(r, c)| leaf(r, c)).collect();
-        graph.push(SymNode::new(SymOp::Concat((0..dims.len()).collect())));
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+    fn concat_panics_unless_row_counts_agree(
+        dims in proptest::collection::vec((1usize..4, 1usize..4), 1..4),
+    ) {
+        let legal = dims.iter().all(|&(r, _)| r == dims[0].0);
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let parts: Vec<Var> = dims
                 .iter()
@@ -94,30 +89,26 @@ proptest! {
                 .collect();
             let _ = t.concat(&parts);
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "concat {:?}", dims);
+        prop_assert_eq!(panicked, !legal, "concat {:?}", dims);
     }
 
     #[test]
-    fn rows_select_parity(
+    fn rows_select_panics_unless_indices_are_in_range(
         rows in 1usize..4,
         cols in 1usize..3,
         indices in proptest::collection::vec(0usize..5, 0..4),
     ) {
-        let graph = vec![
-            leaf(rows, cols),
-            SymNode::new(SymOp::RowsSelect { src: 0, indices: indices.clone() }),
-        ];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+        let legal = indices.iter().all(|&i| i < rows);
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let x = t.var(Tensor::zeros(rows, cols));
             let _ = t.rows_select(x, indices.clone());
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "select {:?} from {} rows", indices, rows);
+        prop_assert_eq!(panicked, !legal, "select {:?} from {} rows", indices, rows);
     }
 
     #[test]
-    fn rows_mean_parity(
+    fn rows_mean_panics_unless_group_indices_are_in_range(
         rows in 1usize..4,
         cols in 1usize..3,
         groups in proptest::collection::vec(
@@ -125,88 +116,94 @@ proptest! {
             1..3,
         ),
     ) {
-        let graph = vec![
-            leaf(rows, cols),
-            SymNode::new(SymOp::RowsMean { src: 0, groups: groups.clone() }),
-        ];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+        let legal = groups.iter().flatten().all(|&i| i < rows);
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let x = t.var(Tensor::zeros(rows, cols));
             let _ = t.rows_mean(x, groups.clone());
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "pool {:?} from {} rows", groups, rows);
+        prop_assert_eq!(panicked, !legal, "pool {:?} from {} rows", groups, rows);
     }
 
     #[test]
-    fn dropout_parity(r in 1usize..4, c in 1usize..4, mr in 1usize..4, mc in 1usize..4) {
-        let graph = vec![
-            leaf(r, c),
-            SymNode::new(SymOp::Dropout { src: 0, mask_rows: mr, mask_cols: mc }),
-        ];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+    fn dropout_panics_unless_mask_matches_input(
+        r in 1usize..4, c in 1usize..4, mr in 1usize..4, mc in 1usize..4,
+    ) {
+        let legal = (mr, mc) == (r, c);
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let x = t.var(Tensor::zeros(r, c));
             let _ = t.dropout(x, Tensor::ones(mr, mc));
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "{}x{} masked by {}x{}", r, c, mr, mc);
+        prop_assert_eq!(panicked, !legal, "{}x{} masked by {}x{}", r, c, mr, mc);
     }
 
     #[test]
-    fn mse_parity(r in 1usize..4, c in 1usize..4, tr in 1usize..4, tc in 1usize..4) {
-        let graph = vec![
-            leaf(r, c),
-            SymNode::new(SymOp::MseLoss { pred: 0, target_rows: tr, target_cols: tc }),
-        ];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+    fn mse_panics_unless_target_matches_prediction(
+        r in 1usize..4, c in 1usize..4, tr in 1usize..4, tc in 1usize..4,
+    ) {
+        let legal = (tr, tc) == (r, c);
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let p = t.var(Tensor::zeros(r, c));
             let _ = t.mse_loss(p, Tensor::zeros(tr, tc));
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "pred {}x{} vs target {}x{}", r, c, tr, tc);
+        prop_assert_eq!(panicked, !legal, "pred {}x{} vs target {}x{}", r, c, tr, tc);
     }
 
     #[test]
-    fn bce_parity(n in 1usize..4, tr in 1usize..4, wr in 1usize..4) {
-        let graph = vec![
-            leaf(n, 1),
-            SymNode::new(SymOp::BceWithLogits {
-                logits: 0,
-                target_rows: tr,
-                target_cols: 1,
-                weight_rows: wr,
-                weight_cols: 1,
-            }),
-        ];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+    fn bce_panics_unless_targets_and_weights_match_logits(
+        n in 1usize..4, tr in 1usize..4, wr in 1usize..4,
+    ) {
+        let legal = tr == n && wr == n;
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let z = t.var(Tensor::zeros(n, 1));
             let _ = t.bce_with_logits(z, Tensor::zeros(tr, 1), Tensor::ones(wr, 1));
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "logits {}x1, targets {}x1, weights {}x1", n, tr, wr);
+        prop_assert_eq!(
+            panicked, !legal,
+            "logits {}x1, targets {}x1, weights {}x1", n, tr, wr
+        );
     }
 
     #[test]
-    fn softmax_ce_parity(
+    fn softmax_ce_panics_unless_one_in_range_label_per_row(
         rows in 1usize..4,
         cols in 1usize..4,
         labels in proptest::collection::vec(0usize..5, 0..4),
     ) {
-        let graph = vec![
-            leaf(rows, cols),
-            SymNode::new(SymOp::SoftmaxCe { logits: 0, labels: labels.clone() }),
-        ];
-        let sym_ok = check_plan(&graph).is_ok();
-        let kernel_ok = !kernel_panics(|| {
+        let legal = labels.len() == rows && labels.iter().all(|&l| l < cols);
+        let panicked = kernel_panics(|| {
             let t = Tape::new();
             let z = t.var(Tensor::zeros(rows, cols));
             let _ = t.softmax_ce(z, labels.clone());
         });
-        prop_assert_eq!(sym_ok, kernel_ok, "{}x{} logits, labels {:?}", rows, cols, labels);
+        prop_assert_eq!(panicked, !legal, "{}x{} logits, labels {:?}", rows, cols, labels);
     }
+}
+
+#[test]
+fn cross_tape_add_panics() {
+    let a = Tape::new();
+    let b = Tape::new();
+    let x = a.var(Tensor::zeros(2, 3));
+    let foreign = b.var(Tensor::zeros(2, 3));
+    assert!(kernel_panics(|| {
+        let _ = a.add(x, foreign);
+    }));
+}
+
+#[test]
+fn backward_from_a_two_by_three_root_panics() {
+    let t = Tape::new();
+    let x = t.var(Tensor::zeros(2, 3));
+    let h = t.tanh(x);
+    assert!(kernel_panics(|| t.backward(h)));
+    // A scalar root on the same graph sweeps fine.
+    let loss = t.sum(h);
+    t.backward(loss);
+    assert_eq!(t.grad(x).data.len(), 6);
 }
 
 // ---------------------------------------------------------------------

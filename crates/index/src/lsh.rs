@@ -264,7 +264,7 @@ fn signature_bits(cfg: LshConfig) -> DcResult<usize> {
 }
 
 /// Hyperplanes must come one per signature bit.
-fn check_planes(planes: &Tensor, cfg: LshConfig) -> DcResult<()> {
+fn validate_planes(planes: &Tensor, cfg: LshConfig) -> DcResult<()> {
     if planes.rows != signature_bits(cfg)? {
         return Err(DcError::invalid(format!(
             "LshIndex: {} planes for {} bands × {} rows",
@@ -340,7 +340,7 @@ impl LshIndex {
     /// An empty index carrying `(bands·rows_per_band)×d` hyperplanes so
     /// raw `d`-dim vectors can be inserted directly.
     pub fn with_planes(planes: Tensor, cfg: LshConfig) -> DcResult<Self> {
-        check_planes(&planes, cfg)?;
+        validate_planes(&planes, cfg)?;
         let mut idx = Self::new(cfg)?;
         idx.planes = Some(planes);
         Ok(idx)
@@ -351,7 +351,7 @@ impl LshIndex {
     /// Signature bits are the signs of one blocked kernel matmul, so
     /// they are identical for every `DC_THREADS` setting.
     pub fn build(vectors: &Tensor, planes: &Tensor, cfg: LshConfig) -> DcResult<Self> {
-        check_planes(planes, cfg)?;
+        validate_planes(planes, cfg)?;
         if planes.cols != vectors.cols {
             return Err(DcError::invalid(format!(
                 "LshIndex: {}-dim vectors for {}-dim planes",

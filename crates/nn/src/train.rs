@@ -179,18 +179,9 @@ pub fn run_dataset_epochs<T: Trainer + ?Sized, D: Dataset + ?Sized>(
             let s = trainer.fit(&batch, &mut ctx);
             if dc_check::enabled() {
                 // Memory-safety net for the recycled hot path: no live
-                // buffer may carry the recycle poison, the pool must
-                // have recorded no double recycles, and the step's
-                // liveness plan must verify against the sweep.
+                // buffer may carry the recycle poison, and the pool must
+                // have recorded no double recycles.
                 dc_check::memsafe::assert_clean(name, tape);
-                if let Some(root) = tape.last_backward_root() {
-                    let errors = dc_check::liveness::verify(tape, root);
-                    assert!(
-                        errors.is_empty(),
-                        "dc-check [{name}]: liveness verification failed\n{}",
-                        dc_check::render(&errors)
-                    );
-                }
             }
             tape.recycle();
             if dc_check::enabled() {

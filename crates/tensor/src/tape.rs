@@ -176,10 +176,6 @@ pub struct Tape {
     nodes: RefCell<Vec<Node>>,
     grads: RefCell<Vec<Option<Tensor>>>,
     backward_runs: Cell<u32>,
-    /// Arena index the last [`Tape::backward`] call started from, for
-    /// post-hoc analyses (dc-check's liveness/pool forecast) that need
-    /// the sweep root but only see the tape after the step ran.
-    last_root: Cell<Option<usize>>,
     pool: BufferPool,
 }
 
@@ -197,7 +193,6 @@ impl Tape {
             nodes: RefCell::new(Vec::new()),
             grads: RefCell::new(Vec::new()),
             backward_runs: Cell::new(0),
-            last_root: Cell::new(None),
             pool: BufferPool::new(),
         }
     }
@@ -254,7 +249,6 @@ impl Tape {
         }
         drop(grads);
         self.backward_runs.set(0);
-        self.last_root.set(None);
         self.pool.publish_counters();
         self.pool.refresh_enabled();
         self.pool.bump_generation();
@@ -270,25 +264,6 @@ impl Tape {
     /// debug-handle tracking; always empty otherwise.
     pub fn pool_violations(&self) -> Vec<crate::pool::PoolViolation> {
         self.pool.violations()
-    }
-
-    /// Arena index of the last [`Tape::backward`] root on this tape
-    /// generation, or `None` if backward has not run.
-    pub fn last_backward_root(&self) -> Option<usize> {
-        self.last_root.get()
-    }
-
-    /// Per-node `(value_pooled, aux_pooled)` flags, in arena order:
-    /// whether the node's value buffer came from the tape's pool, and
-    /// whether its op embeds a pool-backed auxiliary tensor (the cached
-    /// `probs` of the loss ops). dc-check's liveness analyzer replays
-    /// the step's pool traffic from these.
-    pub fn pooled_flags(&self) -> Vec<(bool, bool)> {
-        self.nodes
-            .borrow()
-            .iter()
-            .map(|n| (n.pooled, n.aux_pooled))
-            .collect()
     }
 
     /// Panic unless `v` was minted by this tape.
@@ -694,8 +669,7 @@ impl Tape {
     /// into four `1×h` gate lanes with this.
     ///
     /// # Panics
-    /// Panics on an empty (`len == 0`) or out-of-range column slice —
-    /// the same defects `dc-check`'s shape checker reports statically.
+    /// Panics on an empty (`len == 0`) or out-of-range column slice.
     pub fn slice_cols(&self, a: Var, start: usize, len: usize) -> Var {
         let _fwd = dc_obs::timer("tape.fwd", "slice_cols");
         let v = self.with_values(|n| {
@@ -891,7 +865,6 @@ impl Tape {
         let _sweep = BACKWARD.start();
         self.assert_owned(out, "backward");
         self.backward_runs.set(self.backward_runs.get() + 1);
-        self.last_root.set(Some(out.index));
         let nodes = self.nodes.borrow();
         assert_eq!(nodes[out.index].value.len(), 1, "backward needs a scalar");
 

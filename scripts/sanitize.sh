@@ -6,7 +6,7 @@
 # Miri and TSan need nightly components (miri, rust-src) that are not
 # baked into every image, so those lanes detect their prerequisites and
 # SKIP with a message instead of failing: the portable lanes (poison
-# sweep, pool model, liveness parity) must always pass, the sanitizer
+# sweep, pool model, pool leak guard) must always pass, the sanitizer
 # lanes run wherever the nightly components exist (e.g. the scheduled CI
 # job installs them; see .github/workflows/ci.yml).
 #
@@ -26,7 +26,7 @@ echo "== DC_CHECK poison sweep (use-after-recycle + double-recycle diagnostics) 
 DC_CHECK=1 DC_THREADS=1 cargo test -q -p dc-tensor --lib
 DC_CHECK=1 DC_THREADS=1 cargo test -q -p dc-tensor --test pool_equiv
 DC_CHECK=1 cargo test -q -p dc-check
-DC_CHECK=1 cargo test -q -p dc-nn --test liveness_parity
+DC_CHECK=1 cargo test -q -p dc-nn --test pool_leak
 
 echo "== pool job-slot handoff model (exhaustive schedule permutation) =="
 cargo test -q -p dc-tensor --test pool_model
