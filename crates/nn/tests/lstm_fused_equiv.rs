@@ -33,7 +33,7 @@ use dc_nn::optim::{Adam, Optimizer, Sgd};
 use dc_tensor::{set_pool_enabled, Tape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
 /// Serialises tests that flip the global pool gate.
@@ -167,6 +167,70 @@ mod per_gate {
         }
         bits
     }
+}
+
+/// FNV-1a over a stream of 32-bit words (little-endian bytes).
+fn fnv(h: &mut u64, words: &[f32]) {
+    for w in words {
+        for b in w.to_bits().to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Property 3: the training graph's bits are pinned. 250 random graphs,
+/// two per `(d, h, T)` in the grid below, each encoding two sequences
+/// (lengths `T` and a random one from the same list) with one shared
+/// set of weights and a loss that mixes both final states. One FNV-1a
+/// hash covers every graph's forward value (both final states and the
+/// loss) and the `wx`, `wh`, `b` and both sequences' gradients. It was
+/// recorded with the LSTM composed from primitive tape ops, so the
+/// fused recurrence op must reproduce that graph's every float.
+#[test]
+fn shared_weight_graphs_match_the_recorded_hash() {
+    let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_pool_enabled(true);
+
+    const DIMS: [usize; 5] = [3, 7, 8, 16, 24];
+    const HIDDEN: [usize; 5] = [5, 6, 8, 9, 32];
+    const STEPS: [usize; 5] = [1, 2, 5, 9, 16];
+    let mut rng = StdRng::seed_from_u64(4700);
+    let tape = Tape::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut graphs = 0;
+    for d in DIMS {
+        for hd in HIDDEN {
+            for steps in STEPS {
+                for _ in 0..2 {
+                    let enc = LstmEncoder::new(d, hd, &mut rng);
+                    let other = STEPS[rng.gen_range(0..STEPS.len())];
+                    let seq_a = seq_tensor(steps, d, &mut rng);
+                    let seq_b = seq_tensor(other, d, &mut rng);
+                    let r = seq_tensor(1, hd, &mut rng);
+
+                    let vars = enc.bind(&tape);
+                    let sa = tape.var_from(&seq_a);
+                    let sb = tape.var_from(&seq_b);
+                    let ha = enc.forward_tape(&tape, sa, &vars);
+                    let hb = enc.forward_tape(&tape, sb, &vars);
+                    let rv = tape.var_from(&r);
+                    let loss = tape.sum(tape.mul(tape.add(ha, rv), hb));
+                    tape.backward(loss);
+
+                    for v in [ha, hb, loss] {
+                        fnv(&mut hash, &tape.value(v).data);
+                    }
+                    for v in [vars.wx, vars.wh, vars.b, sa, sb] {
+                        tape.with_grad(v, |g| fnv(&mut hash, &g.data));
+                    }
+                    tape.recycle();
+                    graphs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(graphs, 250);
+    assert_eq!(hash, 7_214_873_096_764_865_052);
 }
 
 proptest! {

@@ -64,6 +64,8 @@ gates=(
     "run DC_THREADS=1 cargo test -q --release -p autodc --test work_profile"
     "== exact work profile of streamed epochs (chunk cache and tape counters, allocation figures, epoch loss bits)"
     "run DC_THREADS=1 cargo test -q --release -p autodc --test work_profile_stream"
+    "== exact work profile of a DeepER-LSTM train + predict (tape nodes and pool counters, allocation figures, epoch loss bits, score hash)"
+    "run DC_THREADS=1 cargo test -q --release -p autodc --test work_profile_deeper"
 
     "== EXPERIMENTS.md is regenerated byte for byte (E13's CPU timings excluded)"
     "run cargo run -q --release -p dc-bench --bin report -- --check report_full.md"
