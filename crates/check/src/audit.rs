@@ -31,11 +31,11 @@ pub enum OpKind {
     Concat,
     RowsSelect,
     RowsMean,
-    SliceCols,
     Dropout,
     MseLoss,
     BceWithLogits,
     SoftmaxCe,
+    Lstm,
 }
 
 impl OpKind {
@@ -61,11 +61,11 @@ impl OpKind {
         OpKind::Concat,
         OpKind::RowsSelect,
         OpKind::RowsMean,
-        OpKind::SliceCols,
         OpKind::Dropout,
         OpKind::MseLoss,
         OpKind::BceWithLogits,
         OpKind::SoftmaxCe,
+        OpKind::Lstm,
     ];
 
     /// Classify a recorded op. The match is exhaustive on purpose: a new
@@ -92,11 +92,11 @@ impl OpKind {
             Op::Concat(..) => OpKind::Concat,
             Op::RowsSelect(..) => OpKind::RowsSelect,
             Op::RowsMean(..) => OpKind::RowsMean,
-            Op::SliceCols(..) => OpKind::SliceCols,
             Op::Dropout(..) => OpKind::Dropout,
             Op::MseLoss(..) => OpKind::MseLoss,
             Op::BceWithLogits { .. } => OpKind::BceWithLogits,
             Op::SoftmaxCe { .. } => OpKind::SoftmaxCe,
+            Op::Lstm { .. } => OpKind::Lstm,
         }
     }
 
@@ -123,11 +123,11 @@ impl OpKind {
             OpKind::Concat => "concat",
             OpKind::RowsSelect => "rows_select",
             OpKind::RowsMean => "rows_mean",
-            OpKind::SliceCols => "slice_cols",
             OpKind::Dropout => "dropout",
             OpKind::MseLoss => "mse_loss",
             OpKind::BceWithLogits => "bce_with_logits",
             OpKind::SoftmaxCe => "softmax_ce",
+            OpKind::Lstm => "lstm",
         }
     }
 }
@@ -320,29 +320,6 @@ pub fn audit_op(kind: OpKind, eps: f32, tol: f32) -> OpAudit {
                 t.sum(t.mul(m, t.var(probe(4, 2, 1))))
             }),
         )],
-        OpKind::SliceCols => vec![
-            (
-                // Overlapping slices exercise the scatter-accumulate
-                // backward (columns 1..3 receive credit twice).
-                probe(3, 4, 0),
-                Box::new(|t, v| {
-                    let a = t.slice_cols(v, 0, 3);
-                    let b = t.slice_cols(v, 1, 3);
-                    let sa = t.sum(t.mul(a, t.var(probe(3, 3, 1))));
-                    let sb = t.sum(t.mul(b, t.var(probe(3, 3, 2))));
-                    t.add(sa, sb)
-                }),
-            ),
-            (
-                // The fused-LSTM shape: disjoint gate lanes of a 1×4h row.
-                probe(1, 8, 3),
-                Box::new(|t, v| {
-                    let lo = t.sigmoid(t.slice_cols(v, 0, 4));
-                    let hi = t.tanh(t.slice_cols(v, 4, 4));
-                    t.sum(t.mul(lo, hi))
-                }),
-            ),
-        ],
         OpKind::Dropout => vec![(
             probe(2, 3, 0),
             Box::new(|t, v| {
@@ -366,6 +343,32 @@ pub fn audit_op(kind: OpKind, eps: f32, tol: f32) -> OpAudit {
             probe(3, 4, 0),
             Box::new(|t, v| t.softmax_ce(v, vec![1, 0, 3])),
         )],
+        // A 3-step, h = 2 sequence with the audited tensor in each
+        // operand position (`xw`, `Wh`, `b`); the loss weights the final
+        // state so both hidden units carry gradient.
+        OpKind::Lstm => vec![
+            (
+                probe(3, 8, 0),
+                Box::new(|t, v| {
+                    let (wh, b) = (t.var(probe(2, 8, 1)), t.var(probe(1, 8, 2)));
+                    t.sum(t.mul(t.lstm(v, wh, b), t.var(probe(1, 2, 3))))
+                }),
+            ),
+            (
+                probe(2, 8, 4),
+                Box::new(|t, v| {
+                    let (xw, b) = (t.var(probe(3, 8, 5)), t.var(probe(1, 8, 6)));
+                    t.sum(t.mul(t.lstm(xw, v, b), t.var(probe(1, 2, 7))))
+                }),
+            ),
+            (
+                probe(1, 8, 8),
+                Box::new(|t, v| {
+                    let (xw, wh) = (t.var(probe(3, 8, 9)), t.var(probe(2, 8, 10)));
+                    t.sum(t.mul(t.lstm(xw, wh, v), t.var(probe(1, 2, 11))))
+                }),
+            ),
+        ],
     };
 
     let max_rel_err = probes

@@ -20,7 +20,7 @@
 //! when `DC_CHECK=1`.
 
 use crate::diag::{render, Defect, GraphError};
-use dc_tensor::{op_name, Op, PoolViolationKind, Tape, POISON_PATTERN};
+use dc_tensor::{op_name, PoolViolationKind, Tape, POISON_PATTERN};
 
 fn poisoned(data: &[f32]) -> usize {
     data.iter()
@@ -29,7 +29,7 @@ fn poisoned(data: &[f32]) -> usize {
 }
 
 /// Scan every live buffer the tape owns — node values, gradients, and
-/// the cached `probs` of the loss ops — for the `DC_CHECK=1` recycle
+/// each op's cached [`dc_tensor::Op::aux`] tensor — for the `DC_CHECK=1` recycle
 /// poison. One [`Defect::UseAfterRecycle`] per affected buffer, anchored
 /// to the node whose storage carries it.
 ///
@@ -58,10 +58,10 @@ pub fn scan_poison(tape: &Tape) -> Vec<GraphError> {
                 report("gradient", hits, g.data.len());
             }
         }
-        if let Op::BceWithLogits { probs, .. } | Op::SoftmaxCe { probs, .. } = op {
-            let hits = poisoned(&probs.data);
+        if let Some(aux) = op.aux() {
+            let hits = poisoned(&aux.data);
             if hits > 0 {
-                report("cached-probs", hits, probs.data.len());
+                report("cached-aux", hits, aux.data.len());
             }
         }
     });

@@ -89,3 +89,40 @@ fn check_gate_off_means_no_tracking_overhead() {
     assert!(back.iter().all(|&v| v == 1.5));
     assert!(pool.violations().is_empty());
 }
+
+#[test]
+fn recycled_storage_read_into_the_lstm_cache_is_diagnosed() {
+    let _g = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_check_enabled(true);
+    set_pool_enabled(true);
+
+    // A recycled bias buffer wired into an LSTM step without being
+    // overwritten: its poison flows through `tanh` into the candidate
+    // gate's lanes of the op's per-step cache. The scan must see the
+    // cache (an `Op::aux` tensor), not only node values and gradients.
+    let pool = BufferPool::new();
+    let mut buf = pool.take(8);
+    buf.fill(0.25);
+    pool.put(buf); // poison-filled here
+    let stale = pool.take(8);
+
+    let tape = Tape::new();
+    let xw = tape.var(Tensor::from_vec(3, 8, vec![0.1; 24]));
+    let wh = tape.var(Tensor::from_vec(2, 8, vec![-0.2; 16]));
+    let b = tape.var(Tensor {
+        rows: 1,
+        cols: 8,
+        data: stale,
+    });
+    let h = tape.lstm(xw, wh, b);
+    let errors = memsafe::scan_poison(&tape);
+    let cached: Vec<_> = errors
+        .iter()
+        .filter(|e| e.node == h.index() && e.got.contains("cached-aux"))
+        .collect();
+    assert_eq!(cached.len(), 1, "{errors:?}");
+    assert_eq!(cached[0].defect, Defect::UseAfterRecycle);
+    assert_eq!(cached[0].op, "lstm");
+
+    set_check_enabled(false);
+}

@@ -10,12 +10,20 @@
 //!
 //! Gate weights are stored cuDNN-style as single wide matrices —
 //! `wx: input_dim×4h`, `wh: hidden_dim×4h`, `b: 1×4h` — with the four
-//! gates column-blocked in `[i|f|o|g]` order. Each timestep then costs
-//! one `x·Wx` GEMM, one `h·Wh` GEMM, and a column split (the tape's
-//! `slice_cols`), instead of eight tiny per-gate GEMMs. On top of that
-//! the input projections for *all* timesteps are hoisted out of the
-//! recurrence into one `T×4h` GEMM (`seq·Wx`), leaving only the
-//! inherently-serial `h·Wh` product inside the loop.
+//! gates column-blocked in `[i|f|o|g]` order. The input projections for
+//! *all* timesteps are hoisted out of the recurrence into one `T×4h`
+//! GEMM (`seq·Wx`), leaving only the inherently-serial `h·Wh` product
+//! inside the loop; each step's gate math is then one call of
+//! [`kernel::lstm_gates`], the cell's single definition.
+//!
+//! # One tape node per sequence
+//!
+//! [`LstmEncoder::forward_tape`] records two nodes per sequence: the
+//! `seq·Wx` matmul and one [`Tape::lstm`] node, which runs the whole
+//! recurrence forward and its BPTT backward inside itself. The
+//! tape-free [`LstmEncoder::encode`] and the batch encoders call the
+//! same gate function, so the tape's final state equals `encode`'s bit
+//! for bit.
 
 use dc_tensor::{kernel, Tape, Tensor, Var};
 use rand::rngs::StdRng;
@@ -24,6 +32,9 @@ use std::collections::BTreeMap;
 
 /// Gate order inside the fused column blocks.
 const GATES: usize = 4; // input, forget, output, candidate
+/// Width, in hidden units, of one [`kernel::lstm_gates`] output row:
+/// `[i|f|o|g|c|tanh c|h]`.
+const CELL: usize = 7;
 
 /// A single-direction LSTM encoder with fused gate projections:
 /// `z = xWx + hWh + b` (`1×4h`), `i,f,o = σ(z[·])`, `g = tanh(z[·])`,
@@ -108,27 +119,10 @@ impl LstmEncoder {
     /// Encode a `T×input_dim` sequence var; returns the final hidden
     /// state (`1×hidden_dim`). Empty sequences yield a zero state.
     pub fn forward_tape(&self, tape: &Tape, seq: Var, vars: &LstmVars) -> Var {
-        let hd = self.hidden_dim;
-        let steps = tape.shape(seq).0;
-        let mut h = tape.var(Tensor::zeros(1, hd));
-        let mut c = tape.var(Tensor::zeros(1, hd));
-        if steps == 0 {
-            return h;
+        if tape.shape(seq).0 == 0 {
+            return tape.var(Tensor::zeros(1, self.hidden_dim));
         }
-        // One T×4h GEMM covers every timestep's input projection; only
-        // h·Wh stays inside the recurrence.
-        let xw = tape.matmul(seq, vars.wx);
-        for t in 0..steps {
-            let xt = tape.rows_select(xw, vec![t]);
-            let z = tape.add_row(tape.add(xt, tape.matmul(h, vars.wh)), vars.b);
-            let i = tape.sigmoid(tape.slice_cols(z, 0, hd));
-            let f = tape.sigmoid(tape.slice_cols(z, hd, hd));
-            let o = tape.sigmoid(tape.slice_cols(z, 2 * hd, hd));
-            let g = tape.tanh(tape.slice_cols(z, 3 * hd, hd));
-            c = tape.add(tape.mul(f, c), tape.mul(i, g));
-            h = tape.mul(o, tape.tanh(c));
-        }
-        h
+        tape.lstm(tape.matmul(seq, vars.wx), vars.wh, vars.b)
     }
 
     /// Tape-free encode of a `T×input_dim` sequence tensor (inference).
@@ -139,29 +133,19 @@ impl LstmEncoder {
         if seq.rows == 0 {
             return h;
         }
-        let mut c = Tensor::zeros(1, hd);
+        let mut c = vec![0.0f32; hd];
         // All T input projections in one GEMM up front; the loop body
         // allocates nothing — the recurrent GEMM accumulates into a
-        // reused scratch row and the gate math updates h/c in place.
+        // reused scratch row and the gate math writes a reused cell row.
         let xw = seq.matmul(&self.wx);
         let mut hw = vec![0.0f32; GATES * hd];
-        let mut z = vec![0.0f32; GATES * hd];
+        let mut cell = vec![0.0f32; CELL * hd];
         for t in 0..seq.rows {
             hw.fill(0.0);
             kernel::matmul_into(&h, &self.wh, &mut hw);
-            let xr = xw.row_slice(t);
-            for k in 0..GATES * hd {
-                z[k] = (xr[k] + hw[k]) + self.b.data[k];
-            }
-            for j in 0..hd {
-                let i = sigmoid(z[j]);
-                let f = sigmoid(z[hd + j]);
-                let o = sigmoid(z[2 * hd + j]);
-                let g = z[3 * hd + j].tanh();
-                let cj = f * c.data[j] + i * g;
-                c.data[j] = cj;
-                h.data[j] = o * cj.tanh();
-            }
+            kernel::lstm_gates(xw.row_slice(t), &hw, &self.b.data, &c, &mut cell);
+            c.copy_from_slice(&cell[4 * hd..5 * hd]);
+            h.data.copy_from_slice(&cell[6 * hd..]);
         }
         h
     }
@@ -233,6 +217,7 @@ impl LstmEncoder {
             let mut hmat = Tensor::zeros(bpad, hd);
             let mut cmat = Tensor::zeros(bsz, hd);
             let mut hw = vec![0.0f32; bpad * GATES * hd];
+            let mut cell = vec![0.0f32; CELL * hd];
             for t in 0..tlen {
                 hw.fill(0.0);
                 kernel::matmul_into(&hmat, &self.wh, &mut hw);
@@ -242,20 +227,9 @@ impl LstmEncoder {
                     let xr = xw.row_slice(lane * tpad + t);
                     let hwr = &hw[lane * GATES * hd..(lane + 1) * GATES * hd];
                     let cr = cmat.row_slice_mut(lane);
-                    let hr = hmat.row_slice_mut(lane);
-                    for j in 0..hd {
-                        let zi = (xr[j] + hwr[j]) + self.b.data[j];
-                        let zf = (xr[hd + j] + hwr[hd + j]) + self.b.data[hd + j];
-                        let zo = (xr[2 * hd + j] + hwr[2 * hd + j]) + self.b.data[2 * hd + j];
-                        let zg = (xr[3 * hd + j] + hwr[3 * hd + j]) + self.b.data[3 * hd + j];
-                        let i = sigmoid(zi);
-                        let f = sigmoid(zf);
-                        let o = sigmoid(zo);
-                        let g = zg.tanh();
-                        let cj = f * cr[j] + i * g;
-                        cr[j] = cj;
-                        hr[j] = o * cj.tanh();
-                    }
+                    kernel::lstm_gates(xr, hwr, &self.b.data, cr, &mut cell);
+                    cr.copy_from_slice(&cell[4 * hd..5 * hd]);
+                    hmat.row_slice_mut(lane).copy_from_slice(&cell[6 * hd..]);
                 }
             }
             for (lane, &i) in idxs.iter().enumerate() {
@@ -284,10 +258,6 @@ impl LstmEncoder {
     pub fn slot_count(&self) -> usize {
         3
     }
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// A bidirectional LSTM: concatenates forward and backward final states
@@ -427,7 +397,11 @@ mod tests {
         let vars = enc.bind(&tape);
         let sv = tape.var_from(&seq);
         let h = enc.forward_tape(&tape, sv, &vars);
-        assert!(fast.distance(&tape.value(h)) < 1e-5);
+        assert_eq!(
+            fast.data,
+            tape.value(h).data,
+            "tape and encode share the gate math"
+        );
     }
 
     #[test]
@@ -443,7 +417,11 @@ mod tests {
         let vars = enc.bind(&tape);
         let sv = tape.var_from(&seq);
         let h = enc.forward_tape(&tape, sv, &vars);
-        assert!(fast.distance(&tape.value(h)) < 1e-5);
+        assert_eq!(
+            fast.data,
+            tape.value(h).data,
+            "tape and encode share the gate math"
+        );
     }
 
     #[test]

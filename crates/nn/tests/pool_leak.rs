@@ -144,8 +144,8 @@ fn mlp_step_pool_traffic_is_pinned_and_steady() {
 }
 
 /// One DeeperLstmMicro-shaped training step: shared-LSTM pair encoding
-/// (T×4h input precompute, slice_cols gate splits), |ha−hb| ⧺ ha⊙hb
-/// features, MLP classifier, BCE loss.
+/// (T×4h input precompute, one `lstm` node per sequence), |ha−hb| ⧺
+/// ha⊙hb features, MLP classifier, BCE loss.
 #[test]
 fn deeper_lstm_step_pool_traffic_is_pinned_and_steady() {
     let mut rng = StdRng::seed_from_u64(23);
@@ -160,12 +160,15 @@ fn deeper_lstm_step_pool_traffic_is_pinned_and_steady() {
         &mut rng,
     );
     let mut opt = Adam::new(0.01);
+    // One `lstm` node per sequence: each step's gate split, gate
+    // activations and cell update are no longer nodes with buffers of
+    // their own (was 415 hits / 386 misses, 36 092 B high water).
     let first = PoolStats {
-        hits: 415,
-        misses: 386,
-        outstanding_bytes: 32056,
-        held_bytes: 4036,
-        high_water_bytes: 36092,
+        hits: 14,
+        misses: 45,
+        outstanding_bytes: 17912,
+        held_bytes: 2660,
+        high_water_bytes: 20572,
     };
     pin_first_step_then_steady_state("deeper-lstm", first, |tape| {
         let lvars = encoder.bind(tape);

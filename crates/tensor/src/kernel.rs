@@ -1191,6 +1191,52 @@ pub fn add_row_inplace(x: &mut Tensor, row: &[f32]) {
     });
 }
 
+/// The logistic sigmoid `1 / (1 + e^-x)`.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// One LSTM timestep: the one definition of the cell's gate math, which
+/// the tape's [`lstm`](crate::Tape::lstm) op and the tape-free encoders
+/// share, so training and inference compute the same bits.
+///
+/// `xw` (the step's input projection), `hw` (the recurrent product
+/// `h·Wh`) and `b` are `4h`-wide rows in `[i|f|o|g]` column blocks;
+/// `c_prev` is the previous cell state. `out` (`7h` wide) receives
+/// `[i|f|o|g|c|tanh c|h]`:
+///
+/// `z = (xw + hw) + b`, `i, f, o = σ(z)`, `g = tanh z`,
+/// `c = f·c_prev + i·g`, `h = o·tanh c`.
+pub fn lstm_gates(xw: &[f32], hw: &[f32], b: &[f32], c_prev: &[f32], out: &mut [f32]) {
+    let hd = c_prev.len();
+    assert!(
+        xw.len() == 4 * hd && hw.len() == 4 * hd && b.len() == 4 * hd && out.len() == 7 * hd,
+        "lstm_gates: rows of {}, {}, {} and {} for h = {hd}",
+        xw.len(),
+        hw.len(),
+        b.len(),
+        out.len()
+    );
+    let z = |k: usize| (xw[k] + hw[k]) + b[k];
+    let (gates, state) = out.split_at_mut(4 * hd);
+    for j in 0..hd {
+        let i = sigmoid(z(j));
+        let f = sigmoid(z(hd + j));
+        let o = sigmoid(z(2 * hd + j));
+        let g = z(3 * hd + j).tanh();
+        let c = f * c_prev[j] + i * g;
+        let tc = c.tanh();
+        gates[j] = i;
+        gates[hd + j] = f;
+        gates[2 * hd + j] = o;
+        gates[3 * hd + j] = g;
+        state[j] = c;
+        state[hd + j] = tc;
+        state[2 * hd + j] = o * tc;
+    }
+}
+
 /// Fill each slot of `out` from `f(index)`, in parallel when the pool
 /// has idle threads. Used by batch forward paths (e.g. LSTM lanes)
 /// where every lane is independent.

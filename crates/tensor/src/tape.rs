@@ -91,11 +91,6 @@ pub enum Op {
     RowsSelect(Var, Vec<usize>),
     /// Mean over selected rows of `a`, one output row per group.
     RowsMean(Var, Vec<Vec<usize>>),
-    /// Narrow column view: columns `start..start+len` of `a`
-    /// (`(a, start, len)`), copied out. Backward scatter-accumulates
-    /// into a zero-filled input-shaped gradient, so overlapping slices
-    /// of the same source compose like any other shared consumer.
-    SliceCols(Var, usize, usize),
     /// Elementwise product with a fixed 0/1 mask, rescaled by `1/keep`.
     Dropout(Var, Tensor),
     /// Mean-squared-error against a constant target (scalar output).
@@ -122,6 +117,33 @@ pub enum Op {
         /// Cached row-softmax from the forward pass.
         probs: Tensor,
     },
+    /// A whole LSTM sequence from a zero state (see [`Tape::lstm`]);
+    /// the node's value is the final hidden state.
+    Lstm {
+        /// The hoisted input projection `seq·Wx` (`T×4h`).
+        xw: Var,
+        /// Recurrent weights (`h×4h`).
+        wh: Var,
+        /// Gate biases (`1×4h`).
+        b: Var,
+        /// Each step's `[i|f|o|g|c|tanh c|h]` row from the forward
+        /// pass (`T×7h`).
+        cache: Tensor,
+    },
+}
+
+/// The one list of ops that cache a pooled auxiliary tensor for
+/// backward: a `match` on `$op` giving that tensor as an `Option`, by
+/// reference in [`Op::aux`] and by value in [`Tape::recycle`].
+macro_rules! aux_tensor {
+    ($op:expr) => {
+        match $op {
+            Op::BceWithLogits { probs: aux, .. }
+            | Op::SoftmaxCe { probs: aux, .. }
+            | Op::Lstm { cache: aux, .. } => Some(aux),
+            _ => None,
+        }
+    };
 }
 
 impl Op {
@@ -148,12 +170,24 @@ impl Op {
             | Op::Mean(a)
             | Op::RowsSelect(a, _)
             | Op::RowsMean(a, _)
-            | Op::SliceCols(a, _, _)
             | Op::Dropout(a, _)
             | Op::MseLoss(a, _) => f(*a),
             Op::Concat(parts) => parts.iter().for_each(|&p| f(p)),
             Op::BceWithLogits { logits, .. } | Op::SoftmaxCe { logits, .. } => f(*logits),
+            Op::Lstm { xw, wh, b, .. } => {
+                f(*xw);
+                f(*wh);
+                f(*b);
+            }
         }
+    }
+
+    /// The pool-backed auxiliary tensor this op caches for backward, if
+    /// any: the loss ops' `probs` and the LSTM's per-step `cache`.
+    /// [`Tape::recycle`] returns it to the pool with the node's value,
+    /// and `dc-check` scans it for recycle poison.
+    pub fn aux(&self) -> Option<&Tensor> {
+        aux_tensor!(self)
     }
 }
 
@@ -163,10 +197,8 @@ struct Node {
     /// Value buffer came from the tape's pool (recycled at step end).
     /// False for caller-moved leaves, which the caller may hold clones
     /// of and whose sizes would otherwise grow the pool unboundedly.
+    /// An op's [`Op::aux`] tensor always comes from the pool.
     pooled: bool,
-    /// The op embeds a pool-allocated auxiliary tensor (the cached
-    /// `probs` of the loss ops) that `recycle` must also return.
-    aux_pooled: bool,
 }
 
 /// An autograd tape: an append-only arena of [`Op`] nodes backed by a
@@ -222,7 +254,7 @@ impl Tape {
     }
 
     /// End-of-step reset: return every pooled buffer (node values,
-    /// cached loss probabilities, gradients) to the tape's pool, clear
+    /// cached [`Op::aux`] tensors, gradients) to the tape's pool, clear
     /// the arena keeping its capacity, and mint a fresh generation id so
     /// stale [`Var`]s from the finished step fail fast. The next step
     /// records onto the same tape and its allocations hit the pool's
@@ -233,13 +265,8 @@ impl Tape {
             if node.pooled {
                 self.pool.put(node.value.data);
             }
-            if node.aux_pooled {
-                match node.op {
-                    Op::BceWithLogits { probs, .. } | Op::SoftmaxCe { probs, .. } => {
-                        self.pool.put(probs.data)
-                    }
-                    _ => debug_assert!(false, "aux_pooled on an op without an aux tensor"),
-                }
+            if let Some(aux) = aux_tensor!(node.op) {
+                self.pool.put(aux.data);
             }
         }
         drop(nodes);
@@ -284,20 +311,11 @@ impl Tape {
     }
 
     fn push(&self, value: Tensor, pooled: bool, op: Op) -> Var {
-        self.push_full(value, pooled, false, op)
-    }
-
-    fn push_full(&self, value: Tensor, pooled: bool, aux_pooled: bool, op: Op) -> Var {
         static TAPE_NODES: dc_obs::Counter = dc_obs::Counter::new("tape.nodes");
         TAPE_NODES.incr();
         self.assert_owned_op(&op);
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node {
-            value,
-            op,
-            pooled,
-            aux_pooled,
-        });
+        nodes.push(Node { value, op, pooled });
         self.grads.borrow_mut().push(None);
         Var {
             index: nodes.len() - 1,
@@ -664,31 +682,58 @@ impl Tape {
         self.push(v, true, Op::RowsMean(a, groups))
     }
 
-    /// Narrow column view: columns `start..start+len` of `a`, copied.
-    /// The fused-LSTM hot path splits one `1×4h` gate pre-activation
-    /// into four `1×h` gate lanes with this.
+    /// A whole LSTM sequence as one node: the recurrence of
+    /// [`kernel::lstm_gates`](crate::kernel::lstm_gates) over the rows of
+    /// `xw` from a zero `h` and `c`, returning the final hidden state
+    /// (`1×h`). `xw` is the hoisted input projection `seq·Wx` (`T×4h`),
+    /// `wh` the recurrent weights (`h×4h`) and `b` the biases (`1×4h`),
+    /// gates in `[i|f|o|g]` column blocks. Each step's
+    /// `[i|f|o|g|c|tanh c|h]` row stays in the node's pooled `cache`
+    /// for backward, which runs BPTT inside this one node.
     ///
     /// # Panics
-    /// Panics on an empty (`len == 0`) or out-of-range column slice.
-    pub fn slice_cols(&self, a: Var, start: usize, len: usize) -> Var {
-        let _fwd = dc_obs::timer("tape.fwd", "slice_cols");
-        let v = self.with_values(|n| {
-            let x = &n[a.index].value;
-            assert!(len > 0, "slice_cols: empty column slice");
+    /// On an empty sequence, shapes that do not fit `T×4h`, `h×4h`,
+    /// `1×4h`, or `wh` and `b` being the same node.
+    pub fn lstm(&self, xw: Var, wh: Var, b: Var) -> Var {
+        let _fwd = dc_obs::timer("tape.fwd", "lstm");
+        assert_ne!(wh.index, b.index, "lstm: Wh and b are the same node");
+        let (h, cache) = self.with_values(|n| {
+            let (x, w, bias) = (&n[xw.index].value, &n[wh.index].value, &n[b.index].value);
+            let hd = w.rows;
+            assert!(x.rows > 0 && hd > 0, "lstm: empty sequence or hidden state");
             assert!(
-                start + len <= x.cols,
-                "slice_cols: columns {start}..{} out of 0..{}",
-                start + len,
-                x.cols
+                w.cols == 4 * hd && x.cols == w.cols && (bias.rows, bias.cols) == (1, w.cols),
+                "lstm: xw {}x{}, Wh {}x{}, b {}x{} do not fit T×4h, h×4h, 1×4h",
+                x.rows,
+                x.cols,
+                w.rows,
+                w.cols,
+                bias.rows,
+                bias.cols
             );
-            let mut out = self.alloc(x.rows, len);
-            for r in 0..x.rows {
-                out.row_slice_mut(r)
-                    .copy_from_slice(&x.row_slice(r)[start..start + len]);
+            let width = 7 * hd;
+            let mut cache = self.alloc(x.rows, width);
+            // The running hidden state, zero at t = 0: `h0·Wh` is
+            // computed like every other step's product, and the same
+            // zero row is `c0`.
+            let mut h = self.alloc_zeroed(1, hd);
+            let mut hw = self.pool.take(4 * hd);
+            for t in 0..x.rows {
+                hw.fill(0.0);
+                crate::kernel::matmul_into(&h, w, &mut hw);
+                let (done, rest) = cache.data.split_at_mut(t * width);
+                let c_prev = match t {
+                    0 => &h.data[..],
+                    _ => &done[(t - 1) * width + 4 * hd..(t - 1) * width + 5 * hd],
+                };
+                let row = &mut rest[..width];
+                crate::kernel::lstm_gates(x.row_slice(t), &hw, &bias.data, c_prev, row);
+                h.data.copy_from_slice(&row[6 * hd..]);
             }
-            out
+            self.pool.put(hw);
+            (h, cache)
         });
-        self.push(v, true, Op::SliceCols(a, start, len))
+        self.push(h, true, Op::Lstm { xw, wh, b, cache })
     }
 
     /// Inverted dropout with the given 0/1 `mask` (already scaled to the
@@ -759,9 +804,8 @@ impl Tape {
             }
             (probs, self.alloc_scalar(loss / z.len() as f32))
         });
-        self.push_full(
+        self.push(
             loss,
-            true,
             true,
             Op::BceWithLogits {
                 logits,
@@ -801,9 +845,8 @@ impl Tape {
             }
             (probs, self.alloc_scalar(loss / labels.len() as f32))
         });
-        self.push_full(
+        self.push(
             loss,
-            true,
             true,
             Op::SoftmaxCe {
                 logits,
@@ -1025,19 +1068,6 @@ impl Tape {
                     self.acc_owned(&mut grads, &nodes, a.index, ga);
                     self.pool.put(g.data);
                 }
-                Op::SliceCols(a, start, _) => {
-                    let (r, c) = (nodes[a.index].value.rows, nodes[a.index].value.cols);
-                    let start = *start;
-                    let mut ga = self.alloc_zeroed(r, c);
-                    for row in 0..g.rows {
-                        let dst = &mut ga.row_slice_mut(row)[start..start + g.cols];
-                        for (o, &v) in dst.iter_mut().zip(g.row_slice(row)) {
-                            *o += v;
-                        }
-                    }
-                    self.acc_owned(&mut grads, &nodes, a.index, ga);
-                    self.pool.put(g.data);
-                }
                 Op::RowsMean(a, groups) => {
                     let (r, c) = (nodes[a.index].value.rows, nodes[a.index].value.cols);
                     let mut ga = self.alloc_zeroed(r, c);
@@ -1110,10 +1140,108 @@ impl Tape {
                     self.acc_owned(&mut grads, &nodes, logits.index, gz);
                     self.pool.put(g.data);
                 }
+                Op::Lstm { xw, wh, b, cache } => {
+                    let w = &nodes[wh.index].value;
+                    let mut dwh = grads[wh.index]
+                        .take()
+                        .unwrap_or_else(|| self.alloc_zeroed(w.rows, w.cols));
+                    let mut db = grads[b.index]
+                        .take()
+                        .unwrap_or_else(|| self.alloc_zeroed(1, w.cols));
+                    let dxw = self.lstm_backward(&g, cache, w, &mut dwh, &mut db);
+                    grads[wh.index] = Some(dwh);
+                    grads[b.index] = Some(db);
+                    self.acc_owned(&mut grads, &nodes, xw.index, dxw);
+                    self.pool.put(g.data);
+                }
             }
         }
 
         *self.grads.borrow_mut() = grads;
+    }
+
+    /// BPTT through one [`Op::Lstm`] node, last step first: adds each
+    /// step's `Wh` and `b` terms into `dwh` and `db` in place and returns
+    /// `dxw` (`T×4h`). `dh` is the gradient of the final hidden state.
+    ///
+    /// Every element follows the float sequence of the graph the op
+    /// replaced, which composed each step from primitive nodes:
+    /// - `dc_t = (dc_{t+1}·f_{t+1}) + ((dh·o)·(1 − tanh² c))`, the carried
+    ///   term first (the last step has none);
+    /// - sigmoid′ as `(g·y)·(1 − y)`, tanh′ as `g·(1 − y²)`;
+    /// - each gate gradient lands as `0.0 + x`, as it did through the
+    ///   zero-filled gate-split temporaries; that row is `dxw`'s row `t`
+    ///   and `db`'s term, and `Wh`'s term is `0.0 + h_{t−1}·dz`;
+    /// - `dh_{t−1} = dz·Whᵀ` through [`kernel::matmul_t_into`](crate::kernel::matmul_t_into);
+    /// - step 0 multiplies by its zero `h` and `c` like any other step.
+    fn lstm_backward(
+        &self,
+        dh: &Tensor,
+        cache: &Tensor,
+        w: &Tensor,
+        dwh: &mut Tensor,
+        db: &mut Tensor,
+    ) -> Tensor {
+        let hd = w.rows;
+        let width = 7 * hd;
+        let steps = cache.rows;
+        let mut dxw = self.alloc(steps, 4 * hd);
+        let mut dz = self.alloc(1, 4 * hd);
+        let mut dh = self.pcopy(dh);
+        // `dc_{t+1}·f_{t+1}`, carried from step t + 1 to step t.
+        let mut carry = self.pool.take(hd);
+        // Step 0's `h_{-1}` and `c_{-1}`.
+        let zero = self.pool.take_zeroed(hd);
+        for t in (0..steps).rev() {
+            let row = cache.row_slice(t);
+            let (i, f, o, g) = (
+                &row[..hd],
+                &row[hd..2 * hd],
+                &row[2 * hd..3 * hd],
+                &row[3 * hd..4 * hd],
+            );
+            let tc = &row[5 * hd..6 * hd];
+            let (h_prev, c_prev) = match t {
+                0 => (&zero[..], &zero[..]),
+                _ => {
+                    let prev = &cache.data[(t - 1) * width..t * width];
+                    (&prev[6 * hd..], &prev[4 * hd..5 * hd])
+                }
+            };
+            let last = t + 1 == steps;
+            for j in 0..hd {
+                let d_tc = dh.data[j] * o[j];
+                let dc_own = d_tc * (1.0 - tc[j] * tc[j]);
+                let dc = if last { dc_own } else { carry[j] + dc_own };
+                let d_o = dh.data[j] * tc[j];
+                let d_i = dc * g[j];
+                let d_g = dc * i[j];
+                let d_f = dc * c_prev[j];
+                carry[j] = dc * f[j];
+                dz.data[j] = 0.0 + (d_i * i[j]) * (1.0 - i[j]);
+                dz.data[hd + j] = 0.0 + (d_f * f[j]) * (1.0 - f[j]);
+                dz.data[2 * hd + j] = 0.0 + (d_o * o[j]) * (1.0 - o[j]);
+                dz.data[3 * hd + j] = 0.0 + d_g * (1.0 - g[j] * g[j]);
+            }
+            dxw.row_slice_mut(t).copy_from_slice(&dz.data);
+            // `dz` already carries the `0.0 +`, so `0.0 + dz` is `dz`.
+            for (s, &d) in db.data.iter_mut().zip(&dz.data) {
+                *s += d;
+            }
+            for (srow, &hp) in dwh.data.chunks_exact_mut(4 * hd).zip(h_prev) {
+                for (s, &d) in srow.iter_mut().zip(&dz.data) {
+                    *s += 0.0 + hp * d;
+                }
+            }
+            if t > 0 {
+                crate::kernel::matmul_t_into(&dz, w, &mut dh.data);
+            }
+        }
+        self.pool.put(zero);
+        self.pool.put(carry);
+        self.pool.put(dh.data);
+        self.pool.put(dz.data);
+        dxw
     }
 }
 
@@ -1150,11 +1278,11 @@ pub fn op_name(op: &Op) -> &'static str {
         Op::Concat(..) => "concat",
         Op::RowsSelect(..) => "rows_select",
         Op::RowsMean(..) => "rows_mean",
-        Op::SliceCols(..) => "slice_cols",
         Op::Dropout(..) => "dropout",
         Op::MseLoss(..) => "mse_loss",
         Op::BceWithLogits { .. } => "bce_with_logits",
         Op::SoftmaxCe { .. } => "softmax_ce",
+        Op::Lstm { .. } => "lstm",
     }
 }
 
@@ -1226,19 +1354,23 @@ mod tests {
         assert!(err < 1e-2, "err {err}");
     }
 
+    /// Deterministic `rows×cols` values in `[-1, 1]`, varied by `salt`.
+    fn wave(rows: usize, cols: usize, salt: usize) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|i| ((i * 7 + salt * 5) % 11) as f32 * 0.2 - 1.0)
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
     #[test]
-    fn gradcheck_slice_cols() {
-        let x = Tensor::from_vec(2, 4, vec![0.1, 0.9, -0.2, 0.4, 0.7, -0.5, 0.3, 0.3]);
+    fn gradcheck_lstm() {
+        // Through a 3-step recurrence, w.r.t. the input projection; the
+        // loss squares the final state so every step carries gradient.
         let err = grad_check(
-            &x,
+            &wave(3, 8, 0),
             |t, v| {
-                // Overlapping slices exercise the scatter-accumulate
-                // backward: columns 1..3 receive credit from both.
-                let a = t.slice_cols(v, 0, 3);
-                let b = t.slice_cols(v, 1, 3);
-                let wa = t.var(Tensor::from_vec(2, 3, vec![0.3, -0.6, 0.2, 0.8, 0.1, -0.4]));
-                let wb = t.var(Tensor::from_vec(2, 3, vec![-0.2, 0.5, 0.7, -0.9, 0.4, 0.6]));
-                t.add(t.sum(t.mul(a, wa)), t.sum(t.mul(b, wb)))
+                let h = t.lstm(v, t.var(wave(2, 8, 1)), t.var(wave(1, 8, 2)));
+                t.sum(t.mul(h, h))
             },
             1e-3,
         );
@@ -1246,32 +1378,45 @@ mod tests {
     }
 
     #[test]
-    fn slice_cols_forward_copies_the_window() {
+    fn lstm_steps_the_shared_gate_function() {
+        let (x, w, b) = (wave(2, 8, 3), wave(2, 8, 4), wave(1, 8, 5));
         let tape = Tape::new();
-        let x = tape.var(Tensor::from_vec(
-            2,
-            4,
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
-        ));
-        let s = tape.slice_cols(x, 1, 2);
-        assert_eq!(tape.value(s).data, vec![2.0, 3.0, 6.0, 7.0]);
-        assert_eq!(tape.shape(s), (2, 2));
+        let h = tape.lstm(tape.var_from(&x), tape.var_from(&w), tape.var_from(&b));
+        let mut state = Tensor::zeros(1, 2);
+        let mut c = vec![0.0; 2];
+        let mut row = vec![0.0; 14];
+        for t in 0..2 {
+            let hw = crate::kernel::matmul(&state, &w);
+            crate::kernel::lstm_gates(x.row_slice(t), &hw.data, &b.data, &c, &mut row);
+            c.copy_from_slice(&row[8..10]);
+            state.data.copy_from_slice(&row[12..]);
+        }
+        assert_eq!(tape.value(h).data, state.data);
+        assert_eq!(tape.shape(h), (1, 2));
     }
 
     #[test]
-    #[should_panic(expected = "slice_cols: columns")]
-    fn slice_cols_rejects_out_of_range() {
+    #[should_panic(expected = "do not fit T×4h, h×4h, 1×4h")]
+    fn lstm_rejects_mismatched_shapes() {
         let tape = Tape::new();
-        let x = tape.var(Tensor::zeros(2, 4));
-        let _ = tape.slice_cols(x, 3, 2);
+        let x = tape.var(Tensor::zeros(3, 8));
+        let _ = tape.lstm(
+            x,
+            tape.var(Tensor::zeros(2, 8)),
+            tape.var(Tensor::zeros(1, 6)),
+        );
     }
 
     #[test]
-    #[should_panic(expected = "empty column slice")]
-    fn slice_cols_rejects_empty() {
+    #[should_panic(expected = "lstm: empty sequence")]
+    fn lstm_rejects_an_empty_sequence() {
         let tape = Tape::new();
-        let x = tape.var(Tensor::zeros(2, 4));
-        let _ = tape.slice_cols(x, 1, 0);
+        let x = tape.var(Tensor::zeros(0, 8));
+        let _ = tape.lstm(
+            x,
+            tape.var(Tensor::zeros(2, 8)),
+            tape.var(Tensor::zeros(1, 8)),
+        );
     }
 
     #[test]

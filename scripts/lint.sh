@@ -80,6 +80,9 @@ gates=(
     "== one node per unary op: no elementwise fusion, fusion gate or fusion verdicts"
     "run if git grep -nE 'FusedEltwise|EltStage|fuse_enabled|IllegalFusion|FusionVerdict' -- 'crates/*/src/*' src; then exit 1; fi"
 
+    "== one tape node per LSTM sequence: no column-slice op"
+    "run if git grep -nE 'SliceCols|slice_cols' -- 'crates/*/src/*' src; then exit 1; fi"
+
     "== chunked-store + CSR equivalence"
     "pool dc-data:chunk_equiv"
     "pool dc-data:csr_equiv"
@@ -90,7 +93,7 @@ gates=(
     "== pool bitwise equivalence (recycled pooled tape vs fresh unpooled tape)"
     "pool dc-tensor:pool_equiv"
 
-    "== fused-LSTM equivalence (per-gate oracle, pooled vs fresh tape) + DeepER-LSTM golden run"
+    "== fused-LSTM equivalence (per-gate oracle, pooled vs fresh tape, recorded training-graph hash) + DeepER-LSTM golden run"
     "pool dc-nn:lstm_fused_equiv"
     "pool dc-er:deeper_lstm_golden"
 
