@@ -1191,9 +1191,10 @@ pub fn add_row_inplace(x: &mut Tensor, row: &[f32]) {
     });
 }
 
-/// The logistic sigmoid `1 / (1 + e^-x)`.
+/// The logistic sigmoid `1 / (1 + e^-x)` of the tape's `sigmoid` and
+/// `bce_with_logits` ops and of [`lstm_gates`].
 #[inline]
-pub fn sigmoid(x: f32) -> f32 {
+pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
@@ -1218,22 +1219,29 @@ pub fn lstm_gates(xw: &[f32], hw: &[f32], b: &[f32], c_prev: &[f32], out: &mut [
         b.len(),
         out.len()
     );
-    let z = |k: usize| (xw[k] + hw[k]) + b[k];
+    // One pass per activation: each libm call is independent of the
+    // next, so consecutive calls overlap.
     let (gates, state) = out.split_at_mut(4 * hd);
+    let z = |k: usize| (xw[k] + hw[k]) + b[k];
+    for (k, y) in gates[..3 * hd].iter_mut().enumerate() {
+        *y = sigmoid(z(k));
+    }
+    for (k, y) in gates.iter_mut().enumerate().skip(3 * hd) {
+        *y = z(k).tanh();
+    }
+    let (ifo, g) = gates.split_at(3 * hd);
+    let (i, fo) = ifo.split_at(hd);
+    let (f, o) = fo.split_at(hd);
+    let (c, rest) = state.split_at_mut(hd);
+    let (tc, h) = rest.split_at_mut(hd);
     for j in 0..hd {
-        let i = sigmoid(z(j));
-        let f = sigmoid(z(hd + j));
-        let o = sigmoid(z(2 * hd + j));
-        let g = z(3 * hd + j).tanh();
-        let c = f * c_prev[j] + i * g;
-        let tc = c.tanh();
-        gates[j] = i;
-        gates[hd + j] = f;
-        gates[2 * hd + j] = o;
-        gates[3 * hd + j] = g;
-        state[j] = c;
-        state[hd + j] = tc;
-        state[2 * hd + j] = o * tc;
+        c[j] = f[j] * c_prev[j] + i[j] * g[j];
+    }
+    for (t, &cj) in tc.iter_mut().zip(c.iter()) {
+        *t = cj.tanh();
+    }
+    for j in 0..hd {
+        h[j] = o[j] * tc[j];
     }
 }
 

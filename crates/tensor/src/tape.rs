@@ -542,7 +542,7 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        self.unary(a, Op::Sigmoid(a), |x| 1.0 / (1.0 + (-x).exp()))
+        self.unary(a, Op::Sigmoid(a), crate::kernel::sigmoid)
     }
 
     /// Hyperbolic tangent.
@@ -795,7 +795,7 @@ impl Tape {
                 (weights.rows, weights.cols),
                 "bce weights"
             );
-            let probs = self.pmap(z, |x| 1.0 / (1.0 + (-x).exp()));
+            let probs = self.pmap(z, crate::kernel::sigmoid);
             let mut loss = 0.0;
             for i in 0..z.len() {
                 let p = probs.data[i].clamp(1e-7, 1.0 - 1e-7);
