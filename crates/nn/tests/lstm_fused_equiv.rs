@@ -1,9 +1,9 @@
 //! Fused-LSTM equivalence suite (ISSUE 7).
 //!
 //! The fused gate path (one `T×4h` input GEMM, one `h·Wh` GEMM per
-//! step, `slice_cols` gate splits) must stay interchangeable with the
-//! per-gate formulation it replaced (eight tiny per-gate GEMMs per
-//! step), which lives on only as this file's [`per_gate`] oracle:
+//! step, one `lstm` tape node per sequence) must stay interchangeable
+//! with the per-gate formulation it replaced (eight tiny per-gate GEMMs
+//! per step), which lives on only as this file's [`per_gate`] oracle:
 //!
 //! 1. **Cross-mode within 1e-5.** The kernel accumulates full `NR`-wide
 //!    column strips (and full `MR`-row tiles) with hardware FMA but the
@@ -20,9 +20,13 @@
 //!    lanes match solo `encode` to within a few ulps (bitwise when the
 //!    row tiling lines up; `lstm.rs` has a unit test pinning that).
 //! 3. **Pooled vs fresh bitwise.** A recycled pooled tape running the
-//!    fused graph (slice_cols backward included) replays the identical
-//!    GEMM shapes, so it must reproduce a fresh unpooled tape bit for
-//!    bit.
+//!    fused graph (the `lstm` node's BPTT backward included) replays
+//!    the identical GEMM shapes, so it must reproduce a fresh unpooled
+//!    tape bit for bit.
+//! 4. **Recorded bits.** A hash over 250 random shared-weight training
+//!    graphs, recorded when each timestep was 17 primitive tape nodes,
+//!    pins every forward value and gradient of the one-node-per-sequence
+//!    op.
 //!
 //! `scripts/lint.sh` runs this suite under `DC_THREADS` 1, 2, and the
 //! default. The pool gate is process-global, so tests serialise on a
@@ -178,7 +182,7 @@ fn fnv(h: &mut u64, words: &[f32]) {
     }
 }
 
-/// Property 3: the training graph's bits are pinned. 250 random graphs,
+/// Property 4: the training graph's bits are pinned. 250 random graphs,
 /// two per `(d, h, T)` in the grid below, each encoding two sequences
 /// (lengths `T` and a random one from the same list) with one shared
 /// set of weights and a loss that mixes both final states. One FNV-1a
@@ -332,9 +336,9 @@ proptest! {
         prop_assert!(close(&enc_f.b, &enc_u.b, 1e-5));
     }
 
-    /// Property 2b: the fused-LSTM graph (slice_cols included) on a
-    /// recycled pooled tape ≡ a fresh unpooled tape, bit for bit —
-    /// loss trace and final parameters.
+    /// Property 2b: the fused-LSTM graph (one `lstm` node per
+    /// sequence) on a recycled pooled tape ≡ a fresh unpooled tape, bit
+    /// for bit — loss trace and final parameters.
     #[test]
     fn pooled_fused_tape_matches_fresh_bitwise(
         dim in 1usize..4,
