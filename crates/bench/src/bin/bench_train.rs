@@ -27,6 +27,15 @@
 //! one `lstm` node per sequence, so few buffers are left for the pool
 //! to save (DESIGN.md §11 has both measurements).
 //!
+//! A third micro, `adam_update`, times Adam's per-element update over
+//! DeepER-LSTM's parameter set (9 409 elements) in two layouts: every
+//! moment normal, and `train_deeper`'s (18 of the head's 32 hidden units
+//! dead: zero gradient, subnormal first moment). It reports ns per
+//! element for the pre-kernel f32 loop, kept here as the reference, and
+//! for `dc_tensor::kernel::adam_update`, after asserting that the two
+//! leave identical bits. A full run asserts that the kernel's time does
+//! not depend on the layout (within 1.5x).
+//!
 //! `--smoke` shrinks the step counts, keeps the bitwise and
 //! miss-rate checks, skips wall-clock assertions entirely and writes
 //! no file — that mode is wired into `scripts/lint.sh`.
@@ -36,9 +45,10 @@ use dc_nn::loss::LossKind;
 use dc_nn::lstm::LstmEncoder;
 use dc_nn::mlp::Mlp;
 use dc_nn::optim::{Adam, Optimizer};
+use dc_tensor::kernel::{adam_update, AdamCoeffs};
 use dc_tensor::{set_pool_enabled, Tape, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -98,6 +108,197 @@ struct Snapshot {
     smoke: bool,
     workloads: Vec<WorkloadSnapshot>,
     obs_pool: PoolObs,
+    adam_update: AdamSnapshot,
+}
+
+/// One parameter-set layout of the `adam_update` micro.
+#[derive(Serialize)]
+struct AdamLayout {
+    name: &'static str,
+    subnormal_moments: usize,
+    old_loop_ns_per_elem: f64,
+    kernel_ns_per_elem: f64,
+}
+
+#[derive(Serialize)]
+struct AdamSnapshot {
+    description: &'static str,
+    elements: usize,
+    steps_per_sample: usize,
+    reps: usize,
+    layouts: Vec<AdamLayout>,
+    /// Kernel time on `train_deeper`'s layout over its all-normal time.
+    kernel_deeper_over_normal: f64,
+    /// Kernel time over the old loop's, both on the all-normal layout.
+    kernel_over_old_normal: f64,
+    bitwise_equal: bool,
+}
+
+/// DeepER-LSTM's parameter shapes as `train_deeper` trains them:
+/// `LstmEncoder(24, 32)` (`Wx`, `Wh`, `b`) and the `[64, 32, 1]` head.
+const DEEPER_SHAPES: [(usize, usize); 7] = [
+    (24, 128),
+    (32, 128),
+    (1, 128),
+    (64, 32),
+    (1, 32),
+    (32, 1),
+    (1, 1),
+];
+/// Index of the head's first weight in [`DEEPER_SHAPES`].
+const HEAD_W1: usize = 3;
+/// Dead hidden units (of 32) in `train_deeper`'s head at seed 1400.
+const DEAD_UNITS: usize = 18;
+
+/// One slot's Adam state and its (fixed) gradient.
+#[derive(Clone)]
+struct AdamSlot {
+    p: Vec<f32>,
+    g: Vec<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
+}
+
+/// Adam's per-element update as `Adam::update` ran it before the
+/// kernel: the reference the kernel is timed against.
+fn adam_old_loop(s: &mut AdamSlot, k: &AdamCoeffs) {
+    for (((mi, vi), gi), pi) in
+        s.m.iter_mut()
+            .zip(s.v.iter_mut())
+            .zip(s.g.iter())
+            .zip(s.p.iter_mut())
+    {
+        *mi = k.beta1 * *mi + (1.0 - k.beta1) * gi;
+        *vi = k.beta2 * *vi + (1.0 - k.beta2) * gi * gi;
+        let mhat = *mi * k.inv_bc1;
+        let vhat = *vi * k.inv_bc2;
+        *pi -= k.lr * mhat / (vhat.sqrt() + k.eps);
+    }
+}
+
+fn adam_kernel(s: &mut AdamSlot, k: &AdamCoeffs) {
+    adam_update(&mut s.p, &s.g, &mut s.m, &mut s.v, k);
+}
+
+/// The parameter set in one layout: normal moments and gradients, plus
+/// (when `dead`) `DEAD_UNITS` columns of the head's first weight with a
+/// zero gradient and a subnormal first moment.
+fn adam_slots(dead: bool) -> Vec<AdamSlot> {
+    let mut rng = StdRng::seed_from_u64(5);
+    DEEPER_SHAPES
+        .iter()
+        .enumerate()
+        .map(|(i, &(rows, cols))| {
+            let n = rows * cols;
+            let mut s = AdamSlot {
+                p: (0..n).map(|_| rng.gen_range(-0.5f32..0.5)).collect(),
+                g: (0..n).map(|_| rng.gen_range(-1e-2f32..1e-2)).collect(),
+                m: (0..n).map(|_| rng.gen_range(-1e-3f32..1e-3)).collect(),
+                v: (0..n).map(|_| rng.gen_range(1e-8f32..1e-6)).collect(),
+            };
+            if dead && i == HEAD_W1 {
+                // 18 columns spread over the 32 (7 is a unit mod 32).
+                let dead_col = |c: usize| (c * 7) % cols < DEAD_UNITS;
+                for j in (0..n).filter(|j| dead_col(j % cols)) {
+                    s.g[j] = 0.0;
+                    s.m[j] = f32::from_bits(rng.gen_range(1..1u32 << 23));
+                }
+            }
+            s
+        })
+        .collect()
+}
+
+/// Time `steps` updates of every slot, `reps` times, old loop and kernel
+/// interleaved; returns median ns per element for each, and whether the
+/// two left identical state.
+fn adam_layout(name: &'static str, dead: bool, steps: usize, reps: usize) -> (AdamLayout, bool) {
+    // Step 1 000's bias corrections: far enough in for the dead units'
+    // moments to have decayed, as they have in `train_deeper`.
+    let t = 1_000;
+    let k = AdamCoeffs {
+        lr: 0.004,
+        beta1: 0.9,
+        beta2: 0.999,
+        eps: 1e-8,
+        inv_bc1: (1.0 - 0.9f32.powi(t)).recip(),
+        inv_bc2: (1.0 - 0.999f32.powi(t)).recip(),
+    };
+    let start = adam_slots(dead);
+    let elements: usize = start.iter().map(|s| s.p.len()).sum();
+    let subnormal_moments = start
+        .iter()
+        .map(|s| s.m.iter().filter(|m| m.is_subnormal()).count())
+        .sum();
+    let run = |f: fn(&mut AdamSlot, &AdamCoeffs), slots: &mut [AdamSlot]| {
+        let t0 = Instant::now();
+        for _ in 0..steps {
+            for s in slots.iter_mut() {
+                f(s, &k);
+            }
+        }
+        t0.elapsed().as_secs_f64() * 1e9 / (steps * elements) as f64
+    };
+    let bits = |slots: &[AdamSlot]| -> Vec<u32> {
+        slots
+            .iter()
+            .flat_map(|s| s.p.iter().chain(&s.m).chain(&s.v))
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    let (mut old, mut new) = (start.clone(), start.clone());
+    run(adam_old_loop, &mut old);
+    run(adam_kernel, &mut new);
+    let bitwise_equal = bits(&old) == bits(&new);
+    assert!(
+        bitwise_equal,
+        "adam_update {name}: kernel diverged from the f32 loop"
+    );
+
+    let (mut old_ns, mut new_ns) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        old_ns.push(run(adam_old_loop, &mut start.clone()));
+        new_ns.push(run(adam_kernel, &mut start.clone()));
+    }
+    let layout = AdamLayout {
+        name,
+        subnormal_moments,
+        old_loop_ns_per_elem: median(&mut old_ns),
+        kernel_ns_per_elem: median(&mut new_ns),
+    };
+    eprintln!(
+        "adam_update {name}: old loop {:.2} ns/elem, kernel {:.2} ns/elem ({subnormal_moments} subnormal moments)",
+        layout.old_loop_ns_per_elem, layout.kernel_ns_per_elem
+    );
+    (layout, bitwise_equal)
+}
+
+fn bench_adam(steps: usize, reps: usize, smoke: bool) -> AdamSnapshot {
+    let (normal, eq_normal) = adam_layout("all_normal", false, steps, reps);
+    let (deeper, eq_deeper) = adam_layout("train_deeper", true, steps, reps);
+    let kernel_deeper_over_normal = deeper.kernel_ns_per_elem / normal.kernel_ns_per_elem;
+    let kernel_over_old_normal = normal.kernel_ns_per_elem / normal.old_loop_ns_per_elem;
+    eprintln!(
+        "adam_update: kernel train_deeper/all_normal {kernel_deeper_over_normal:.2}x, \
+         kernel/old loop on all_normal {kernel_over_old_normal:.2}x"
+    );
+    if !smoke {
+        assert!(
+            kernel_deeper_over_normal <= 1.5,
+            "adam_update: kernel on train_deeper's layout is {kernel_deeper_over_normal:.2}x \
+             its all-normal time (bound 1.5x)"
+        );
+    }
+    AdamSnapshot {
+        description: "Adam's per-element update over DeepER-LSTM's 9409 parameters: the pre-kernel f32 loop vs dc_tensor::kernel::adam_update, bitwise-identical results enforced",
+        elements: DEEPER_SHAPES.iter().map(|(r, c)| r * c).sum(),
+        steps_per_sample: steps,
+        reps,
+        kernel_deeper_over_normal,
+        kernel_over_old_normal,
+        layouts: vec![normal, deeper],
+        bitwise_equal: eq_normal && eq_deeper,
+    }
 }
 
 /// One training step, abstracted over workload. Implementations must be
@@ -298,9 +499,8 @@ fn bench_workload(
     // Timing: interleaved baseline/pooled sample pairs so both modes
     // see the same machine conditions. Every sample restarts from the
     // same seed, so each rep times the exact same deterministic step
-    // sequence — and stays in the early-training regime the repo's real
-    // fits run in (long-converged models drift into denormal moments,
-    // which time the FPU, not the allocator).
+    // sequence, and both modes run the same Adam updates: whatever the
+    // moments hold, the comparison times the allocator.
     set_pool_enabled(true);
     let tape = Tape::new();
     {
@@ -416,11 +616,18 @@ fn main() {
     dc_obs::set_enabled(false);
     let obs_pool = PoolObs::from_report(&dc_obs::report());
 
+    let adam_update = if smoke {
+        bench_adam(5, 3, smoke)
+    } else {
+        bench_adam(50, 15, smoke)
+    };
+
     let snapshot = Snapshot {
         description: "training-step time: fresh unpooled tape vs one recycled pooled tape; bitwise-identical results enforced",
         smoke,
         workloads,
         obs_pool,
+        adam_update,
     };
     let json = serde_json::to_string(&snapshot).expect("serialize snapshot");
     if smoke {

@@ -5,6 +5,7 @@
 //! `0..k` consistently across steps. State is allocated lazily on first
 //! use, sized to the parameter it serves.
 
+use dc_tensor::kernel::{adam_update, AdamCoeffs};
 use dc_tensor::Tensor;
 
 /// Lazily-grown per-slot optimiser state. Slots are small dense
@@ -17,13 +18,34 @@ struct SlotState {
 }
 
 impl SlotState {
-    /// The state tensor for `slot`, created zeroed at `rows x cols` on
-    /// first use.
-    fn get_or_insert(&mut self, slot: usize, rows: usize, cols: usize) -> &mut Tensor {
+    /// The state tensor for `param`'s `slot`, created zeroed at its shape
+    /// on first use.
+    ///
+    /// # Panics
+    /// Panics if `grad` does not have `param`'s shape, or if `slot` was
+    /// first used by a parameter of another shape: two parameters
+    /// sharing a slot would otherwise update each other's state.
+    fn get_or_insert(&mut self, slot: usize, param: &Tensor, grad: &Tensor) -> &mut Tensor {
+        let (rows, cols) = (param.rows, param.cols);
+        assert_eq!(
+            (grad.rows, grad.cols),
+            (rows, cols),
+            "optimizer slot {slot}: grad {}x{} vs param {rows}x{cols}",
+            grad.rows,
+            grad.cols
+        );
         if slot >= self.slots.len() {
             self.slots.resize(slot + 1, None);
         }
-        self.slots[slot].get_or_insert_with(|| Tensor::zeros(rows, cols))
+        let state = self.slots[slot].get_or_insert_with(|| Tensor::zeros(rows, cols));
+        assert_eq!(
+            (state.rows, state.cols),
+            (rows, cols),
+            "optimizer slot {slot}: state {}x{} vs param {rows}x{cols}",
+            state.rows,
+            state.cols
+        );
+        state
     }
 }
 
@@ -95,7 +117,7 @@ impl Momentum {
 
 impl Optimizer for Momentum {
     fn update(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) {
-        let v = self.velocity.get_or_insert(slot, param.rows, param.cols);
+        let v = self.velocity.get_or_insert(slot, param, grad);
         for (vi, gi) in v.data.iter_mut().zip(grad.data.iter()) {
             *vi = self.beta * *vi + gi;
         }
@@ -134,7 +156,7 @@ impl AdaGrad {
 
 impl Optimizer for AdaGrad {
     fn update(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) {
-        let a = self.accum.get_or_insert(slot, param.rows, param.cols);
+        let a = self.accum.get_or_insert(slot, param, grad);
         for ((ai, gi), pi) in a
             .data
             .iter_mut()
@@ -181,7 +203,7 @@ impl RmsProp {
 
 impl Optimizer for RmsProp {
     fn update(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) {
-        let a = self.accum.get_or_insert(slot, param.rows, param.cols);
+        let a = self.accum.get_or_insert(slot, param, grad);
         for ((ai, gi), pi) in a
             .data
             .iter_mut()
@@ -260,22 +282,23 @@ impl Optimizer for Adam {
             self.bc1 = (1.0 - self.beta1.powi(self.t as i32)).recip();
             self.bc2 = (1.0 - self.beta2.powi(self.t as i32)).recip();
         }
-        let (inv_bc1, inv_bc2) = (self.bc1, self.bc2);
-        let m = self.m.get_or_insert(slot, param.rows, param.cols);
-        let v = self.v.get_or_insert(slot, param.rows, param.cols);
-        for (((mi, vi), gi), pi) in m
-            .data
-            .iter_mut()
-            .zip(v.data.iter_mut())
-            .zip(grad.data.iter())
-            .zip(param.data.iter_mut())
-        {
-            *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-            *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            let mhat = *mi * inv_bc1;
-            let vhat = *vi * inv_bc2;
-            *pi -= self.lr * mhat / (vhat.sqrt() + self.eps);
-        }
+        let coeffs = AdamCoeffs {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            inv_bc1: self.bc1,
+            inv_bc2: self.bc2,
+        };
+        let m = self.m.get_or_insert(slot, param, grad);
+        let v = self.v.get_or_insert(slot, param, grad);
+        adam_update(
+            &mut param.data,
+            &grad.data,
+            &mut m.data,
+            &mut v.data,
+            &coeffs,
+        );
     }
 
     fn learning_rate(&self) -> f32 {
@@ -344,6 +367,36 @@ mod tests {
         let adam = run(&mut Adam::new(0.05));
         let sgd = run(&mut Sgd::new(0.004)); // near max stable lr for 100x²
         assert!(adam < sgd, "adam {adam} vs sgd {sgd}");
+    }
+
+    #[test]
+    #[should_panic(expected = "optimizer slot 3: state 1x2 vs param 2x1")]
+    fn reusing_a_slot_at_another_shape_panics() {
+        let mut opt = Adam::new(0.1);
+        opt.begin_step();
+        let mut a = Tensor::row(vec![1.0, 2.0]);
+        opt.update(3, &mut a, &Tensor::row(vec![0.5, 0.5]));
+        let mut b = Tensor::from_vec(2, 1, vec![1.0, 2.0]);
+        opt.update(3, &mut b, &Tensor::from_vec(2, 1, vec![0.5, 0.5]));
+    }
+
+    #[test]
+    fn every_stateful_optimizer_rejects_a_grad_of_another_shape() {
+        let opts: Vec<Box<dyn Optimizer>> = vec![
+            Box::new(Momentum::new(0.1, 0.9)),
+            Box::new(AdaGrad::new(0.1)),
+            Box::new(RmsProp::new(0.1)),
+            Box::new(Adam::new(0.1)),
+        ];
+        for mut opt in opts {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut p = Tensor::row(vec![1.0, 2.0, 3.0]);
+                opt.update(0, &mut p, &Tensor::row(vec![1.0, 2.0]));
+            }));
+            let msg = outcome.expect_err("a short grad must panic");
+            let msg = msg.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("grad 1x2 vs param 1x3"), "{msg}");
+        }
     }
 
     #[test]

@@ -1245,6 +1245,181 @@ pub fn lstm_gates(xw: &[f32], hw: &[f32], b: &[f32], c_prev: &[f32], out: &mut [
     }
 }
 
+/// One Adam step's coefficients, as [`adam_update`] applies them.
+#[derive(Clone, Copy, Debug)]
+pub struct AdamCoeffs {
+    /// Learning rate.
+    pub lr: f32,
+    /// First-moment decay.
+    pub beta1: f32,
+    /// Second-moment decay.
+    pub beta2: f32,
+    /// Added to the root of the corrected second moment.
+    pub eps: f32,
+    /// Reciprocal first-moment bias correction `1/(1-beta1^t)`.
+    pub inv_bc1: f32,
+    /// Reciprocal second-moment bias correction `1/(1-beta2^t)`.
+    pub inv_bc2: f32,
+}
+
+/// One Adam step over a parameter's elements: the one definition of
+/// the optimiser's per-element update. With `c1 = 1-beta1` and
+/// `c2 = 1-beta2` taken in f32, each element runs, every operation
+/// rounded to f32,
+///
+/// `m = beta1·m + c1·g`, `v = beta2·v + (c2·g)·g`,
+/// `mhat = m·inv_bc1`, `vhat = v·inv_bc2`,
+/// `p -= (lr·mhat) / (√vhat + eps)`.
+///
+/// The multiplies, the divide and the square root run in f64 lanes and
+/// each result is narrowed to f32 before its next use. A product,
+/// quotient or root of f32 operands rounded once to binary64 and then
+/// to binary32 equals the directly rounded f32 result (binary64 carries
+/// more than `2·24+2` significand bits), so every bit matches the plain
+/// f32 loop — but an f32 subnormal, which the x86 FPU multiplies,
+/// divides and roots through a microcode assist (about 50 ns against
+/// 1–3 ns), is an ordinary f64 number. The first moment of a unit whose
+/// gradient stays exactly zero decays into the subnormal range and
+/// stays there (`0.9·k·2⁻¹⁴⁹` rounds back to `k·2⁻¹⁴⁹` for `k ≤ 4`); it
+/// costs what any other element does. The additions stay in f32: they
+/// take subnormals at full speed.
+///
+/// Each widened operand passes [`opaque`] first: LLVM would otherwise
+/// fold `f32(f64(a) ⊗ f64(b))` back into the f32 operation (the fold is
+/// exact, so it is allowed to) and bring the assist back.
+///
+/// # Panics
+/// Panics unless `g`, `m` and `v` have `p`'s length.
+pub fn adam_update(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], k: &AdamCoeffs) {
+    let n = p.len();
+    assert!(
+        g.len() == n && m.len() == n && v.len() == n,
+        "adam_update: param of {n} elements, grad of {}, moments of {} and {}",
+        g.len(),
+        m.len(),
+        v.len()
+    );
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the required CPU feature was just verified.
+        return unsafe { adam_update_avx2(p, g, m, v, k) };
+    }
+    adam_update_body(p, g, m, v, k)
+}
+
+/// The portable lane of [`adam_update`]: one element at a time, each
+/// widened operand hidden behind [`std::hint::black_box`]. Miri and
+/// hosts without AVX2 run it; the unit tests pin it to the AVX2 lane.
+fn adam_update_body(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], k: &AdamCoeffs) {
+    let wide = |x: f32| std::hint::black_box(f64::from(x));
+    let (b1, c1) = (f64::from(k.beta1), f64::from(1.0 - k.beta1));
+    let (b2, c2) = (f64::from(k.beta2), f64::from(1.0 - k.beta2));
+    let (ibc1, ibc2, lr) = (f64::from(k.inv_bc1), f64::from(k.inv_bc2), f64::from(k.lr));
+    for (((pi, &gi), mi), vi) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+        let g = wide(gi);
+        *mi = (b1 * wide(*mi)) as f32 + (c1 * g) as f32;
+        *vi = (b2 * wide(*vi)) as f32 + (wide((c2 * g) as f32) * g) as f32;
+        let mhat = wide((wide(*mi) * ibc1) as f32);
+        let vhat = wide((wide(*vi) * ibc2) as f32);
+        let den = wide(vhat.sqrt() as f32 + k.eps);
+        *pi -= (wide((lr * mhat) as f32) / den) as f32;
+    }
+}
+
+/// An optimization barrier for one vector of widened values: an empty
+/// `asm!` that LLVM must assume rewrites the register, so a later
+/// narrowing cannot be traced back to an f32 operand and folded into a
+/// single-precision instruction. It emits no instruction.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn opaque(mut x: std::arch::x86_64::__m256d) -> std::arch::x86_64::__m256d {
+    // SAFETY: the template is empty: it reads and writes nothing but
+    // the one register it is handed, and touches no memory or flags.
+    unsafe {
+        std::arch::asm!("/* {0} */", inout(ymm_reg) x, options(pure, nomem, nostack, preserves_flags));
+    }
+    x
+}
+
+/// The AVX2 lane of [`adam_update`]: four elements per step in f64
+/// `ymm` lanes, narrowed to f32 `xmm` lanes between operations. The
+/// last `n % 4` elements run the same step on zero-padded copies, so
+/// every element takes one path.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+fn adam_update_avx2(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], k: &AdamCoeffs) {
+    use std::arch::x86_64::*;
+    let splat = |x: f32| _mm256_set1_pd(f64::from(x));
+    let (b1, c1) = (splat(k.beta1), splat(1.0 - k.beta1));
+    let (b2, c2) = (splat(k.beta2), splat(1.0 - k.beta2));
+    let (ibc1, ibc2, lr) = (splat(k.inv_bc1), splat(k.inv_bc2), splat(k.lr));
+    let eps = _mm_set1_ps(k.eps);
+    let wide = |x: __m128| opaque(_mm256_cvtps_pd(x));
+    let narrow = _mm256_cvtpd_ps;
+    let step = |p: &mut [f32; 4], g: &[f32; 4], m: &mut [f32; 4], v: &mut [f32; 4]| {
+        // SAFETY: each pointer addresses four in-bounds f32s.
+        let (pv, gv, mv, vv) = unsafe {
+            (
+                _mm_loadu_ps(p.as_ptr()),
+                _mm_loadu_ps(g.as_ptr()),
+                _mm_loadu_ps(m.as_ptr()),
+                _mm_loadu_ps(v.as_ptr()),
+            )
+        };
+        let gw = wide(gv);
+        let mn = _mm_add_ps(
+            narrow(_mm256_mul_pd(b1, wide(mv))),
+            narrow(_mm256_mul_pd(c1, gw)),
+        );
+        let cg = wide(narrow(_mm256_mul_pd(c2, gw)));
+        let vn = _mm_add_ps(
+            narrow(_mm256_mul_pd(b2, wide(vv))),
+            narrow(_mm256_mul_pd(cg, gw)),
+        );
+        let mhat = wide(narrow(_mm256_mul_pd(wide(mn), ibc1)));
+        let vhat = wide(narrow(_mm256_mul_pd(wide(vn), ibc2)));
+        let num = wide(narrow(_mm256_mul_pd(lr, mhat)));
+        let den = wide(_mm_add_ps(narrow(_mm256_sqrt_pd(vhat)), eps));
+        let pn = _mm_sub_ps(pv, narrow(_mm256_div_pd(num, den)));
+        // SAFETY: as for the loads.
+        unsafe {
+            _mm_storeu_ps(m.as_mut_ptr(), mn);
+            _mm_storeu_ps(v.as_mut_ptr(), vn);
+            _mm_storeu_ps(p.as_mut_ptr(), pn);
+        }
+    };
+    let (pc, gc, mc, vc) = (
+        p.chunks_exact_mut(4),
+        g.chunks_exact(4),
+        m.chunks_exact_mut(4),
+        v.chunks_exact_mut(4),
+    );
+    let tail = pc.len() * 4;
+    for (((p, g), m), v) in pc.zip(gc).zip(mc).zip(vc) {
+        let quad = "chunks_exact(4) yields 4 elements";
+        step(
+            p.try_into().expect(quad),
+            g.try_into().expect(quad),
+            m.try_into().expect(quad),
+            v.try_into().expect(quad),
+        );
+    }
+    let r = p.len() - tail;
+    if r > 0 {
+        let pad = |s: &[f32]| {
+            let mut q = [0.0f32; 4];
+            q[..r].copy_from_slice(&s[tail..]);
+            q
+        };
+        let (mut pq, gq, mut mq, mut vq) = (pad(p), pad(g), pad(m), pad(v));
+        step(&mut pq, &gq, &mut mq, &mut vq);
+        p[tail..].copy_from_slice(&pq[..r]);
+        m[tail..].copy_from_slice(&mq[..r]);
+        v[tail..].copy_from_slice(&vq[..r]);
+    }
+}
+
 /// Fill each slot of `out` from `f(index)`, in parallel when the pool
 /// has idle threads. Used by batch forward paths (e.g. LSTM lanes)
 /// where every lane is independent.
@@ -1471,6 +1646,67 @@ mod tests {
         let mut out = vec![0usize; 777];
         parallel_fill(&mut out, |i| i * 3);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
+    }
+
+    /// Both lanes of `adam_update` — the portable body, called directly,
+    /// and whatever the host dispatches to — against the plain f32 loop,
+    /// over every class of f32 and a length with a ragged tail.
+    #[test]
+    fn adam_update_lanes_match_the_f32_loop() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(17);
+        let any = |rng: &mut StdRng| -> f32 {
+            let x = match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 | 2 => f32::from_bits(rng.gen_range(1..1u32 << 23)),
+                3 => f32::from_bits(rng.gen_range(0x0080_0000..0x1000_0000u32)),
+                4 | 5 => rng.gen_range(-4.0f32..4.0),
+                6 => f32::from_bits(rng.gen_range(0x7000_0000..0x7f80_0000u32)),
+                _ => [f32::INFINITY, f32::NAN][rng.gen_range(0..2usize)],
+            };
+            if rng.gen_bool(0.5) {
+                -x
+            } else {
+                x
+            }
+        };
+        let same = |a: &[f32], b: &[f32]| {
+            a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        for &(t, lr) in &[(1, 0.004f32), (3, 10.0), (500, 1e-30), (100_000, 0.01)] {
+            let k = AdamCoeffs {
+                lr,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+                inv_bc1: (1.0 - 0.9f32.powi(t)).recip(),
+                inv_bc2: (1.0 - 0.999f32.powi(t)).recip(),
+            };
+            let n = 37;
+            let (m0, v0, g, p0): (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) = (
+                (0..n).map(|_| any(&mut rng)).collect(),
+                (0..n).map(|_| any(&mut rng)).collect(),
+                (0..n).map(|_| any(&mut rng)).collect(),
+                (0..n).map(|_| any(&mut rng)).collect(),
+            );
+            let (mut m, mut v, mut p) = (m0.clone(), v0.clone(), p0.clone());
+            for (((mi, vi), gi), pi) in m.iter_mut().zip(v.iter_mut()).zip(&g).zip(p.iter_mut()) {
+                *mi = k.beta1 * *mi + (1.0 - k.beta1) * gi;
+                *vi = k.beta2 * *vi + (1.0 - k.beta2) * gi * gi;
+                *pi -= k.lr * (*mi * k.inv_bc1) / ((*vi * k.inv_bc2).sqrt() + k.eps);
+            }
+            type Lane = fn(&mut [f32], &[f32], &mut [f32], &mut [f32], &AdamCoeffs);
+            let lanes: [(&str, Lane); 2] = [("body", adam_update_body), ("dispatch", adam_update)];
+            for (lane, f) in lanes {
+                let (mut ml, mut vl, mut pl) = (m0.clone(), v0.clone(), p0.clone());
+                f(&mut pl, &g, &mut ml, &mut vl, &k);
+                assert!(same(&ml, &m), "{lane} m, t = {t}");
+                assert!(same(&vl, &v), "{lane} v, t = {t}");
+                assert!(same(&pl, &p), "{lane} p, t = {t}");
+            }
+        }
     }
 
     #[test]

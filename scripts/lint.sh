@@ -73,6 +73,9 @@ gates=(
     "== Trainer migration (one run_dataset_epochs loop vs the seed-era hand loops)"
     "once dc-nn:trainer_migration"
 
+    "== Adam kernel equivalence (f64-lane update vs the f32 loop it replaced, bit for bit)"
+    "once dc-nn:adam_equiv"
+
     "== one training surface: no other epoch loop, no throwaway-tape step twins, no chunk-budget env knob"
     # The bracket keeps the knob's name itself out of this file.
     "run if git grep -nE 'pub fn run_epochs|fn (train_batch|train_step|train_round)_on|chunk_budget_from_env|DC_DATA_CHUNK[S]' -- 'crates/*/src/*' src; then exit 1; fi"
