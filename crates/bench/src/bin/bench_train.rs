@@ -33,8 +33,9 @@
 //! dead: zero gradient, subnormal first moment). It reports ns per
 //! element for the pre-kernel f32 loop, kept here as the reference, and
 //! for `dc_tensor::kernel::adam_update`, after asserting that the two
-//! leave identical bits. A full run asserts that the kernel's time does
-//! not depend on the layout (within 1.5x).
+//! leave identical bits. A full run asserts that the kernel's time on
+//! `train_deeper`'s layout is within 1.5x of its all-normal time, and
+//! that on the all-normal layout it is within 1.10x of the old loop's.
 //!
 //! `--smoke` shrinks the step counts, keeps the bitwise and
 //! miss-rate checks, skips wall-clock assertions entirely and writes
@@ -209,75 +210,103 @@ fn adam_slots(dead: bool) -> Vec<AdamSlot> {
         .collect()
 }
 
-/// Time `steps` updates of every slot, `reps` times, old loop and kernel
-/// interleaved; returns median ns per element for each, and whether the
-/// two left identical state.
-fn adam_layout(name: &'static str, dead: bool, steps: usize, reps: usize) -> (AdamLayout, bool) {
-    // Step 1 000's bias corrections: far enough in for the dead units'
-    // moments to have decayed, as they have in `train_deeper`.
+/// Step 1 000's coefficients: far enough in for the dead units'
+/// moments to have decayed, as they have in `train_deeper`.
+fn adam_coeffs() -> AdamCoeffs {
     let t = 1_000;
-    let k = AdamCoeffs {
+    AdamCoeffs {
         lr: 0.004,
         beta1: 0.9,
         beta2: 0.999,
         eps: 1e-8,
         inv_bc1: (1.0 - 0.9f32.powi(t)).recip(),
         inv_bc2: (1.0 - 0.999f32.powi(t)).recip(),
-    };
-    let start = adam_slots(dead);
-    let elements: usize = start.iter().map(|s| s.p.len()).sum();
-    let subnormal_moments = start
-        .iter()
-        .map(|s| s.m.iter().filter(|m| m.is_subnormal()).count())
-        .sum();
-    let run = |f: fn(&mut AdamSlot, &AdamCoeffs), slots: &mut [AdamSlot]| {
-        let t0 = Instant::now();
+    }
+}
+
+/// ns per element for `steps` updates of every slot, from a fresh copy
+/// of `start`.
+fn time_adam(f: fn(&mut AdamSlot, &AdamCoeffs), start: &[AdamSlot], steps: usize) -> f64 {
+    let k = adam_coeffs();
+    let mut slots = start.to_vec();
+    let elements: usize = slots.iter().map(|s| s.p.len()).sum();
+    let t0 = Instant::now();
+    for _ in 0..steps {
+        for s in slots.iter_mut() {
+            f(s, &k);
+        }
+    }
+    t0.elapsed().as_secs_f64() * 1e9 / (steps * elements) as f64
+}
+
+/// Assert that the kernel leaves the old loop's bits after `steps`
+/// updates from `start`.
+fn assert_adam_bits(name: &str, start: &[AdamSlot], steps: usize) {
+    let k = adam_coeffs();
+    let bits = |f: fn(&mut AdamSlot, &AdamCoeffs)| -> Vec<u32> {
+        let mut slots = start.to_vec();
         for _ in 0..steps {
             for s in slots.iter_mut() {
                 f(s, &k);
             }
         }
-        t0.elapsed().as_secs_f64() * 1e9 / (steps * elements) as f64
-    };
-    let bits = |slots: &[AdamSlot]| -> Vec<u32> {
         slots
             .iter()
             .flat_map(|s| s.p.iter().chain(&s.m).chain(&s.v))
             .map(|x| x.to_bits())
             .collect()
     };
-    let (mut old, mut new) = (start.clone(), start.clone());
-    run(adam_old_loop, &mut old);
-    run(adam_kernel, &mut new);
-    let bitwise_equal = bits(&old) == bits(&new);
     assert!(
-        bitwise_equal,
+        bits(adam_old_loop) == bits(adam_kernel),
         "adam_update {name}: kernel diverged from the f32 loop"
     );
-
-    let (mut old_ns, mut new_ns) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-    for _ in 0..reps {
-        old_ns.push(run(adam_old_loop, &mut start.clone()));
-        new_ns.push(run(adam_kernel, &mut start.clone()));
-    }
-    let layout = AdamLayout {
-        name,
-        subnormal_moments,
-        old_loop_ns_per_elem: median(&mut old_ns),
-        kernel_ns_per_elem: median(&mut new_ns),
-    };
-    eprintln!(
-        "adam_update {name}: old loop {:.2} ns/elem, kernel {:.2} ns/elem ({subnormal_moments} subnormal moments)",
-        layout.old_loop_ns_per_elem, layout.kernel_ns_per_elem
-    );
-    (layout, bitwise_equal)
 }
 
+/// Both layouts, old loop and kernel: `reps` rounds, each timing all
+/// four once in turn so every ratio compares runs made moments apart.
+/// Ratios are medians of the per-round ratios.
 fn bench_adam(steps: usize, reps: usize, smoke: bool) -> AdamSnapshot {
-    let (normal, eq_normal) = adam_layout("all_normal", false, steps, reps);
-    let (deeper, eq_deeper) = adam_layout("train_deeper", true, steps, reps);
-    let kernel_deeper_over_normal = deeper.kernel_ns_per_elem / normal.kernel_ns_per_elem;
-    let kernel_over_old_normal = normal.kernel_ns_per_elem / normal.old_loop_ns_per_elem;
+    let layouts = [
+        ("all_normal", adam_slots(false)),
+        ("train_deeper", adam_slots(true)),
+    ];
+    for (name, start) in &layouts {
+        assert_adam_bits(name, start, steps);
+    }
+    // [layout][old, kernel] samples, in ns per element.
+    let mut ns = [[vec![], vec![]], [vec![], vec![]]];
+    for _ in 0..reps {
+        for (l, (_, start)) in layouts.iter().enumerate() {
+            ns[l][0].push(time_adam(adam_old_loop, start, steps));
+            ns[l][1].push(time_adam(adam_kernel, start, steps));
+        }
+    }
+    let ratio = |a: &[f64], b: &[f64]| {
+        let mut r: Vec<f64> = a.iter().zip(b).map(|(x, y)| x / y).collect();
+        median(&mut r)
+    };
+    let kernel_deeper_over_normal = ratio(&ns[1][1], &ns[0][1]);
+    let kernel_over_old_normal = ratio(&ns[0][1], &ns[0][0]);
+    let layouts: Vec<AdamLayout> = layouts
+        .iter()
+        .zip(ns.iter_mut())
+        .map(|((name, start), [old, new])| {
+            let layout = AdamLayout {
+                name,
+                subnormal_moments: start
+                    .iter()
+                    .map(|s| s.m.iter().filter(|m| m.is_subnormal()).count())
+                    .sum(),
+                old_loop_ns_per_elem: median(old),
+                kernel_ns_per_elem: median(new),
+            };
+            eprintln!(
+                "adam_update {name}: old loop {:.2} ns/elem, kernel {:.2} ns/elem ({} subnormal moments)",
+                layout.old_loop_ns_per_elem, layout.kernel_ns_per_elem, layout.subnormal_moments
+            );
+            layout
+        })
+        .collect();
     eprintln!(
         "adam_update: kernel train_deeper/all_normal {kernel_deeper_over_normal:.2}x, \
          kernel/old loop on all_normal {kernel_over_old_normal:.2}x"
@@ -288,6 +317,11 @@ fn bench_adam(steps: usize, reps: usize, smoke: bool) -> AdamSnapshot {
             "adam_update: kernel on train_deeper's layout is {kernel_deeper_over_normal:.2}x \
              its all-normal time (bound 1.5x)"
         );
+        assert!(
+            kernel_over_old_normal <= 1.10,
+            "adam_update: kernel on the all-normal layout is {kernel_over_old_normal:.2}x \
+             the old loop's time (bound 1.10x)"
+        );
     }
     AdamSnapshot {
         description: "Adam's per-element update over DeepER-LSTM's 9409 parameters: the pre-kernel f32 loop vs dc_tensor::kernel::adam_update, bitwise-identical results enforced",
@@ -296,8 +330,8 @@ fn bench_adam(steps: usize, reps: usize, smoke: bool) -> AdamSnapshot {
         reps,
         kernel_deeper_over_normal,
         kernel_over_old_normal,
-        layouts: vec![normal, deeper],
-        bitwise_equal: eq_normal && eq_deeper,
+        layouts,
+        bitwise_equal: true,
     }
 }
 
@@ -619,7 +653,7 @@ fn main() {
     let adam_update = if smoke {
         bench_adam(5, 3, smoke)
     } else {
-        bench_adam(50, 15, smoke)
+        bench_adam(50, 31, smoke)
     };
 
     let snapshot = Snapshot {
